@@ -172,15 +172,7 @@ def cmd_featurize(args, cfg: Config) -> int:
     window = audio_io.center_slice(clip, cfg.get_int("window_samples", 220_500))
     if pipeline.feature == train.CURVE:
         raise ConfigError("featurize writes feature matrices; curve tokens have no TSFM form")
-    if pipeline.feature == train.MEL:
-        feats = dsp.mel_spectrogram(window, pipeline.spectrogram)
-    elif pipeline.feature == train.MFCC:
-        feats = dsp.mfcc(window, pipeline.spectrogram, pipeline.n_coeffs)
-    else:
-        feats = dsp.reshape_amplitudes(window, pipeline.reshape_rows, pipeline.reshape_cols)
-    feats = dsp.downsample_columns(feats, pipeline.downsample)
-    if pipeline.normalize:
-        feats = dsp.normalize01(feats)
+    feats = pipeline.features(window)
     out = args.out or (Path(args.input).stem + ".tsfm")
     dsp.save_features(out, feats)
     print(f"wrote {feats.shape[0]}x{feats.shape[1]} {feats.kind} features to {out}")

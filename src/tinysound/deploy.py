@@ -9,18 +9,17 @@ numerically equivalent to running the dequantized weights.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import model as model_mod
 from .audio_io import AudioClip
-from .errors import CheckpointError
-from .model import ModelConfig, ModelParams, count_params, forward, save_checkpoint
+from .errors import ConfigError
+from .model import ModelConfig, ModelParams, count_params, encode_checkpoint, forward
 
 _QUANT_SUFFIX = "_w"  # every linear weight tensor
 
@@ -85,86 +84,45 @@ def qforward(qparams: QuantizedParams, batch: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quantized checkpoint: magic "TSCQ", config, dtype-tagged tensor table
+# Quantized checkpoint: the TSCK prefix with magic "TSCQ", then one
+# dtype-tagged tensor table (layout in model.py)
 # ---------------------------------------------------------------------------
 
 _QCKPT_MAGIC = b"TSCQ"
 _QCKPT_VERSION = 1
-_DTYPE_F32 = 0
-_DTYPE_I8 = 1
+
+
+def encode_quantized(qparams: QuantizedParams) -> bytes:
+    entries = [model_mod._entry_bytes(n, t, model_mod._F32)
+               for n, t in qparams.float_tensors.items()]
+    entries += [model_mod._entry_bytes(n, t, model_mod._I8, qparams.scales[n])
+                for n, t in qparams.int8_weights.items()]
+    prefix = model_mod._prefix_bytes(_QCKPT_MAGIC, _QCKPT_VERSION, qparams.cfg, qparams.metadata)
+    return b"".join([prefix, struct.pack("<I", len(entries))] + entries)
 
 
 def save_quantized(path, qparams: QuantizedParams) -> None:
-    cfg_blob = json.dumps(
-        {f.name: getattr(qparams.cfg, f.name) for f in qparams.cfg.__dataclass_fields__.values()},
-        sort_keys=True,
-    ).encode("utf-8")
-    meta_blob = json.dumps(qparams.metadata, sort_keys=True).encode("utf-8")
-    entries = [(n, qparams.float_tensors[n], None) for n in qparams.float_tensors]
-    entries += [(n, qparams.int8_weights[n], qparams.scales[n]) for n in qparams.int8_weights]
-    with open(path, "wb") as fh:
-        fh.write(_QCKPT_MAGIC)
-        fh.write(struct.pack("<I", _QCKPT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, tensor, scale in entries:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            if scale is None:
-                fh.write(struct.pack("<Bf", _DTYPE_F32, 0.0))
-                payload = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-            else:
-                fh.write(struct.pack("<Bf", _DTYPE_I8, scale))
-                payload = np.ascontiguousarray(tensor, dtype=np.int8).tobytes()
-            fh.write(struct.pack("<B", tensor.ndim))
-            for dim in tensor.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(payload)
+    Path(path).write_bytes(encode_quantized(qparams))
 
 
 def load_quantized(path) -> QuantizedParams:
-    def read_exact(fh, n, what):
-        data = fh.read(n)
-        if len(data) < n:
-            raise CheckpointError(f"truncated quantized checkpoint while reading {what}")
-        return data
+    """Read a TSCQ file; any malformed content raises CheckpointError.
 
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _QCKPT_MAGIC:
-            raise CheckpointError(f"bad quantized-checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
-        if version != _QCKPT_VERSION:
-            raise CheckpointError(f"quantized checkpoint version {version} unsupported")
-        (cfg_len,) = struct.unpack("<I", read_exact(fh, 4, "config"))
-        cfg = ModelConfig(**json.loads(read_exact(fh, cfg_len, "config").decode("utf-8")))
-        (meta_len,) = struct.unpack("<I", read_exact(fh, 4, "metadata"))
-        metadata = json.loads(read_exact(fh, meta_len, "metadata").decode("utf-8"))
-        (count,) = struct.unpack("<I", read_exact(fh, 4, "tensor count"))
-        int8_weights, scales, float_tensors = {}, {}, {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "name"))
-            name = read_exact(fh, name_len, "name").decode("utf-8")
-            dtype_tag, scale = struct.unpack("<Bf", read_exact(fh, 5, name))
-            (ndim,) = struct.unpack("<B", read_exact(fh, 1, name))
-            shape = tuple(struct.unpack("<I", read_exact(fh, 4, name))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            if dtype_tag == _DTYPE_I8:
-                payload = read_exact(fh, size, name)
-                int8_weights[name] = np.frombuffer(payload, dtype=np.int8).reshape(shape).copy()
-                scales[name] = float(scale)
-            elif dtype_tag == _DTYPE_F32:
-                payload = read_exact(fh, size * 4, name)
-                float_tensors[name] = (
-                    np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
-                )
-            else:
-                raise CheckpointError(f"unknown dtype tag {dtype_tag} for tensor {name}")
-    return QuantizedParams(cfg, int8_weights, scales, float_tensors, metadata)
+    Dequantizing here rejects tensors that do not fit the config at load.
+    """
+    r, cfg, metadata = model_mod._read_prefix(Path(path).read_bytes(), _QCKPT_MAGIC,
+                                              _QCKPT_VERSION, "quantized checkpoint")
+    int8_weights, scales, float_tensors = {}, {}, {}
+    for name, tag, scale, array in model_mod._read_entries(r, tagged=True):
+        if tag == model_mod._I8:
+            int8_weights[name] = array
+            scales[name] = scale
+        else:
+            float_tensors[name] = array
+    qparams = QuantizedParams(cfg, int8_weights, scales, float_tensors, metadata)
+    with r.rejecting("tensors", ConfigError):
+        qparams.dequantize()
+    return qparams
 
 
 def weight_payload_bytes(params_or_q) -> int:
@@ -191,12 +149,7 @@ class BenchReport:
     quantized: bool
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "mean_ms": self.mean_ms, "min_ms": self.min_ms, "max_ms": self.max_ms,
-            "feature_mean_ms": self.feature_mean_ms, "runs": self.runs,
-            "param_count": self.param_count, "serialized_bytes": self.serialized_bytes,
-            "quantized": self.quantized,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
@@ -226,16 +179,8 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
             model_times.append((t2 - t1) * 1e3)
 
     if serialized_bytes is None:
-        with tempfile.NamedTemporaryFile(suffix=".tsck", delete=False) as tmp:
-            tmp_path = tmp.name
-        try:
-            if quantized:
-                save_quantized(tmp_path, params_or_q)
-            else:
-                save_checkpoint(tmp_path, params)
-            serialized_bytes = os.path.getsize(tmp_path)
-        finally:
-            os.unlink(tmp_path)
+        serialized_bytes = len(encode_quantized(params_or_q) if quantized
+                               else encode_checkpoint(params))
 
     return BenchReport(
         mean_ms=float(np.mean(model_times)),

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
+from . import _binio
 from .audio_io import AudioClip
 from .errors import ConfigError, DecodeError
 
@@ -275,31 +277,21 @@ def normalize01(features: FeatureMatrix) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 
 _FEATURE_MAGIC = b"TSFM"
-_KIND_CODES = {kind: i for i, kind in enumerate(FEATURE_KINDS)}
 
 
 def save_features(path, features: FeatureMatrix) -> None:
     rows, cols = features.shape
-    with open(path, "wb") as fh:
-        fh.write(_FEATURE_MAGIC)
-        fh.write(struct.pack("<IIB", rows, cols, _KIND_CODES[features.kind]))
-        fh.write(features.data.astype("<f4").tobytes())
+    header = struct.pack("<IIB", rows, cols, FEATURE_KINDS.index(features.kind))
+    Path(path).write_bytes(_FEATURE_MAGIC + header + features.data.astype("<f4").tobytes())
 
 
 def load_features(path, frame_rate: float = 0.0) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FEATURE_MAGIC:
-            raise DecodeError(f"bad feature-file magic {magic!r}", offset=0)
-        header = fh.read(9)
-        if len(header) < 9:
-            raise DecodeError("truncated feature-file header", offset=4)
-        rows, cols, kind_code = struct.unpack("<IIB", header)
-        body = fh.read(rows * cols * 4)
-        if len(body) < rows * cols * 4:
-            raise DecodeError("truncated feature payload", offset=13)
-    kinds = {v: k for k, v in _KIND_CODES.items()}
-    if kind_code not in kinds:
-        raise DecodeError(f"unknown feature kind code {kind_code}", offset=12)
-    data = np.frombuffer(body, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    return FeatureMatrix(data, kinds[kind_code], frame_rate)
+    """Read a TSFM file; any malformed content raises DecodeError."""
+    r = _binio.Reader(Path(path).read_bytes(), _FEATURE_MAGIC, DecodeError, "feature file")
+    shape = r.unpack("<II", "header")
+    (kind_code,) = r.unpack("<B", "header")
+    if kind_code >= len(FEATURE_KINDS):
+        raise r.error(f"unknown feature kind code {kind_code}")
+    values = r.array("<f4", shape, "feature payload")
+    with r.rejecting("feature payload", ValueError):
+        return FeatureMatrix(values, FEATURE_KINDS[kind_code], frame_rate)

@@ -13,13 +13,14 @@ arithmetic runs in float64.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
+from . import _binio
 from .errors import CheckpointError, ConfigError
 
 CONTINUOUS = "continuous"
@@ -49,8 +50,9 @@ class ModelConfig:
         if self.input_mode not in (CONTINUOUS, TOKENS):
             raise ConfigError(f"input_mode must be continuous or tokens, got {self.input_mode!r}")
         for name in ("input_dim", "seq_len", "hidden", "layers", "heads", "classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -426,6 +428,8 @@ def count_mult_adds(cfg: ModelConfig, convention: str = TOTAL) -> int:
 
 _CKPT_MAGIC = b"TSCK"
 _CKPT_VERSION = 1
+_F32, _I8 = 0, 1  # TSCQ entry dtype tags
+_DTYPE_TAGS = {_F32: np.dtype("<f4"), _I8: np.dtype("i1")}
 
 
 @dataclass
@@ -436,83 +440,81 @@ class Checkpoint:
     metadata: dict
 
 
-def _write_json_block(fh, obj) -> None:
-    blob = json.dumps(obj, sort_keys=True).encode("utf-8")
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
+# TSCK and TSCQ share the prefix (magic, u32 version, JSON config and
+# metadata blocks) and the tensor entry (name, then in TSCQ a u8 dtype tag
+# and an f32 scale, then shape and payload); TSCK entries are all f32.
+
+def _prefix_bytes(magic: bytes, version: int, cfg: ModelConfig, metadata: dict) -> bytes:
+    return (magic + struct.pack("<I", version)
+            + _binio.json_block(asdict(cfg)) + _binio.json_block(metadata))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) < n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+def _entry_bytes(name: str, tensor: np.ndarray, tag: int | None = None,
+                 scale: float = 0.0) -> bytes:
+    head = b"" if tag is None else struct.pack("<Bf", tag, scale)
+    dtype = _DTYPE_TAGS[_F32 if tag is None else tag]
+    return (_binio.name_block(name) + head + _binio.shape_block(tensor.shape)
+            + np.ascontiguousarray(tensor, dtype=dtype).tobytes())
 
 
-def _read_json_block(fh, what: str):
-    (size,) = struct.unpack("<I", _read_exact(fh, 4, what))
-    return json.loads(_read_exact(fh, size, what).decode("utf-8"))
+def _table_bytes(tensors: dict[str, np.ndarray]) -> bytes:
+    return struct.pack("<I", len(tensors)) + b"".join(
+        _entry_bytes(name, t) for name, t in tensors.items())
 
 
-def _write_tensor_table(fh, tensors: dict[str, np.ndarray]) -> None:
-    fh.write(struct.pack("<I", len(tensors)))
-    for name, tensor in tensors.items():
-        encoded = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<B", tensor.ndim))
-        for dim in tensor.shape:
-            fh.write(struct.pack("<I", dim))
-        fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+def _read_prefix(data: bytes, magic: bytes, version: int,
+                 kind: str) -> tuple[_binio.Reader, ModelConfig, dict]:
+    """Check magic and version, then decode and validate config and metadata."""
+    r = _binio.Reader(data, magic, CheckpointError, kind)
+    (found,) = r.unpack("<I", "version")
+    if found != version:
+        raise r.error(f"{kind} version {found} unsupported (expected {version})")
+    block = r.json_object("config")
+    with r.rejecting("config", TypeError, ConfigError):
+        cfg = ModelConfig(**block)
+    metadata = r.json_object("metadata")
+    names = metadata.get("class_names")
+    if names is not None and (not isinstance(names, list) or len(names) != cfg.classes):
+        raise r.error(f"metadata class_names {names!r} do not name {cfg.classes} classes")
+    return r, cfg, metadata
 
 
-def _read_tensor_table(fh) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-    tensors = {}
+def _read_entries(r: _binio.Reader, tagged: bool = False):
+    """Yield (name, tag, scale, array) for each entry of a tensor table."""
+    (count,) = r.unpack("<I", "tensor count")
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name"))
-        name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-        (ndim,) = struct.unpack("<B", _read_exact(fh, 1, name))
-        shape = tuple(
-            struct.unpack("<I", _read_exact(fh, 4, name))[0] for _ in range(ndim)
-        )
-        size = int(np.prod(shape)) if shape else 1
-        payload = _read_exact(fh, size * 4, name)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
-    return tensors
+        name = r.text("<H", "tensor name")
+        tag, scale = r.unpack("<Bf", name) if tagged else (_F32, 0.0)
+        if tag not in _DTYPE_TAGS:
+            raise r.error(f"unknown dtype tag {tag} for tensor {name}")
+        yield name, tag, scale, r.array(_DTYPE_TAGS[tag], r.shape(name), name)
+
+
+def _read_table(r: _binio.Reader) -> dict[str, np.ndarray]:
+    return {name: array for name, _, _, array in _read_entries(r)}
+
+
+def encode_checkpoint(params: ModelParams,
+                      opt_tensors: dict[str, np.ndarray] | None = None,
+                      step: int = 0, metadata: dict | None = None) -> bytes:
+    opt = b"\x00" if opt_tensors is None else b"\x01" + _table_bytes(opt_tensors)
+    return (_prefix_bytes(_CKPT_MAGIC, _CKPT_VERSION, params.cfg, metadata or {})
+            + struct.pack("<Q", step) + _table_bytes(params.tensors) + opt)
 
 
 def save_checkpoint(path, params: ModelParams,
                     opt_tensors: dict[str, np.ndarray] | None = None,
                     step: int = 0, metadata: dict | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        _write_json_block(fh, asdict(params.cfg))
-        _write_json_block(fh, metadata or {})
-        fh.write(struct.pack("<Q", step))
-        _write_tensor_table(fh, params.tensors)
-        if opt_tensors is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            _write_tensor_table(fh, opt_tensors)
+    Path(path).write_bytes(encode_checkpoint(params, opt_tensors, step, metadata))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {version} unsupported (expected {_CKPT_VERSION})"
-            )
-        cfg = ModelConfig(**_read_json_block(fh, "config"))
-        metadata = _read_json_block(fh, "metadata")
-        (step,) = struct.unpack("<Q", _read_exact(fh, 8, "step"))
-        tensors = _read_tensor_table(fh)
-        (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "optimizer flag"))
-        opt_tensors = _read_tensor_table(fh) if has_opt else None
-    return Checkpoint(ModelParams(cfg, tensors), opt_tensors, step, metadata)
+    """Read a TSCK file; any malformed content raises CheckpointError."""
+    r, cfg, metadata = _read_prefix(Path(path).read_bytes(), _CKPT_MAGIC, _CKPT_VERSION,
+                                    "checkpoint")
+    (step,) = r.unpack("<Q", "step")
+    tensors = _read_table(r)
+    with r.rejecting("tensors", ConfigError):
+        params = ModelParams(cfg, tensors)
+    (has_opt,) = r.unpack("<B", "optimizer flag")
+    return Checkpoint(params, _read_table(r) if has_opt else None, step, metadata)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import _binio
 from .audio_io import AudioClip
 from .errors import ConfigError, DecodeError
 
@@ -178,39 +180,31 @@ def coverage(vocab: CurveVocab, corpus) -> CoverageStats:
 # ---------------------------------------------------------------------------
 
 _VOCAB_MAGIC = b"TSCV"
-_MODE_CODES = {ABSOLUTE: 0, RELATIVE: 1}
+_MODES = (ABSOLUTE, RELATIVE)  # index = the u8 mode code
+_MAX_RESOLUTION = 256  # one byte per level
 
 
 def save_vocab(path, vocab: CurveVocab) -> None:
     spec = vocab.spec
-    if spec.resolution > 256:
+    if spec.resolution > _MAX_RESOLUTION:
         raise ConfigError("vocab file stores one byte per level; resolution must be <= 256")
-    with open(path, "wb") as fh:
-        fh.write(_VOCAB_MAGIC)
-        fh.write(struct.pack("<IIIB", spec.curve_len, spec.resolution, spec.top_k,
-                             _MODE_CODES[spec.mode]))
-        fh.write(struct.pack("<I", len(vocab.curves)))
-        for curve in vocab.curves:
-            fh.write(bytes(curve))
+    header = struct.pack("<IIIBI", spec.curve_len, spec.resolution, spec.top_k,
+                         _MODES.index(spec.mode), len(vocab.curves))
+    Path(path).write_bytes(_VOCAB_MAGIC + header + b"".join(bytes(c) for c in vocab.curves))
 
 
 def load_vocab(path) -> CurveVocab:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _VOCAB_MAGIC:
-            raise DecodeError(f"bad vocab-file magic {magic!r}", offset=0)
-        header = fh.read(17)
-        if len(header) < 17:
-            raise DecodeError("truncated vocab header", offset=4)
-        curve_len, resolution, top_k, mode_code, count = struct.unpack("<IIIBI", header)
-        modes = {v: k for k, v in _MODE_CODES.items()}
-        if mode_code not in modes:
-            raise DecodeError(f"unknown vocab mode code {mode_code}", offset=16)
-        spec = CurveSpec(curve_len, resolution, top_k, modes[mode_code])
-        curves = []
-        for i in range(count):
-            raw = fh.read(curve_len)
-            if len(raw) < curve_len:
-                raise DecodeError(f"truncated vocab record {i}", offset=21 + i * curve_len)
-            curves.append(tuple(raw))
-    return CurveVocab(spec, curves)
+    """Read a TSCV file; any malformed content raises DecodeError."""
+    r = _binio.Reader(Path(path).read_bytes(), _VOCAB_MAGIC, DecodeError, "vocab file")
+    curve_len, resolution, top_k = r.unpack("<III", "header")
+    if resolution > _MAX_RESOLUTION:
+        raise r.error(f"resolution {resolution} does not fit one byte per level")
+    (mode_code,) = r.unpack("<B", "header")
+    if mode_code >= len(_MODES):
+        raise r.error(f"unknown vocab mode code {mode_code}")
+    with r.rejecting("vocabulary", ConfigError):
+        # CurveSpec rejects curve_len 0 before a (count, 0) array is read
+        spec = CurveSpec(curve_len, resolution, top_k, _MODES[mode_code])
+        (count,) = r.unpack("<I", "curve count")
+        levels = r.array(np.uint8, (count, curve_len), "curves")
+        return CurveVocab(spec, [tuple(curve) for curve in levels.tolist()])

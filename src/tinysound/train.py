@@ -302,6 +302,10 @@ class PipelineConfig:
         """Feature matrix (L x F) or token ids (L,) for one sliced window."""
         if self.feature == CURVE:
             return tokenizer_mod.tokenize(clip, self.vocab)
+        return self.features(clip).data
+
+    def features(self, clip: AudioClip) -> dsp.FeatureMatrix:
+        """Feature matrix of one sliced window for mel, MFCC and amplitude."""
         if self.feature == MEL:
             feats = dsp.mel_spectrogram(clip, self.spectrogram)
         elif self.feature == MFCC:
@@ -311,7 +315,7 @@ class PipelineConfig:
         feats = dsp.downsample_columns(feats, self.downsample)
         if self.normalize:
             feats = dsp.normalize01(feats)
-        return feats.data
+        return feats
 
     def model_config(self, window_samples: int, classes: int, hidden: int = 16,
                      layers: int = 1, heads: int = 2, share_layers: bool = False,
@@ -487,7 +491,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             losses.append(loss)
 
         train_loss = float(np.mean(losses)) if losses else float("nan")
-        val_acc = evaluate(params, val_entries, cfg) if val_entries else float("nan")
+        val_acc = evaluate(params, val_entries, cfg, store=store) if val_entries else float("nan")
         metrics.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
         log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
 
@@ -502,12 +506,13 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 
 
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
-             batch_size: int | None = None) -> float:
-    """Top-1 accuracy over deterministic center slices, eval mode."""
+             batch_size: int | None = None, store: ClipStore | None = None) -> float:
+    """Top-1 accuracy over deterministic center slices, eval mode; pass a
+    ``store`` to keep decoded clips between calls."""
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")
-    store = ClipStore()
+    store = store if store is not None else ClipStore()
     batch_size = batch_size or cfg.batch_size
     correct = 0
     for lo in range(0, len(entries), batch_size):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinysound import tokenizer as tok
 from tinysound.audio_io import AudioClip
-from tinysound.errors import ConfigError
+from tinysound.errors import ConfigError, DecodeError
 
 SR = 44100
 
@@ -208,7 +208,7 @@ class TestVocabFile:
         path = tmp_path / "v.tscv"
         tok.save_vocab(path, vocab)
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(Exception):
+        with pytest.raises(DecodeError):
             tok.load_vocab(path)
 
     def test_spec_validation(self):
