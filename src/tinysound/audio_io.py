@@ -14,16 +14,31 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import i0
 
 from .errors import DecodeError, ManifestError, UnsupportedFormatError
 
 #: Ingestion sampling rate. All dataset audio is brought to this rate.
 TARGET_RATE = 44100
 
+#: Header sampling rates a WAV may declare. Below the range, resampling to
+#: TARGET_RATE would multiply the sample count by more than 44; above it,
+#: the decimating resampler's kernel table would outgrow memory.
+MIN_WAV_RATE = 1000
+MAX_WAV_RATE = 768_000
+
 # Kaiser-windowed sinc resampler: 32 taps per phase, beta chosen for
 # ~-60 dB stopband without an external dependency.
 _RESAMPLE_TAPS = 32
 _KAISER_BETA = 8.6
+# Kernel table rows per input sample; linear interpolation between rows
+# keeps outputs within 1e-6 of direct evaluation.
+_PHASES = 4096
+# Outputs per chunk. A 4096-output chunk resamples about 10% faster in
+# isolation, but its workspace (under 3 MB) no longer lifts glibc's dynamic
+# mmap threshold, and every later 44.1 kHz predict in the process then
+# re-faults its ~14 MB of arrays (measured: +38% on perfbench infer p50).
+_RESAMPLE_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,11 @@ def decode_wav(data: bytes) -> AudioClip:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise UnsupportedFormatError(f"unsupported channel count {channels}")
+    if not MIN_WAV_RATE <= sample_rate <= MAX_WAV_RATE:
+        raise UnsupportedFormatError(
+            f"unsupported sampling rate {sample_rate} Hz "
+            f"(supported: {MIN_WAV_RATE} to {MAX_WAV_RATE})"
+        )
     start, size = payload
 
     if audio_format == _WAVE_PCM and bits == 16:
@@ -189,6 +209,14 @@ def read_wav(path: str | Path) -> AudioClip:
     return AudioClip(clip.samples, clip.sample_rate, source_id=str(path))
 
 
+def load_audio(path: str | Path) -> AudioClip:
+    """Read a WAV file and bring it to ``TARGET_RATE``."""
+    clip = read_wav(path)
+    # resample would return the clip itself; testing the rate here keeps the
+    # perfbench spans of audio_io.resample to real conversions
+    return clip if clip.sample_rate == TARGET_RATE else resample(clip, TARGET_RATE)
+
+
 def write_wav(path: str | Path, clip: AudioClip, bits: int = 16) -> None:
     Path(path).write_bytes(encode_wav(clip, bits=bits))
 
@@ -202,14 +230,22 @@ def _kaiser_sinc(offsets: np.ndarray, cutoff: float, half_width: int) -> np.ndar
     u = offsets / half_width
     window = np.zeros_like(offsets)
     inside = np.abs(u) <= 1.0
-    window[inside] = np.i0(_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / np.i0(_KAISER_BETA)
+    window[inside] = i0(_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / i0(_KAISER_BETA)
     return cutoff * np.sinc(cutoff * offsets) * window
 
 
 def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.ndarray:
-    """Resample by an arbitrary positive ratio (output rate / input rate)."""
-    if ratio <= 0:
-        raise ValueError(f"resample ratio must be positive, got {ratio}")
+    """Resample by an arbitrary positive ratio (output rate / input rate).
+
+    Output ``i`` is centred at input position ``i / ratio``. The kernel is
+    tabulated at ``_PHASES`` fractional positions per input sample and
+    linearly interpolated between the two neighbouring rows (bandlimited
+    interpolation after J. O. Smith); against the kernel evaluated directly
+    at every offset, outputs of a unit-range input differ by under 1e-6.
+    """
+    ratio = float(ratio)
+    if not np.isfinite(ratio) or ratio <= 0:
+        raise ValueError(f"resample ratio must be positive and finite, got {ratio}")
     x = np.asarray(x, dtype=np.float64)
     if n_out is None:
         n_out = int(round(x.size * ratio))
@@ -218,19 +254,28 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
     cutoff = min(1.0, ratio)  # anti-alias when decimating
     half = int(np.ceil((_RESAMPLE_TAPS // 2) / cutoff))
     taps = np.arange(-half + 1, half + 1)
+    # row p holds the kernel at offsets p/_PHASES - taps; each row is stored
+    # with its step to the next row, so one einsum gives both terms
+    table = _kaiser_sinc(np.arange(_PHASES + 1)[:, None] / _PHASES - taps, cutoff, half)
+    rows = np.stack([table[:-1], np.diff(table, axis=0)], axis=1)
+    # zeros stand for the samples before and after the clip; window b of the
+    # padded input holds x[b - half + 1 : b + half + 1], the taps of every
+    # output centred in [b, b + 1)
+    last_base = int((n_out - 1) / ratio)
+    padded = np.concatenate([np.zeros(half - 1), x,
+                             np.zeros(max(0, last_base + half + 1 - x.size))])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps.size)
 
     out = np.empty(n_out, dtype=np.float64)
     # chunked to bound the (chunk x taps) workspace
-    for lo in range(0, n_out, 65536):
-        hi = min(lo + 65536, n_out)
+    for lo in range(0, n_out, _RESAMPLE_CHUNK):
+        hi = min(lo + _RESAMPLE_CHUNK, n_out)
         centers = np.arange(lo, hi) / ratio
         base = np.floor(centers).astype(np.int64)
-        idx = base[:, None] + taps[None, :]
-        offsets = centers[:, None] - idx
-        kernel = _kaiser_sinc(offsets, cutoff, half)
-        valid = (idx >= 0) & (idx < x.size)
-        gathered = np.where(valid, x[np.clip(idx, 0, x.size - 1)], 0.0)
-        out[lo:hi] = np.sum(gathered * kernel, axis=1)
+        phase = (centers - base) * _PHASES
+        row = phase.astype(np.int64)
+        both = np.einsum("ikj,ij->ik", rows[row], windows[base])
+        out[lo:hi] = both[:, 0] + (phase - row) * both[:, 1]
     return out
 
 

@@ -166,9 +166,7 @@ def load_dataset(cfg: Config) -> audio_io.DatasetManifest:
 
 def cmd_featurize(args, cfg: Config) -> int:
     pipeline = pipeline_config(cfg)
-    clip = audio_io.read_wav(args.input)
-    if clip.sample_rate != audio_io.TARGET_RATE:
-        clip = audio_io.resample(clip, audio_io.TARGET_RATE)
+    clip = audio_io.load_audio(args.input)
     window = audio_io.center_slice(clip, cfg.get_int("window_samples", 220_500))
     if pipeline.feature == train.CURVE:
         raise ConfigError("featurize writes feature matrices; curve tokens have no TSFM form")
@@ -201,9 +199,7 @@ def cmd_build_vocab(args, cfg: Config) -> int:
 
 
 def cmd_augment_preview(args, cfg: Config) -> int:
-    clip = audio_io.read_wav(args.input)
-    if clip.sample_rate != audio_io.TARGET_RATE:
-        clip = audio_io.resample(clip, audio_io.TARGET_RATE)
+    clip = audio_io.load_audio(args.input)
     specs = augment_specs(cfg) or augment.default_pipeline(1.0)
     rng = np.random.default_rng(args.seed)
     out_samples = augment.apply_pipeline(clip.samples, specs, rng)
@@ -260,9 +256,7 @@ def cmd_eval(args, cfg: Config) -> int:
 
 def cmd_predict(args, cfg: Config) -> int:
     tcfg = train_config(cfg, args.seed)
-    clip = audio_io.read_wav(args.input)
-    if clip.sample_rate != audio_io.TARGET_RATE:
-        clip = audio_io.resample(clip, audio_io.TARGET_RATE)
+    clip = audio_io.load_audio(args.input)
     window = audio_io.center_slice(clip, tcfg.window_samples)
     example = tcfg.pipeline.extract(window)
     if args.quantized:

@@ -366,9 +366,7 @@ class ClipStore:
         key = str(entry.path)
         clip = self._cache.get(key)
         if clip is None:
-            clip = audio_io.read_wav(entry.path)
-            if clip.sample_rate != audio_io.TARGET_RATE:
-                clip = audio_io.resample(clip, audio_io.TARGET_RATE)
+            clip = audio_io.load_audio(entry.path)
             if len(self._cache) >= self._max:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[key] = clip

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tinysound import audio_io
-from tinysound.audio_io import AudioClip, decode_wav, encode_wav, load_manifest, random_slice, resample
+from tinysound.audio_io import (AudioClip, decode_wav, encode_wav, load_manifest, random_slice,
+                                resample, sinc_resample)
 from tinysound.errors import DecodeError, ManifestError, UnsupportedFormatError
 
 from conftest import SR, sine
@@ -79,6 +80,59 @@ class TestDecodeWav:
         again = decode_wav(encode_wav(clip))
         np.testing.assert_array_equal(clip.samples, again.samples)
 
+    @pytest.mark.parametrize("rate", [0, 100, audio_io.MIN_WAV_RATE - 1,
+                                      audio_io.MAX_WAV_RATE + 1, 2**32 - 1])
+    def test_rate_out_of_range_rejected(self, rate):
+        with pytest.raises(UnsupportedFormatError, match="sampling rate"):
+            decode_wav(_wav_with_fmt(1, 1, rate, 16, b"\0\0\1\0"))
+
+    @pytest.mark.parametrize("rate", [audio_io.MIN_WAV_RATE, audio_io.MAX_WAV_RATE])
+    def test_rate_range_inclusive(self, rate):
+        assert decode_wav(_wav_with_fmt(1, 1, rate, 16, b"\0\0\1\0")).sample_rate == rate
+
+
+def _flip(data: bytes, pos: int, mask: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
+
+
+def _wav_with_fmt(tag, channels, rate, bits, body) -> bytes:
+    data = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+    data += b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, 0, 0, bits)
+    return data + b"data" + struct.pack("<I", len(body)) + body
+
+
+_VALID_WAVS = [pcm16_wav([0, 12000, -32768, 32767, 5], channels=1, sample_rate=22050),
+               _wav_with_fmt(3, 2, 48000, 32, np.array([0.5, -0.25, 1.0, 0.0], "<f4").tobytes())]
+
+
+def damaged_wav():
+    """Random bytes, truncations and single-byte flips of valid WAVs, and
+    WAVs whose fmt fields (tag, channels, rate, bits) are arbitrary."""
+    def damage(valid):
+        n = len(valid)
+        return st.one_of(
+            st.binary(max_size=n).map(lambda tail: valid[:12] + tail),
+            st.integers(0, n - 1).map(lambda k: valid[:k]),
+            st.tuples(st.integers(0, n - 1), st.integers(1, 255)).map(lambda t: _flip(valid, *t)),
+        )
+    fields = st.tuples(st.sampled_from([1, 3, 0xFFFE]) | st.integers(0, 0xFFFF),
+                       st.integers(0, 3), st.integers(0, 2**32 - 1),
+                       st.sampled_from([16, 32]) | st.integers(0, 0xFFFF),
+                       st.binary(max_size=16))
+    return st.one_of(st.binary(max_size=64), fields.map(lambda f: _wav_with_fmt(*f)),
+                     *map(damage, _VALID_WAVS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(damaged_wav())
+def test_damaged_wav_decodes_or_raises_decode_error(data):
+    try:
+        clip = decode_wav(data)
+    except DecodeError:
+        return
+    assert audio_io.MIN_WAV_RATE <= clip.sample_rate <= audio_io.MAX_WAV_RATE
+    assert np.all(np.isfinite(clip.samples))
+
 
 class TestAudioClip:
     def test_rejects_nonfinite(self):
@@ -131,6 +185,66 @@ class TestResample:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             resample(AudioClip(np.zeros(10), 8000), 0)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_ratio(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            sinc_resample(np.zeros(10), ratio)
+
+    @pytest.mark.parametrize("ratio, n_out", [
+        (2.0, None), (44100 / 48000, None), (16000 / 48000, None),
+        (2 ** (-2.3 / 12), None), (44100 / 48000, 1500), (2 ** (-2.3 / 12), 700),
+    ])
+    def test_matches_direct_kaiser_sinc(self, ratio, n_out):
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 1200)
+        got = sinc_resample(x, ratio, n_out)
+        want = direct_kaiser_sinc_resample(x, ratio, n_out)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    def test_stopband_rejects_tone_above_new_nyquist(self):
+        # 12 kHz is above 8 kHz, the Nyquist rate after 48 -> 16 kHz; what
+        # survives would alias to 4 kHz
+        tone = AudioClip(sine(12000.0, 1.0, amp=1.0, sr=48000), 48000)
+        out = resample(tone, 16000).samples[200:-200]
+        rms_in = 1.0 / np.sqrt(2.0)
+        assert 20 * np.log10(np.sqrt(np.mean(out ** 2)) / rms_in) <= -60.0
+
+
+def direct_kaiser_sinc_resample(x, ratio, n_out=None):
+    """Reference: the Kaiser-windowed sinc (beta 8.6, 32 taps) evaluated at
+    every (output sample, tap) pair, with taps outside the input read as 0."""
+    if n_out is None:
+        n_out = int(round(x.size * ratio))
+    cutoff = min(1.0, ratio)
+    half = int(np.ceil(16 / cutoff))
+    centers = np.arange(n_out) / ratio
+    idx = np.floor(centers).astype(np.int64)[:, None] + np.arange(-half + 1, half + 1)
+    offsets = centers[:, None] - idx
+    u = offsets / half
+    window = np.zeros_like(offsets)
+    inside = np.abs(u) <= 1.0
+    window[inside] = np.i0(8.6 * np.sqrt(1.0 - u[inside] ** 2)) / np.i0(8.6)
+    kernel = cutoff * np.sinc(cutoff * offsets) * window
+    valid = (idx >= 0) & (idx < x.size)
+    return np.sum(np.where(valid, x[np.clip(idx, 0, x.size - 1)], 0.0) * kernel, axis=1)
+
+
+class TestLoadAudio:
+    def test_brings_file_to_target_rate(self, tmp_path):
+        path = tmp_path / "low.wav"
+        audio_io.write_wav(path, AudioClip(sine(440, 0.2, sr=22050), 22050))
+        clip = audio_io.load_audio(path)
+        assert clip.sample_rate == audio_io.TARGET_RATE
+        np.testing.assert_array_equal(
+            clip.samples, resample(audio_io.read_wav(path), audio_io.TARGET_RATE).samples)
+        assert clip.source_id == str(path)
+
+    def test_target_rate_file_unchanged(self, tmp_path):
+        path = tmp_path / "native.wav"
+        audio_io.write_wav(path, AudioClip(sine(440, 0.1), SR))
+        np.testing.assert_array_equal(audio_io.load_audio(path).samples,
+                                      audio_io.read_wav(path).samples)
 
 
 class TestManifest:
