@@ -49,7 +49,8 @@ with tempfile.TemporaryDirectory() as tmp:
           f"(budget: {256 * 1024})")
 
 pipeline = train.PipelineConfig()
-for label, target in (("float32", params), ("int8", qparams)):
+# both rows time float64 inference; the int8 row runs on the dequantized weights
+for label, target in (("float32 weights", params), ("int8 weights, dequantized", qparams)):
     report = deploy.bench(target, pipeline, window_samples=220_500, n_runs=10)
     print(f"\n{label} bench: {report.to_json_line()}")
     print(f"  feature extraction {report.feature_mean_ms:.2f} ms, "

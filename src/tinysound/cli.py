@@ -30,9 +30,13 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` file; ``#`` starts a comment."""
+    """Flat ``key = value`` UTF-8 file; ``#`` starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -396,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("count")
     add("quantize", needs_ckpt=True)
     p = add("bench", needs_ckpt=True)
-    p.add_argument("--quantized", action="store_true")
+    p.add_argument("--quantized", action="store_true",
+                   help="time float64 inference on the dequantized int8 weights")
     p.add_argument("--runs", type=int, default=10)
     p = add("sweep")
     p.add_argument("--budget", type=int, default=None)

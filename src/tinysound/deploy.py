@@ -79,7 +79,7 @@ def quantize_dynamic(params: ModelParams, metadata: dict | None = None) -> Quant
 
 
 def qforward(qparams: QuantizedParams, batch: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass through the quantized model."""
+    """Eval-mode float64 forward pass on the dequantized int8 weights."""
     return forward(qparams.dequantize(), batch, training=False)
 
 
@@ -156,9 +156,13 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
           warmup: int = 3, serialized_bytes: int | None = None) -> BenchReport:
     """Wall-clock latency of feature extraction and one forward pass.
 
-    Runs single-threaded on a deterministic input; the first ``warmup``
+    Runs in this process on a deterministic input; the first ``warmup``
     measurements are discarded. Model and feature time are reported
-    separately.
+    separately. For ``QuantizedParams`` the timed pass is float64 inference
+    on the weights dequantized once up front, as ``qforward`` runs it; no
+    integer arithmetic is timed; ``quantized`` in the report says only which
+    weights were loaded. ``serialized_bytes`` defaults to the encoded TSCQ
+    (or TSCK) size.
     """
     quantized = isinstance(params_or_q, QuantizedParams)
     params = params_or_q.dequantize() if quantized else params_or_q

@@ -29,3 +29,7 @@ class ConfigError(TinySoundError):
 
 class CheckpointError(TinySoundError):
     """Checkpoint file unreadable, truncated, or version-incompatible."""
+
+
+class DivergenceError(TinySoundError):
+    """Training loss or a gradient became NaN or infinite."""

@@ -1,4 +1,5 @@
-"""Tiny BERT-style encoder for audio features.
+"""Tiny BERT-style encoder for audio features: forward, exact backward,
+accounting, and checkpoints.
 
 Continuous inputs (feature matrices) pass through a per-position batch
 normalization and a learned linear mapping to the hidden size, with no
@@ -6,6 +7,10 @@ positional encoding; token inputs use embedding + positional tables
 instead. Encoder layers use post-LayerNorm residuals, GELU, and a
 feed-forward width fixed at 4x hidden. Classification reads the first
 sequence position through a tanh pooler.
+
+The encoder is a short sequence of ops, each returning its output and its
+backward; ``forward`` records the backwards when training and ``backward``
+walks them in reverse, each op adding the gradients of the weights it owns.
 
 Tensors are stored float32 (the checkpoint payload format) and all
 arithmetic runs in float64.
@@ -143,10 +148,6 @@ class ModelParams:
             if not np.all(np.isfinite(t)):
                 raise ConfigError(f"{name} contains NaN or Inf")
 
-    def layer_name(self, layer_index: int, suffix: str) -> str:
-        block = 0 if self.cfg.share_layers else layer_index
-        return f"layer{block}_{suffix}"
-
 
 def _truncated_normal(rng: np.random.Generator, shape, std=_INIT_STD) -> np.ndarray:
     out = rng.normal(0.0, std, size=shape)
@@ -171,25 +172,26 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Forward pass
+# Forward and backward: ops with paired backwards
 # ---------------------------------------------------------------------------
+#
+# Each op returns its output and its backward, ``back(dy, grads) -> dx``, a
+# closure over what the op kept from its forward, the float64 weights
+# included. ``back`` adds the gradient of every weight the op owns into
+# ``grads``; the input ops return None, as nothing upstream learns. A
+# training forward records the backwards in order and ``backward`` walks
+# them in reverse.
 
 @dataclass
 class ForwardTrace:
-    """Cached activations from a training-mode forward pass."""
+    """A training-mode forward's record: each op's backward, in forward order."""
 
-    batch: np.ndarray
-    bn_xhat: np.ndarray | None
-    bn_out: np.ndarray | None
-    embedded: np.ndarray  # input to the embedding LayerNorm
-    emb_ln: tuple
-    emb_drop: np.ndarray | None
-    encoder_in: np.ndarray
-    layers: list[dict] = field(default_factory=list)
-    h0: np.ndarray | None = None
-    pooled: np.ndarray | None = None
-    pool_drop: np.ndarray | None = None
-    cls_in: np.ndarray | None = None
+    backwards: list = field(default_factory=list)
+
+    @property
+    def probs(self) -> list[np.ndarray]:
+        """Attention probabilities of each layer, (B, heads, L, L)."""
+        return [back.probs for back in self.backwards if hasattr(back, "probs")]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -209,35 +211,164 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
+def _linear(w, name: str, x: np.ndarray):
+    """y = x @ W.T + b over any leading axes; W and b are ``name_w``, ``name_b``."""
+    weight = w[name + "_w"]
+    out_dim, in_dim = weight.shape
+
+    def back(dy, grads):
+        dy2 = dy.reshape(-1, out_dim)
+        grads[name + "_w"] += dy2.T @ x.reshape(-1, in_dim)
+        grads[name + "_b"] += dy2.sum(axis=0)
+        return (dy2 @ weight).reshape(x.shape)
+    return x @ weight.T + w[name + "_b"], back
+
+
+def _layer_norm(w, name: str, x: np.ndarray):
+    """Normalize over the last axis; scale ``name_g`` and shift ``name_b``."""
+    g = w[name + "_g"]
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x - mean) * inv_std
-    return g * xhat + b, (xhat, inv_std)
+
+    def back(dy, grads):
+        sum_axes = tuple(range(dy.ndim - 1))
+        grads[name + "_g"] += (dy * xhat).sum(axis=sum_axes)
+        grads[name + "_b"] += dy.sum(axis=sum_axes)
+        dxhat = dy * g
+        return inv_std * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+    return g * xhat + w[name + "_b"], back
 
 
-def _dropout_mask(rng, shape, rate) -> np.ndarray:
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def _dropout(x: np.ndarray, rate: float, rng):
+    """Inverted dropout; the identity at rate 0."""
+    if rate == 0.0:
+        return x, lambda dy, grads: dy
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * mask, lambda dy, grads: dy * mask
 
 
-def _attention(w, params: ModelParams, layer: int, x: np.ndarray):
-    cfg = params.cfg
-    name = params.layer_name
+def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
+    """Per-position batch norm, then the linear map from F to the hidden size.
+
+    Normalizes with batch statistics, folded into the float32 running stats,
+    when ``update_stats``, else with the running stats.
+    """
+    if update_stats:
+        mean = batch.mean(axis=(0, 2))
+        var = batch.var(axis=(0, 2))
+        n = batch.shape[0] * batch.shape[2]
+        if n > 1:  # unbiased variance feeds the running estimate
+            run_var = var * n / (n - 1)
+        else:
+            run_var = var
+        rm = params.tensors["bn_running_mean"]
+        rv = params.tensors["bn_running_var"]
+        rm[...] = ((1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mean).astype(np.float32)
+        rv[...] = ((1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * run_var).astype(np.float32)
+    else:
+        mean = w["bn_running_mean"]
+        var = w["bn_running_var"]
+    xhat = (batch - mean[None, :, None]) / np.sqrt(var[None, :, None] + _BN_EPS)
+    out, map_back = _linear(w, "map", w["bn_gamma"][None, :, None] * xhat
+                            + w["bn_beta"][None, :, None])
+
+    def back(dy, grads):
+        d_bn = map_back(dy, grads)
+        grads["bn_gamma"] += (d_bn * xhat).sum(axis=(0, 2))
+        grads["bn_beta"] += d_bn.sum(axis=(0, 2))
+    return out, back
+
+
+def _token_embedding(w, ids: np.ndarray, positional: bool):
+    """Token table rows, plus the positional table when ``positional``."""
+    out = w["tok_emb"][ids]
+    if positional:
+        out = out + w["pos_emb"][None, :, :]
+
+    def back(dy, grads):
+        np.add.at(grads["tok_emb"], ids.reshape(-1), dy.reshape(-1, dy.shape[-1]))
+        if positional:
+            grads["pos_emb"] += dy.sum(axis=0)
+    return out, back
+
+
+def _segment_row(w, x: np.ndarray):
+    """Adds segment row 0; every input is one segment, so row 1 stays unused."""
+    def back(dy, grads):
+        grads["seg_emb"][0] += dy.sum(axis=(0, 1))
+        return dy
+    return x + w["seg_emb"][0], back
+
+
+def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout):
+    """Post-LN self-attention, LN(x + dropout(attention(x))), with weights ``p*``.
+
+    Its backward also carries the attention probabilities as ``back.probs``.
+    """
     b, seq, h = x.shape
-    heads, dh = cfg.heads, cfg.head_dim
+    dh = h // heads
 
     def split(y):
         return y.reshape(b, seq, heads, dh).transpose(0, 2, 1, 3)
 
-    q = split(x @ w[name(layer, "q_w")].T + w[name(layer, "q_b")])
-    k = split(x @ w[name(layer, "k_w")].T + w[name(layer, "k_b")])
-    v = split(x @ w[name(layer, "v_w")].T + w[name(layer, "v_b")])
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(dh)
-    probs = softmax(scores)
-    context = (probs @ v).transpose(0, 2, 1, 3).reshape(b, seq, h)
-    out = context @ w[name(layer, "o_w")].T + w[name(layer, "o_b")]
-    return out, {"q": q, "k": k, "v": v, "probs": probs, "context": context}
+    def merge(y):
+        return y.transpose(0, 2, 1, 3).reshape(b, seq, h)
+
+    projections = [_linear(w, p + name, x) for name in ("q", "k", "v")]
+    q, k, v = (split(y) for y, _ in projections)
+    probs = softmax(q @ k.swapaxes(-1, -2) / np.sqrt(dh))
+    out, o_back = _linear(w, p + "o", merge(probs @ v))
+    out, drop_back = dropout(out)
+    y, ln_back = _layer_norm(w, p + "attn_ln", x + out)
+
+    def back(dy, grads):
+        dx = ln_back(dy, grads)
+        d_ctx = split(o_back(drop_back(dx, grads), grads))
+        d_probs = d_ctx @ v.swapaxes(-1, -2)
+        d_v = probs.swapaxes(-1, -2) @ d_ctx
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+        d_scores = d_scores / np.sqrt(dh)
+        d_qkv = (d_scores @ k, d_scores.swapaxes(-1, -2) @ q, d_v)
+        for (_, proj_back), d in zip(projections, d_qkv):
+            dx = dx + proj_back(merge(d), grads)
+        return dx
+    back.probs = probs
+    return y, back
+
+
+def _ffn_sublayer(w, p: str, x: np.ndarray, dropout):
+    """Post-LN feed-forward, LN(x + dropout(W2 gelu(W1 x))), with weights ``p*``."""
+    pre, in_back = _linear(w, p + "ffn_in", x)
+    out, out_back = _linear(w, p + "ffn_out", gelu(pre))
+    out, drop_back = dropout(out)
+    y, ln_back = _layer_norm(w, p + "ffn_ln", x + out)
+
+    def back(dy, grads):
+        dx = ln_back(dy, grads)
+        d_pre = out_back(drop_back(dx, grads), grads) * gelu_grad(pre)
+        return dx + in_back(d_pre, grads)
+    return y, back
+
+
+def _pooler_classifier(w, x: np.ndarray, dropout):
+    """Logits from the first position through the tanh pooler and dropout."""
+    pre, pool_back = _linear(w, "pooler", x[:, 0, :])
+    pooled = np.tanh(pre)
+    cls_in, drop_back = dropout(pooled)
+    logits, cls_back = _linear(w, "cls", cls_in)
+
+    def back(dlogits, grads):
+        d_pooled = drop_back(cls_back(dlogits, grads), grads)
+        dx = np.zeros(x.shape)
+        dx[:, 0, :] = pool_back(d_pooled * (1.0 - pooled**2), grads)
+        return dx
+    return logits, back
 
 
 def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
@@ -267,88 +398,39 @@ def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
     if drop_rate > 0.0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     w = {k: v.astype(np.float64) for k, v in params.tensors.items()}
+    trace = ForwardTrace() if training else None
 
-    bn_xhat = bn_out = None
-    if cfg.input_mode == CONTINUOUS:
-        if training and not freeze_stats:
-            mean = batch.mean(axis=(0, 2))
-            var = batch.var(axis=(0, 2))
-            n = batch.shape[0] * batch.shape[2]
-            if n > 1:  # unbiased variance feeds the running estimate
-                run_var = var * n / (n - 1)
-            else:
-                run_var = var
-            rm = params.tensors["bn_running_mean"]
-            rv = params.tensors["bn_running_var"]
-            rm[...] = ((1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mean).astype(np.float32)
-            rv[...] = ((1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * run_var).astype(np.float32)
-        else:
-            mean = w["bn_running_mean"]
-            var = w["bn_running_var"]
-        bn_xhat = (batch - mean[None, :, None]) / np.sqrt(var[None, :, None] + _BN_EPS)
-        bn_out = w["bn_gamma"][None, :, None] * bn_xhat + w["bn_beta"][None, :, None]
-        embedded = bn_out @ w["map_w"].T + w["map_b"]
-    else:
-        embedded = w["tok_emb"][batch]
-        if cfg.use_positional:
-            embedded = embedded + w["pos_emb"][None, :, :]
-    embedded = embedded + w["seg_emb"][0]
-
-    normed, emb_ln = layer_norm(embedded, w["emb_ln_g"], w["emb_ln_b"])
-    emb_drop = None
-    x = normed
-    if drop_rate > 0.0:
-        emb_drop = _dropout_mask(rng, x.shape, drop_rate)
-        x = x * emb_drop
-
-    trace = ForwardTrace(
-        batch=batch, bn_xhat=bn_xhat, bn_out=bn_out, embedded=embedded,
-        emb_ln=emb_ln, emb_drop=emb_drop, encoder_in=x,
-    ) if training else None
-
-    for layer in range(cfg.layers):
-        attn_out, attn_cache = _attention(w, params, layer, x)
-        attn_mask = None
-        if drop_rate > 0.0:
-            attn_mask = _dropout_mask(rng, attn_out.shape, drop_rate)
-            attn_out = attn_out * attn_mask
-        residual1 = x + attn_out
-        x1, ln1 = layer_norm(residual1, w[params.layer_name(layer, "attn_ln_g")],
-                             w[params.layer_name(layer, "attn_ln_b")])
-        ffn_pre = x1 @ w[params.layer_name(layer, "ffn_in_w")].T + w[params.layer_name(layer, "ffn_in_b")]
-        ffn_act = gelu(ffn_pre)
-        ffn_out = ffn_act @ w[params.layer_name(layer, "ffn_out_w")].T + w[params.layer_name(layer, "ffn_out_b")]
-        ffn_mask = None
-        if drop_rate > 0.0:
-            ffn_mask = _dropout_mask(rng, ffn_out.shape, drop_rate)
-            ffn_out = ffn_out * ffn_mask
-        residual2 = x1 + ffn_out
-        x2, ln2 = layer_norm(residual2, w[params.layer_name(layer, "ffn_ln_g")],
-                             w[params.layer_name(layer, "ffn_ln_b")])
+    def run(op, *args):
+        y, back = op(*args)
         if trace is not None:
-            trace.layers.append({
-                "x_in": x, "attn": attn_cache, "attn_mask": attn_mask,
-                "ln1": ln1, "x1": x1, "ffn_pre": ffn_pre, "ffn_act": ffn_act,
-                "ffn_mask": ffn_mask, "ln2": ln2,
-            })
-        x = x2
+            trace.backwards.append(back)
+        return y
 
-    h0 = x[:, 0, :]
-    pooled = np.tanh(h0 @ w["pooler_w"].T + w["pooler_b"])
-    cls_in = pooled
-    pool_mask = None
-    if drop_rate > 0.0:
-        pool_mask = _dropout_mask(rng, pooled.shape, drop_rate)
-        cls_in = pooled * pool_mask
-    logits = cls_in @ w["cls_w"].T + w["cls_b"]
+    def dropout(x):
+        return _dropout(x, drop_rate, rng)
 
-    if trace is not None:
-        trace.h0 = h0
-        trace.pooled = pooled
-        trace.pool_drop = pool_mask
-        trace.cls_in = cls_in
-        return logits, trace
-    return logits
+    if cfg.input_mode == CONTINUOUS:
+        x = run(_bn_mapping, params, w, batch, training and not freeze_stats)
+    else:
+        x = run(_token_embedding, w, batch, cfg.use_positional)
+    x = run(_segment_row, w, x)
+    x = run(_layer_norm, w, "emb_ln", x)
+    x = run(dropout, x)
+    for layer in range(cfg.layers):
+        p = f"layer{0 if cfg.share_layers else layer}_"
+        x = run(_attention_sublayer, w, p, x, cfg.heads, dropout)
+        x = run(_ffn_sublayer, w, p, x, dropout)
+    logits = run(_pooler_classifier, w, x, dropout)
+    return (logits, trace) if training else logits
+
+
+def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact gradients of every learnable tensor given dLoss/dLogits."""
+    grads = {name: np.zeros(params.tensors[name].shape) for name in learnable_names(params.cfg)}
+    dy = np.asarray(dlogits, dtype=np.float64)
+    for back in reversed(trace.backwards):
+        dy = back(dy, grads)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,33 @@
-"""Training: loss, reverse-mode gradients, Adam with warmup, epoch loop.
+"""Training: loss, Adam with warmup, the feature pipeline, the epoch loop.
 
-Gradients are computed analytically from the ForwardTrace and verified
-against finite differences in the test suite. The data pipeline slices,
-augments, and featurizes on the fly each epoch, with one generator per
-(seed, epoch, entry) so runs are bit-reproducible and resumable.
+Gradients come from ``model.backward``, the reverse walk over the ops a
+training ``forward`` recorded; the loop looks ``forward`` and ``backward``
+up in this module when it runs. The data pipeline slices, augments, and
+featurizes on the fly each epoch, with one generator per (seed, epoch,
+entry) so runs are bit-reproducible and resumable. A non-finite loss or
+gradient raises ``DivergenceError`` before the optimizer step.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import audio_io, dsp, model as model_mod, tokenizer as tokenizer_mod
+from . import audio_io, dsp, tokenizer as tokenizer_mod
 from .audio_io import AudioClip, DatasetManifest, ManifestEntry
 from .augment import AugmentSpec, apply_pipeline
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .model import (
     CONTINUOUS,
     TOKENS,
     Checkpoint,
-    ForwardTrace,
     ModelConfig,
     ModelParams,
+    backward,
     forward,
-    gelu_grad,
     init_model,
     learnable_names,
 )
@@ -56,129 +57,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     grad = np.exp(log_probs)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
-
-
-# ---------------------------------------------------------------------------
-# Backward pass
-# ---------------------------------------------------------------------------
-
-def _layer_norm_backward(dy: np.ndarray, cache: tuple, g: np.ndarray):
-    xhat, inv_std = cache
-    sum_axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=sum_axes)
-    db = dy.sum(axis=sum_axes)
-    dxhat = dy * g
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dg, db
-
-
-def _linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Backward of y = x @ w.T + b over any leading batch axes."""
-    out_dim, in_dim = w.shape
-    dy2 = dy.reshape(-1, out_dim)
-    x2 = x.reshape(-1, in_dim)
-    dw = dy2.T @ x2
-    db = dy2.sum(axis=0)
-    dx = (dy2 @ w).reshape(x.shape)
-    return dx, dw, db
-
-
-def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of every learnable tensor given dLoss/dLogits."""
-    cfg = params.cfg
-    w = {k: v.astype(np.float64) for k, v in params.tensors.items()}
-    grads = {name: np.zeros(shape, dtype=np.float64)
-             for name, shape in model_mod.param_shapes(cfg).items()
-             if name not in ("bn_running_mean", "bn_running_var")}
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-
-    d_cls_in, dw, db = _linear_backward(dlogits, trace.cls_in, w["cls_w"])
-    grads["cls_w"] += dw
-    grads["cls_b"] += db
-    d_pooled = d_cls_in * trace.pool_drop if trace.pool_drop is not None else d_cls_in
-    d_pre_tanh = d_pooled * (1.0 - trace.pooled**2)
-    d_h0, dw, db = _linear_backward(d_pre_tanh, trace.h0, w["pooler_w"])
-    grads["pooler_w"] += dw
-    grads["pooler_b"] += db
-
-    batch_size = trace.h0.shape[0]
-    dx = np.zeros((batch_size, cfg.seq_len, cfg.hidden), dtype=np.float64)
-    dx[:, 0, :] = d_h0
-
-    heads, dh = cfg.heads, cfg.head_dim
-    for layer in reversed(range(cfg.layers)):
-        cache = trace.layers[layer]
-        name = lambda suffix: params.layer_name(layer, suffix)
-
-        d_r2, dg, db = _layer_norm_backward(dx, cache["ln2"], w[name("ffn_ln_g")])
-        grads[name("ffn_ln_g")] += dg
-        grads[name("ffn_ln_b")] += db
-        d_ffn_out = d_r2 * cache["ffn_mask"] if cache["ffn_mask"] is not None else d_r2
-        d_x1 = d_r2
-
-        d_act, dw, db = _linear_backward(d_ffn_out, cache["ffn_act"], w[name("ffn_out_w")])
-        grads[name("ffn_out_w")] += dw
-        grads[name("ffn_out_b")] += db
-        d_ffn_pre = d_act * gelu_grad(cache["ffn_pre"])
-        d_x1_ffn, dw, db = _linear_backward(d_ffn_pre, cache["x1"], w[name("ffn_in_w")])
-        grads[name("ffn_in_w")] += dw
-        grads[name("ffn_in_b")] += db
-        d_x1 = d_x1 + d_x1_ffn
-
-        d_r1, dg, db = _layer_norm_backward(d_x1, cache["ln1"], w[name("attn_ln_g")])
-        grads[name("attn_ln_g")] += dg
-        grads[name("attn_ln_b")] += db
-        d_attn_out = d_r1 * cache["attn_mask"] if cache["attn_mask"] is not None else d_r1
-        d_x_in = d_r1
-
-        attn = cache["attn"]
-        d_context, dw, db = _linear_backward(d_attn_out, attn["context"], w[name("o_w")])
-        grads[name("o_w")] += dw
-        grads[name("o_b")] += db
-        d_ctx = d_context.reshape(batch_size, cfg.seq_len, heads, dh).transpose(0, 2, 1, 3)
-
-        d_probs = d_ctx @ attn["v"].swapaxes(-1, -2)
-        d_v = attn["probs"].swapaxes(-1, -2) @ d_ctx
-        probs = attn["probs"]
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        d_scores = d_scores / np.sqrt(dh)
-        d_q = d_scores @ attn["k"]
-        d_k = d_scores.swapaxes(-1, -2) @ attn["q"]
-
-        def merge(y):
-            return y.transpose(0, 2, 1, 3).reshape(batch_size, cfg.seq_len, cfg.hidden)
-
-        x_in = cache["x_in"]
-        for proj, dproj in (("q", d_q), ("k", d_k), ("v", d_v)):
-            dxp, dw, db = _linear_backward(merge(dproj), x_in, w[name(proj + "_w")])
-            grads[name(proj + "_w")] += dw
-            grads[name(proj + "_b")] += db
-            d_x_in = d_x_in + dxp
-        dx = d_x_in
-
-    if trace.emb_drop is not None:
-        dx = dx * trace.emb_drop
-    d_embedded, dg, db = _layer_norm_backward(dx, trace.emb_ln, w["emb_ln_g"])
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += db
-    grads["seg_emb"][0] += d_embedded.sum(axis=(0, 1))
-
-    if cfg.input_mode == CONTINUOUS:
-        d_bn_out, dw, db = _linear_backward(d_embedded, trace.bn_out, w["map_w"])
-        grads["map_w"] += dw
-        grads["map_b"] += db
-        grads["bn_gamma"] += (d_bn_out * trace.bn_xhat).sum(axis=(0, 2))
-        grads["bn_beta"] += d_bn_out.sum(axis=(0, 2))
-    else:
-        np.add.at(grads["tok_emb"], trace.batch.reshape(-1),
-                  d_embedded.reshape(-1, cfg.hidden))
-        if cfg.use_positional:
-            grads["pos_emb"] += d_embedded.sum(axis=0)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +221,8 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        if not 0.0 <= self.lr_peak < float("inf"):
+            raise ConfigError(f"lr_peak must be finite and >= 0, got {self.lr_peak}")
         if self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.batch_size < 1:
@@ -435,6 +315,27 @@ def _snapshot(params: ModelParams, opt: OptState, epoch: int, val_acc: float,
     return Checkpoint(params_copy, opt.copy().to_tensors(), opt.step, meta)
 
 
+def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) -> None:
+    """A resumed run continues bit for bit only under the config it was saved
+    with; metadata keys the checkpoint lacks are not checked."""
+    have, want = asdict(ckpt.params.cfg), asdict(model_cfg)
+    diffs = [f"{k}={have[k]!r}, requested {want[k]!r}" for k in have if have[k] != want[k]]
+    diffs += [f"{k}={ckpt.metadata[k]!r}, requested {getattr(cfg, k)!r}"
+              for k in ("seed", "window_samples")
+              if k in ckpt.metadata and ckpt.metadata[k] != getattr(cfg, k)]
+    if diffs:
+        raise ConfigError("cannot resume: checkpoint has " + "; ".join(diffs))
+
+
+def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, step: int) -> None:
+    """Stop a diverging run before the optimizer writes NaN or Inf."""
+    bad = [] if np.isfinite(loss) else [f"loss {loss}"]
+    bad += [f"gradient of {n}" for n, g in grads.items() if not np.all(np.isfinite(g))]
+    if bad:
+        raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: "
+                              f"{', '.join(bad[:3])} not finite")
+
+
 def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConfig,
                resume_from: Checkpoint | None = None) -> TrainResult:
     """Train over random slices; returns best/last checkpoints and metrics.
@@ -450,6 +351,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     store = ClipStore()
 
     if resume_from is not None:
+        _check_resume(resume_from, model_cfg, cfg)
         params = ModelParams(resume_from.params.cfg,
                              {k: v.copy() for k, v in resume_from.params.tensors.items()})
         opt = OptState.from_tensors(resume_from.opt_tensors or {}, resume_from.step)
@@ -485,6 +387,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             logits, trace = forward(params, batch, training=True, rng=drop_rng)
             loss, dlogits = cross_entropy(logits, labels)
             grads = backward(params, trace, dlogits)
+            _check_finite(loss, grads, epoch, step_idx)
             adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
             losses.append(loss)
 

@@ -67,15 +67,20 @@ def small_dataset(tmp_path_factory) -> Path:
     return write_synth_dataset(tmp_path_factory.mktemp("synth_small"), per_class=8, seed=5)
 
 
-def finite_difference_grads(cfg, params, batch, labels, names=None, h=1e-3):
-    """Central-difference loss gradients with float64 arithmetic throughout."""
+def finite_difference_grads(cfg, params, batch, labels, names=None, h=1e-3, seed=None):
+    """Central-difference loss gradients with float64 arithmetic throughout.
+
+    With ``seed``, every probe draws its dropout masks from a generator
+    freshly seeded with it, so all probes see the masks of the analytic pass.
+    """
     base = {k: v.astype(np.float64) for k, v in params.tensors.items()}
 
     def loss_with(tensors):
         probe = model_mod.ModelParams.__new__(model_mod.ModelParams)
         probe.cfg = cfg
         probe.tensors = tensors
-        logits, _ = model_mod.forward(probe, batch, training=True)
+        rng = None if seed is None else np.random.default_rng(seed)
+        logits, _ = model_mod.forward(probe, batch, training=True, rng=rng)
         return train_mod.cross_entropy(logits, labels)[0]
 
     fd = {}

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, cli, dsp, tokenizer
+from tinysound import audio_io, augment, cli, dsp, tokenizer
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError
 
@@ -42,6 +43,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             cli.parse_config_file(path)
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed = \xff\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            cli.parse_config_file(path)
+
     def test_typed_getters(self):
         cfg = cli.Config({"x": "3", "y": "0.5", "z": "true", "w": "off"})
         assert cfg.get_int("x", 0) == 3
@@ -74,6 +81,15 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
+
+    def test_diverging_train_is_two(self, small_dataset, tmp_path, capsys):
+        keys = dict(FAST_KEYS, epochs=3, lr_peak=1e38, warmup_steps=0)
+        cfg = write_cfg(tmp_path / "c.cfg", data_root=str(small_dataset),
+                        layout="folder_per_class", **keys)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error:")]
+        assert len(errors) == 1 and "diverged at epoch" in errors[0]
 
 
 class TestCount:
@@ -230,3 +246,56 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_dataset, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", **self._base_keys(small_dataset))
         assert cli.main(["sweep", "--config", cfg]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Config properties: any file or any value of a known key gives a config or a
+# ConfigError
+# ---------------------------------------------------------------------------
+
+_LINE = st.tuples(st.text(max_size=12), st.text(max_size=12)).map(" = ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=96),
+    st.lists(st.one_of(_LINE, st.text(max_size=16)), max_size=6)
+    .map(lambda lines: "\n".join(lines).encode()),
+))
+def test_config_file_parses_or_raises_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        values = cli.parse_config_file(path)
+    except ConfigError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in values.items())
+
+
+_KNOWN_KEYS = (
+    "n_fft", "hop_length", "win_length", "n_mels", "log_mel", "feature", "n_coeffs",
+    "downsample", "normalize01", "reshape_rows", "reshape_cols", "augment",
+    "augment_probability", "lr_peak", "warmup_steps", "batch_size", "epochs", "seed",
+    "window_samples", "val_fold", "val_fraction", "hidden", "layers", "heads",
+    "share_layers", "dropout",
+    *(f"aug_{kind}{suffix}" for kind in augment.AUGMENTATIONS for suffix in ("", "_p")),
+)
+
+_VALUES = st.one_of(
+    st.integers(-(2**40), 2**40).map(str),
+    st.integers(-4, 600).map(str),
+    st.floats().map(str),
+    st.sampled_from(["mel", "mfcc", "amplitude", "curve", "true", "off", "", "1e3"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(_KNOWN_KEYS), _VALUES, max_size=10))
+def test_known_keys_give_configs_or_config_error(values):
+    cfg = cli.Config(values)
+    try:
+        tcfg = cli.train_config(cfg)
+        cli.model_config(cfg, tcfg.pipeline, tcfg.window_samples, classes=3)
+    except ConfigError:
+        pass

@@ -69,8 +69,8 @@ class TestForward:
         params = model.init_model(cfg, np.random.default_rng(3))
         batch = np.random.default_rng(4).normal(size=(2, 5, 6))
         _, trace = model.forward(params, batch, training=True, freeze_stats=True)
-        for layer in trace.layers:
-            probs = layer["attn"]["probs"]
+        assert len(trace.probs) == cfg.layers
+        for probs in trace.probs:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_zero_input_zero_classifier_equal_logits(self):

@@ -1,10 +1,12 @@
 """Loss, gradients, optimizer schedule, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tinysound import audio_io, dsp, model, train
-from tinysound.errors import ConfigError
+from tinysound.errors import ConfigError, DivergenceError
 
 from conftest import (SR, assert_grads_close, finite_difference_grads, sine,
                       write_synth_dataset)
@@ -79,6 +81,19 @@ class TestBackward:
                                      names=["layer0_q_w", "layer0_ffn_in_b"])
         assert_grads_close({k: grads[k] for k in fd}, fd)
 
+    @pytest.mark.parametrize("overrides", [{}, {"layers": 3, "share_layers": True}])
+    def test_dropout_masks_match_finite_differences(self, overrides):
+        cfg = grad_cfg(dropout_rate=0.1, **overrides)
+        params = model.init_model(cfg, np.random.default_rng(47))
+        batch = np.random.default_rng(12).normal(size=(2, 4, 6))
+        labels = np.array([0, 2])
+        logits, trace = model.forward(params, batch, training=True,
+                                      rng=np.random.default_rng(3))
+        _, dlogits = train.cross_entropy(logits, labels)
+        grads = train.backward(params, trace, dlogits)
+        fd = finite_difference_grads(cfg, params, batch, labels, seed=3)
+        assert_grads_close(grads, fd)
+
     def test_zero_dlogits_zero_grads(self):
         cfg = grad_cfg()
         params = model.init_model(cfg, np.random.default_rng(45))
@@ -114,6 +129,11 @@ class TestSchedule:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             train.lr_at(-1, train.TrainConfig())
+
+    @pytest.mark.parametrize("lr_peak", [float("nan"), float("inf"), -1e-4])
+    def test_bad_lr_peak_rejected(self, lr_peak):
+        with pytest.raises(ConfigError, match="lr_peak"):
+            train.TrainConfig(lr_peak=lr_peak)
 
 
 class TestAdam:
@@ -259,6 +279,33 @@ class TestTrainLoop:
         for name in full.last.params.tensors:
             np.testing.assert_array_equal(full.last.params.tensors[name],
                                           resumed.last.params.tensors[name])
+
+    @pytest.mark.parametrize("change", ["hidden", "seed", "window_samples"])
+    def test_resume_rejects_a_different_config(self, small_dataset, change):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        half = train.train_loop(manifest, mcfg, tcfg)
+        tcfg.epochs = 2
+        if change == "hidden":
+            mcfg = replace(mcfg, hidden=16)
+        elif change == "seed":
+            tcfg.seed += 1
+        else:  # same frame count, so the model config still fits
+            tcfg.window_samples += 8
+        with pytest.raises(ConfigError, match=change):
+            train.train_loop(manifest, mcfg, tcfg, resume_from=half.last)
+
+    def test_divergence_stops_before_the_optimizer_writes(self, small_dataset, monkeypatch):
+        manifest, mcfg, tcfg = self._config(3, small_dataset, lr_peak=1e38, warmup_steps=0)
+        adam_step = train.adam_step
+
+        def checked_adam_step(params, grads, *args):
+            for name, g in grads.items():
+                assert np.all(np.isfinite(g)), name
+            return adam_step(params, grads, *args)
+
+        monkeypatch.setattr(train, "adam_step", checked_adam_step)
+        with pytest.raises(DivergenceError, match=r"epoch \d+, step \d+: loss"):
+            train.train_loop(manifest, mcfg, tcfg)
 
     def test_empty_manifest_rejected(self):
         manifest = audio_io.DatasetManifest((), (), audio_io.FOLDER_PER_CLASS)
