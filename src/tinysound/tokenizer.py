@@ -5,13 +5,15 @@ corpus and keeping the most frequent ``top_k`` curves. Tokenization then
 emits one token per non-overlapping window (stride = curve length), with
 unknown curves mapped to UNK. Relative mode shifts each window so its
 minimum is zero before lookup, merging curves that differ only by offset.
+A curve of L levels in [0, R) is counted and looked up as the int64 key
+sum(level_j * R**(L-1-j)), whose order is the lexicographic curve order.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,9 @@ class CurveSpec:
             raise ConfigError(f"curve_len must be >= 1, got {self.curve_len}")
         if self.resolution < 2:
             raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
+        if self.curve_len >= 63 or self.resolution**self.curve_len >= 2**63:  # int64 keys
+            raise ConfigError(f"resolution ** curve_len must be below 2**63, got "
+                              f"{self.resolution} ** {self.curve_len}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.mode not in (ABSOLUTE, RELATIVE):
@@ -60,33 +65,60 @@ class CoverageStats:
     distinct_curves: int
 
 
-class CurveVocab:
-    """Ranked curve -> token-id mapping with UNK/PAD/CLS specials."""
+def _place_values(spec: CurveSpec) -> np.ndarray:
+    """R**(L-1), ..., R, 1: a curve's key is its dot product with these."""
+    return spec.resolution ** np.arange(spec.curve_len - 1, -1, -1, dtype=np.int64)
 
-    def __init__(self, spec: CurveSpec, curves: list[tuple[int, ...]]):
+
+class CurveVocab:
+    """Ranked curve -> token-id mapping with UNK/PAD/CLS specials.
+
+    ``curves`` are level tuples or an (n, curve_len) array, most frequent
+    first, kept as the int64 array ``levels``; the ``curves`` list and
+    ``ids`` dict are built from it on first access.
+    """
+
+    def __init__(self, spec: CurveSpec, curves):
         if len(curves) > spec.top_k:
             raise ConfigError(f"{len(curves)} curves exceed top_k {spec.top_k}")
-        for curve in curves:
-            if len(curve) != spec.curve_len:
-                raise ConfigError(f"curve {curve} does not have length {spec.curve_len}")
-            if any(not 0 <= v < spec.resolution for v in curve):
-                raise ConfigError(f"curve {curve} has values outside [0, {spec.resolution})")
+        try:
+            levels = np.array(curves, dtype=np.int64).reshape(len(curves), spec.curve_len)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"curves are not all {spec.curve_len} integer levels") from None
+        if levels.size and not 0 <= levels.min() <= levels.max() < spec.resolution:
+            raise ConfigError(f"curves have values outside [0, {spec.resolution})")
         self.spec = spec
-        self.curves = list(curves)
-        self.ids = {curve: N_SPECIAL + rank for rank, curve in enumerate(self.curves)}
-        if len(self.ids) != len(self.curves):
+        self.levels = levels
+        keys, ranks = np.unique(levels @ _place_values(spec), return_index=True)
+        if keys.size != len(levels):
             raise ConfigError("duplicate curves in vocabulary")
+        # searchsorted puts keys above the largest at the -1 sentinel, id UNK
+        self._sorted_keys = np.append(keys, -1)
+        self._sorted_ids = np.append(N_SPECIAL + ranks, UNK_ID)
+
+    @cached_property
+    def curves(self) -> list[tuple[int, ...]]:
+        return [tuple(curve) for curve in self.levels.tolist()]
+
+    @cached_property
+    def ids(self) -> dict[tuple[int, ...], int]:
+        return {curve: N_SPECIAL + rank for rank, curve in enumerate(self.curves)}
 
     def __len__(self) -> int:
-        return len(self.curves)
+        return len(self.levels)
 
     @property
     def vocab_size(self) -> int:
         """Total id space including the special tokens."""
-        return N_SPECIAL + len(self.curves)
+        return N_SPECIAL + len(self)
 
     def lookup(self, curve: tuple[int, ...]) -> int:
         return self.ids.get(curve, UNK_ID)
+
+    def _lookup_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Token id of each curve key, UNK for keys not in the vocabulary."""
+        pos = np.searchsorted(self._sorted_keys[:-1], keys)
+        return np.where(self._sorted_keys[pos] == keys, self._sorted_ids[pos], UNK_ID)
 
 
 def quantize_signal(clip: AudioClip, resolution: int) -> np.ndarray:
@@ -105,40 +137,39 @@ def relative_shift(span) -> tuple[int, ...]:
     return tuple(v - low for v in span)
 
 
-def _stride1_windows(levels: np.ndarray, length: int) -> np.ndarray:
-    if levels.size < length:
-        return np.empty((0, length), dtype=np.int64)
-    return np.lib.stride_tricks.sliding_window_view(levels, length)
+def _curve_keys(clip: AudioClip, spec: CurveSpec, stride: int) -> np.ndarray:
+    """Key of every curve_len window of the quantized clip, one per stride."""
+    levels = quantize_signal(clip, spec.resolution)
+    n = max(0, (levels.size - spec.curve_len) // stride + 1)
+    cols = [levels[j::stride][:n] for j in range(spec.curve_len)]  # level j of each window
+    keys = sum(place * col for place, col in zip(_place_values(spec), cols))
+    if spec.mode == RELATIVE:
+        keys -= reduce(np.minimum, cols) * _place_values(spec).sum()
+    return keys
 
 
-def _count_windows(corpus, spec: CurveSpec) -> tuple[Counter, int]:
-    counts: Counter = Counter()
-    total = 0
-    for clip in corpus:
-        windows = _stride1_windows(quantize_signal(clip, spec.resolution), spec.curve_len)
-        if spec.mode == RELATIVE:
-            windows = windows - windows.min(axis=1, keepdims=True)
-        total += windows.shape[0]
-        counts.update(map(tuple, windows.tolist()))
-    return counts, total
+def _count_curves(corpus: list[AudioClip], spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct stride-1 curve keys of the corpus, ascending, and their counts."""
+    keys = [np.empty(0, np.int64)] + [_curve_keys(clip, spec, 1) for clip in corpus]
+    return np.unique(np.concatenate(keys), return_counts=True)
 
 
 def build_curve_vocab(corpus, spec: CurveSpec) -> tuple[CurveVocab, CoverageStats]:
     """Count stride-1 curves over a corpus and keep the top_k as vocabulary.
 
-    Ties at the cut are broken lexicographically on the curve tuple so the
-    result is deterministic. Coverage statistics are computed against the
-    same corpus.
+    Ties at the cut are broken lexicographically on the curve tuple (key
+    order) so the result is deterministic. Coverage statistics are computed
+    against the same corpus.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    counts, _ = _count_windows(corpus, spec)
-    if not counts:
+    keys, counts = _count_curves(corpus, spec)
+    if not keys.size:
         raise ValueError("corpus holds no window of curve_len samples")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    vocab = CurveVocab(spec, [curve for curve, _ in ranked[: spec.top_k]])
-    return vocab, coverage(vocab, corpus)
+    kept = keys[np.lexsort((keys, -counts))[: spec.top_k]]
+    vocab = CurveVocab(spec, kept[:, None] // _place_values(spec) % spec.resolution)
+    return vocab, _coverage(vocab, corpus, keys, counts)
 
 
 def tokenize(clip: AudioClip, vocab: CurveVocab) -> np.ndarray:
@@ -147,32 +178,24 @@ def tokenize(clip: AudioClip, vocab: CurveVocab) -> np.ndarray:
     Output length is 1 + floor(n / curve_len); curves missing from the
     vocabulary become UNK.
     """
-    spec = vocab.spec
-    levels = quantize_signal(clip, spec.resolution)
-    n_windows = levels.size // spec.curve_len
-    windows = levels[: n_windows * spec.curve_len].reshape(n_windows, spec.curve_len)
-    if spec.mode == RELATIVE:
-        windows = windows - windows.min(axis=1, keepdims=True)
-    ids = [CLS_ID]
-    ids.extend(vocab.lookup(tuple(row)) for row in windows.tolist())
-    return np.asarray(ids, dtype=np.int64)
+    ids = vocab._lookup_keys(_curve_keys(clip, vocab.spec, vocab.spec.curve_len))
+    return np.concatenate(([CLS_ID], ids))
 
 
 def coverage(vocab: CurveVocab, corpus) -> CoverageStats:
     """Recompute both coverage fractions of ``vocab`` over a corpus."""
-    spec = vocab.spec
-    counts, total = _count_windows(corpus, spec)
-    in_vocab = sum(c for curve, c in counts.items() if curve in vocab.ids)
-    vocab_cov = in_vocab / total if total else 0.0
+    corpus = list(corpus)
+    return _coverage(vocab, corpus, *_count_curves(corpus, vocab.spec))
 
-    emitted = 0
-    known = 0
-    for clip in corpus:
-        ids = tokenize(clip, vocab)[1:]  # drop CLS
-        emitted += ids.size
-        known += int(np.count_nonzero(ids != UNK_ID))
-    token_cov = known / emitted if emitted else 0.0
-    return CoverageStats(vocab_cov, token_cov, len(counts))
+
+def _coverage(vocab: CurveVocab, corpus: list[AudioClip], keys: np.ndarray,
+              counts: np.ndarray) -> CoverageStats:
+    total = int(counts.sum())
+    in_vocab = int(counts[vocab._lookup_keys(keys) != UNK_ID].sum())
+    ids = np.concatenate([np.empty(0, np.int64)] + [tokenize(clip, vocab)[1:] for clip in corpus])
+    known = np.count_nonzero(ids != UNK_ID)
+    return CoverageStats(in_vocab / total if total else 0.0,
+                         known / ids.size if ids.size else 0.0, keys.size)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +212,8 @@ def save_vocab(path, vocab: CurveVocab) -> None:
     if spec.resolution > _MAX_RESOLUTION:
         raise ConfigError("vocab file stores one byte per level; resolution must be <= 256")
     header = struct.pack("<IIIBI", spec.curve_len, spec.resolution, spec.top_k,
-                         _MODES.index(spec.mode), len(vocab.curves))
-    Path(path).write_bytes(_VOCAB_MAGIC + header + b"".join(bytes(c) for c in vocab.curves))
+                         _MODES.index(spec.mode), len(vocab))
+    Path(path).write_bytes(_VOCAB_MAGIC + header + vocab.levels.astype(np.uint8).tobytes())
 
 
 def load_vocab(path) -> CurveVocab:
@@ -206,5 +229,4 @@ def load_vocab(path) -> CurveVocab:
         # CurveSpec rejects curve_len 0 before a (count, 0) array is read
         spec = CurveSpec(curve_len, resolution, top_k, _MODES[mode_code])
         (count,) = r.unpack("<I", "curve count")
-        levels = r.array(np.uint8, (count, curve_len), "curves")
-        return CurveVocab(spec, [tuple(curve) for curve in levels.tolist()])
+        return CurveVocab(spec, r.array(np.uint8, (count, curve_len), "curves"))

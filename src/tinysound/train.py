@@ -5,7 +5,8 @@ training ``forward`` recorded; the loop looks ``forward`` and ``backward``
 up in this module when it runs. The data pipeline slices, augments, and
 featurizes on the fly each epoch, with one generator per (seed, epoch,
 entry) so runs are bit-reproducible and resumable. A non-finite loss or
-gradient raises ``DivergenceError`` before the optimizer step.
+gradient raises ``DivergenceError`` before the optimizer step, and an
+optimizer step whose results overflow float32 raises it before writing.
 """
 
 from __future__ import annotations
@@ -104,22 +105,33 @@ def lr_at(step: int, cfg: "TrainConfig") -> float:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               opt: OptState, lr: float) -> tuple[ModelParams, OptState]:
-    """One bias-corrected Adam update, in place; returns the same objects."""
-    opt.step += 1
-    t = opt.step
+    """One bias-corrected Adam update, in place; returns the same objects.
+
+    Raises ``DivergenceError``, with nothing written, when a new weight or
+    moment is not finite in float32.
+    """
+    t = opt.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for tname in learnable_names(params.cfg):
-        g = np.asarray(grads[tname], dtype=np.float64)
-        m = opt.m[tname].astype(np.float64)
-        v = opt.v[tname].astype(np.float64)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        new_p = params.tensors[tname].astype(np.float64) - update
-        params.tensors[tname][...] = new_p.astype(np.float32)
-        opt.m[tname][...] = m.astype(np.float32)
-        opt.v[tname][...] = v.astype(np.float32)
+    new = {}
+    with np.errstate(over="ignore"):  # overflow is reported below
+        for tname in learnable_names(params.cfg):
+            g = np.asarray(grads[tname], dtype=np.float64)
+            m = opt.m[tname].astype(np.float64)
+            v = opt.v[tname].astype(np.float64)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            new_p = params.tensors[tname].astype(np.float64) - update
+            new[tname] = [a.astype(np.float32) for a in (new_p, m, v)]
+    bad = [n for n, arrays in new.items() if not all(np.isfinite(a).all() for a in arrays)]
+    if bad:
+        raise DivergenceError(f"Adam step {t} overflows float32 in {', '.join(bad[:3])}")
+    opt.step = t
+    for tname, (new_p, m, v) in new.items():
+        params.tensors[tname][...] = new_p
+        opt.m[tname][...] = m
+        opt.v[tname][...] = v
     return params, opt
 
 
@@ -229,6 +241,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.window_samples <= 0:
             raise ConfigError(f"window_samples must be positive, got {self.window_samples}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +402,11 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             loss, dlogits = cross_entropy(logits, labels)
             grads = backward(params, trace, dlogits)
             _check_finite(loss, grads, epoch, step_idx)
-            adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
+            try:
+                adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}, step {step_idx}: {exc}") from None
             losses.append(loss)
 
         train_loss = float(np.mean(losses)) if losses else float("nan")

@@ -91,6 +91,15 @@ class TestExitCodes:
         errors = [line for line in err if line.startswith("error:")]
         assert len(errors) == 1 and "diverged at epoch" in errors[0]
 
+    @pytest.mark.parametrize("fraction", ["nan", "-1.0", "1.0"])
+    def test_bad_val_fraction_is_two(self, small_dataset, tmp_path, capsys, fraction):
+        cfg = write_cfg(tmp_path / "c.cfg", data_root=str(small_dataset),
+                        layout="folder_per_class", **dict(FAST_KEYS, val_fraction=fraction))
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error:")]
+        assert len(errors) == 1 and "val_fraction" in errors[0]
+
 
 class TestCount:
     def test_reference_tiny_config(self, tmp_path, capsys):

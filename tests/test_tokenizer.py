@@ -1,10 +1,14 @@
 """Curve quantization, vocabulary building, tokenization, coverage."""
 
+import hashlib
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import tokenizer as tok
+from tinysound import audio_io, cli, tokenizer as tok
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError, DecodeError
 
@@ -87,6 +91,10 @@ class TestBuildVocab:
         vocab, _ = tok.build_curve_vocab([clip], spec)
         # (0,0) and (1,1) both appear 3x; lexicographic tie-break keeps order stable
         assert vocab.curves == [(0, 0), (1, 1)]
+
+    def test_corpus_without_a_window_rejected(self):
+        with pytest.raises(ValueError, match="no window"):
+            tok.build_curve_vocab([AudioClip(np.zeros(7), SR)], tok.CurveSpec(curve_len=8))
 
     def test_deterministic_ids_across_rebuilds(self):
         corpus = walk_corpus(6, 600)
@@ -218,3 +226,144 @@ class TestVocabFile:
             tok.CurveSpec(resolution=1)
         with pytest.raises(ConfigError):
             tok.CurveSpec(mode="both")
+
+    @pytest.mark.parametrize("curve_len,resolution", [(63, 2), (8, 256), (8, 235), (11, 64),
+                                                      (2**32 - 1, 64)])
+    def test_key_bound_rejected(self, curve_len, resolution):
+        with pytest.raises(ConfigError, match=r"2\*\*63"):
+            tok.CurveSpec(curve_len=curve_len, resolution=resolution)
+
+    @pytest.mark.parametrize("curve_len,resolution", [(62, 2), (8, 234), (7, 256), (10, 64)])
+    def test_key_bound_largest_accepted(self, curve_len, resolution):
+        spec = tok.CurveSpec(curve_len=curve_len, resolution=resolution)
+        top = (resolution - 1,) * curve_len
+        vocab = tok.CurveVocab(spec, [top, (0,) * curve_len])
+        wave = levels_to_wave(top + (0,) * curve_len + (0,) * (curve_len - 1) + (1,), resolution)
+        np.testing.assert_array_equal(tok.tokenize(AudioClip(wave, SR), vocab),
+                                      [tok.CLS_ID, tok.N_SPECIAL, tok.N_SPECIAL + 1, tok.UNK_ID])
+
+    @pytest.mark.parametrize("curve_len,resolution", [(8, 256), (2**32 - 1, 2)])
+    def test_header_beyond_key_bound_is_decode_error(self, tmp_path, curve_len, resolution):
+        path = tmp_path / "v.tscv"
+        path.write_bytes(b"TSCV" + struct.pack("<IIIBI", curve_len, resolution, 10, 0, 0))
+        with pytest.raises(DecodeError, match=r"2\*\*63"):
+            tok.load_vocab(path)
+
+    @pytest.mark.parametrize("curves", [
+        [(0, 1, 2)],  # wrong length
+        [(0, 1, 2, 3), (0, 1)],  # ragged
+        [(0, 1, 2, -1)],
+        [(0, 1, 2, 64)],
+        [(0, 1, 2, 3), (0, 1, 2, 3)],
+        [(i, 0, 0, 0) for i in range(11)],  # more than top_k
+    ])
+    def test_bad_curves_rejected(self, curves):
+        with pytest.raises(ConfigError):
+            tok.CurveVocab(tok.CurveSpec(curve_len=4, top_k=10), curves)
+
+
+# ---------------------------------------------------------------------------
+# The integer-key implementation against a tuple/Counter/dict oracle
+# ---------------------------------------------------------------------------
+
+def oracle(corpus, spec):
+    """Curves, CoverageStats and a tokenize function, by tuples and dicts."""
+    def windows(clip, stride):
+        levels = tok.quantize_signal(clip, spec.resolution).tolist()
+        for i in range(0, len(levels) - spec.curve_len + 1, stride):
+            win = levels[i : i + spec.curve_len]
+            yield tuple(v - min(win) for v in win) if spec.mode == tok.RELATIVE else tuple(win)
+
+    counts = Counter(win for clip in corpus for win in windows(clip, 1))
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[: spec.top_k]
+    curves = [curve for curve, _ in ranked]
+    ids = {curve: tok.N_SPECIAL + rank for rank, curve in enumerate(curves)}
+
+    def tokenize(clip):
+        return [tok.CLS_ID] + [ids.get(w, tok.UNK_ID) for w in windows(clip, spec.curve_len)]
+
+    total = sum(counts.values())
+    tokens = [i for clip in corpus for i in tokenize(clip)[1:]]
+    known = sum(i != tok.UNK_ID for i in tokens)
+    stats = tok.CoverageStats(sum(c for _, c in ranked) / total if total else 0.0,
+                              known / len(tokens) if tokens else 0.0, len(counts))
+    return curves, stats, tokenize
+
+
+@st.composite
+def specs(draw):
+    curve_len = draw(st.integers(1, 8))
+    top = 256
+    while top**curve_len >= 2**63:
+        top -= 1
+    return tok.CurveSpec(curve_len, draw(st.integers(2, top)), draw(st.integers(1, 6)),
+                         draw(st.sampled_from([tok.ABSOLUTE, tok.RELATIVE])))
+
+
+@st.composite
+def clips(draw, resolution):
+    """Waves over a few adjacent levels, so curves repeat and counts tie."""
+    low = draw(st.integers(0, resolution - 1))
+    levels = draw(st.lists(st.integers(low, min(low + 2, resolution - 1)), max_size=40))
+    return AudioClip(levels_to_wave(levels, resolution), SR)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_matches_tuple_oracle(data):
+    spec = data.draw(specs())
+    corpus = data.draw(st.lists(clips(spec.resolution), max_size=4))
+    probe = data.draw(clips(spec.resolution))
+    curves, stats, tokenize = oracle(corpus, spec)
+    if not curves:
+        with pytest.raises(ValueError, match="empty corpus" if not corpus else "no window"):
+            tok.build_curve_vocab(corpus, spec)
+        return
+    vocab, got = tok.build_curve_vocab(corpus, spec)
+    assert vocab.curves == curves
+    assert vocab.ids == {c: tok.N_SPECIAL + r for r, c in enumerate(curves)}
+    assert got == stats
+    assert tok.coverage(vocab, corpus) == stats
+    for clip in corpus + [probe]:
+        assert tok.tokenize(clip, vocab).tolist() == tokenize(clip)
+
+
+# ---------------------------------------------------------------------------
+# build-vocab end to end, pinned to the output of the tuple implementation
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the TSCV file and the stats line, per mode, taken with the
+# Counter-of-tuples tokenizer that the integer keys replaced.
+BUILD_VOCAB_GOLDEN = {
+    tok.ABSOLUTE: ("df8475753c17f1bef4a21fdd5fffb5cffd7dada782c41656c8d2224f8df71ddd",
+                   "vocab of 150 curves (absolute) from 9375 distinct; "
+                   "vocab_coverage=0.5687 token_coverage=0.5671"),
+    tok.RELATIVE: ("bd25aab67feb6cf30617111e4937d0f9f574a92d754b317b85e55ed86a5162ac",
+                   "vocab of 150 curves (relative) from 1059 distinct; "
+                   "vocab_coverage=0.8637 token_coverage=0.8637"),
+}
+
+
+@pytest.fixture(scope="module")
+def walk_dataset(tmp_path_factory):
+    """Two classes of three PCM16 random walks, 0.25 s each, from integer steps."""
+    root = tmp_path_factory.mktemp("walks")
+    rng = np.random.default_rng(11)
+    for name in ("a", "b"):
+        (root / name).mkdir()
+        for i in range(3):
+            pcm = np.clip(np.cumsum(rng.integers(-2500, 2501, size=11025)), -32768, 32767)
+            audio_io.write_wav(root / name / f"{name}{i}.wav", AudioClip(pcm / 32768.0, SR))
+    return root
+
+
+@pytest.mark.parametrize("mode", sorted(BUILD_VOCAB_GOLDEN))
+def test_build_vocab_output_pinned(walk_dataset, tmp_path, capsys, mode):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_root = {walk_dataset}\nlayout = folder_per_class\ncurve_len = 6\n"
+                   f"resolution = 32\ntop_k = 150\ncurve_mode = {mode}\n")
+    out = tmp_path / "v.tscv"
+    assert cli.main(["build-vocab", "--config", str(cfg), "--out", str(out)]) == 0
+    digest, line = BUILD_VOCAB_GOLDEN[mode]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.splitlines()[0] == line

@@ -184,8 +184,26 @@ class TestAdam:
         for name in params_a.tensors:
             np.testing.assert_array_equal(params_a.tensors[name], params_b.tensors[name])
 
+    def test_float32_overflow_raises_before_writing(self):
+        cfg, params, opt = self._setup()
+        grads = {n: np.zeros(params.tensors[n].shape) for n in model.learnable_names(cfg)}
+        grads["cls_b"] = np.array([1.0, -1.0, 0.0])
+        train.adam_step(params, grads, opt, lr=1e-3)
+        before = {k: v.copy() for k, v in {**params.tensors, **opt.m, **opt.v}.items()}
+        with pytest.raises(DivergenceError, match="Adam step 2 overflows float32 in cls_b"):
+            train.adam_step(params, grads, opt, lr=1e39)
+        assert opt.step == 1
+        after = {**params.tensors, **opt.m, **opt.v}
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name])
+
 
 class TestSplit:
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -1.0, 0.0, 1.0])
+    def test_bad_val_fraction_rejected(self, fraction):
+        with pytest.raises(ConfigError, match="val_fraction"):
+            train.TrainConfig(val_fraction=fraction)
+
     def test_fold_split(self, tmp_path):
         root = tmp_path / "ds"
         (root / "meta").mkdir(parents=True)
@@ -296,16 +314,23 @@ class TestTrainLoop:
 
     def test_divergence_stops_before_the_optimizer_writes(self, small_dataset, monkeypatch):
         manifest, mcfg, tcfg = self._config(3, small_dataset, lr_peak=1e38, warmup_steps=0)
-        adam_step = train.adam_step
+        adam_step, calls = train.adam_step, []
 
         def checked_adam_step(params, grads, *args):
             for name, g in grads.items():
                 assert np.all(np.isfinite(g)), name
+            calls.append(params)
             return adam_step(params, grads, *args)
 
         monkeypatch.setattr(train, "adam_step", checked_adam_step)
-        with pytest.raises(DivergenceError, match=r"epoch \d+, step \d+: loss"):
+        with pytest.raises(DivergenceError) as info:
             train.train_loop(manifest, mcfg, tcfg)
+        # the overflowing update is named at its own step and never written
+        steps_per_epoch = -(-len(train.split_manifest(manifest, tcfg)[0]) // tcfg.batch_size)
+        epoch, step = divmod(len(calls) - 1, steps_per_epoch)
+        assert f"epoch {epoch}, step {step}: Adam step {len(calls)} overflows" in str(info.value)
+        for name, tensor in calls[-1].tensors.items():
+            assert np.all(np.isfinite(tensor)), name
 
     def test_empty_manifest_rejected(self):
         manifest = audio_io.DatasetManifest((), (), audio_io.FOLDER_PER_CLASS)
