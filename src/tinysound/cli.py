@@ -290,6 +290,8 @@ def cmd_count(args, cfg: Config) -> int:
     print(f"parameters: {params:,}")
     print(f"mult-adds (per-position convention): {model_mod.count_mult_adds(mcfg, model_mod.PER_POSITION):,}")
     print(f"mult-adds (total forward pass): {model_mod.count_mult_adds(mcfg, model_mod.TOTAL):,}")
+    print(f"mult-adds (executed, last layer at position 0): "
+          f"{model_mod.count_mult_adds(mcfg, model_mod.EXECUTED):,}")
     return 0
 
 

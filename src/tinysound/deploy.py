@@ -139,9 +139,18 @@ def weight_payload_bytes(params_or_q) -> int:
 
 @dataclass
 class BenchReport:
+    """Forward-pass latency over the measured runs, plus the first call.
+
+    ``first_call_ms`` is the very first forward of the benchmark, warm-up
+    included, so a slow start shows next to the steady-state median.
+    """
+
     mean_ms: float
     min_ms: float
     max_ms: float
+    median_ms: float
+    p90_ms: float
+    first_call_ms: float
     feature_mean_ms: float
     runs: int
     param_count: int
@@ -157,11 +166,11 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
     """Wall-clock latency of feature extraction and one forward pass.
 
     Runs in this process on a deterministic input; the first ``warmup``
-    measurements are discarded. Model and feature time are reported
-    separately. For ``QuantizedParams`` the timed pass is float64 inference
-    on the weights dequantized once up front, as ``qforward`` runs it; no
-    integer arithmetic is timed; ``quantized`` in the report says only which
-    weights were loaded. ``serialized_bytes`` defaults to the encoded TSCQ
+    measurements are discarded from every statistic but ``first_call_ms``.
+    Model and feature time are reported separately. For ``QuantizedParams``
+    the timed pass is float64 inference on the weights dequantized once up
+    front, as ``qforward`` runs it; no integer arithmetic is timed;
+    ``quantized`` in the report says only which weights were loaded. ``serialized_bytes`` defaults to the encoded TSCQ
     (or TSCK) size.
     """
     quantized = isinstance(params_or_q, QuantizedParams)
@@ -172,15 +181,16 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
     clip = AudioClip(wave, 44100)
 
     feature_times, model_times = [], []
-    for run in range(warmup + n_runs):
+    for _ in range(warmup + n_runs):
         t0 = time.perf_counter()
         example = pipeline.extract(clip)
         t1 = time.perf_counter()
         forward(params, example[None, ...], training=False)
         t2 = time.perf_counter()
-        if run >= warmup:
-            feature_times.append((t1 - t0) * 1e3)
-            model_times.append((t2 - t1) * 1e3)
+        feature_times.append((t1 - t0) * 1e3)
+        model_times.append((t2 - t1) * 1e3)
+    first_call_ms = model_times[0]
+    feature_times, model_times = feature_times[warmup:], model_times[warmup:]
 
     if serialized_bytes is None:
         serialized_bytes = len(encode_quantized(params_or_q) if quantized
@@ -190,6 +200,9 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
         mean_ms=float(np.mean(model_times)),
         min_ms=float(np.min(model_times)),
         max_ms=float(np.max(model_times)),
+        median_ms=float(np.median(model_times)),
+        p90_ms=float(np.percentile(model_times, 90)),
+        first_call_ms=first_call_ms,
         feature_mean_ms=float(np.mean(feature_times)),
         runs=n_runs,
         param_count=count_params(cfg),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -183,11 +184,13 @@ def mel_to_hz(mel):
     return freq
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
     """Triangular mel filterbank, n_mels x (n_fft/2 + 1), area-normalized.
 
     Filters span 0 Hz to sr/2 on the Slaney mel scale; each row is scaled
     by 2 / (f_upper - f_lower) so filter area is independent of bandwidth.
+    Built once per config and shared, so the returned array is read-only.
     """
     if cfg.n_mels > cfg.n_bins:
         raise ConfigError(f"n_mels {cfg.n_mels} exceeds available bins {cfg.n_bins}")
@@ -202,6 +205,7 @@ def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
     falling = (upper - bin_freqs[None, :]) / np.maximum(upper - center, 1e-12)
     weights = np.maximum(0.0, np.minimum(rising, falling))
     weights *= 2.0 / (upper - lower)
+    weights.flags.writeable = False
     return weights
 
 
@@ -220,12 +224,15 @@ def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig) -> FeatureMatrix:
     return FeatureMatrix(mel, "mel", cfg.sample_rate / cfg.hop_length)
 
 
+@lru_cache(maxsize=16)
 def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix (rows are basis vectors)."""
+    """Orthonormal DCT-II matrix (rows are basis vectors), built once per n
+    and shared, so the returned array is read-only."""
     k = np.arange(n)[:, None]
     i = np.arange(n)[None, :]
     mat = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2.0 * n))
     mat[0] /= np.sqrt(2.0)
+    mat.flags.writeable = False
     return mat
 
 

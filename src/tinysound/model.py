@@ -3,10 +3,14 @@ accounting, and checkpoints.
 
 Continuous inputs (feature matrices) pass through a per-position batch
 normalization and a learned linear mapping to the hidden size, with no
-positional encoding; token inputs use embedding + positional tables
-instead. Encoder layers use post-LayerNorm residuals, GELU, and a
+positional encoding; the batch norm is folded into the mapping, so the
+normalized input is never built. Token inputs use embedding + positional
+tables instead. Encoder layers use post-LayerNorm residuals, GELU, and a
 feed-forward width fixed at 4x hidden. Classification reads the first
-sequence position through a tanh pooler.
+sequence position through a tanh pooler, so the last layer runs at
+position 0 only: its query, residual, LayerNorms and feed-forward cover
+that one row, while its keys and values still cover every position.
+Earlier layers run at every position.
 
 The encoder is a short sequence of ops, each returning its output and its
 backward; ``forward`` records the backwards when training and ``backward``
@@ -190,7 +194,8 @@ class ForwardTrace:
 
     @property
     def probs(self) -> list[np.ndarray]:
-        """Attention probabilities of each layer, (B, heads, L, L)."""
+        """Attention probabilities of each layer, (B, heads, L, L); the last
+        layer attends from position 0 only, (B, heads, 1, L)."""
         return [back.probs for back in self.backwards if hasattr(back, "probs")]
 
 
@@ -254,35 +259,39 @@ def _dropout(x: np.ndarray, rate: float, rng):
 
 
 def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
-    """Per-position batch norm, then the linear map from F to the hidden size.
+    """Per-position batch norm folded into the linear map from F to the hidden size.
 
     Normalizes with batch statistics, folded into the float32 running stats,
-    when ``update_stats``, else with the running stats.
+    when ``update_stats``, else with the running stats. With s = gamma /
+    sqrt(var + eps) and t = beta - s * mean per position, the output is
+    s * (x @ W.T) + t * rowsum(W) + b: no direction builds the (B, L, F) xhat.
     """
     if update_stats:
         mean = batch.mean(axis=(0, 2))
         var = batch.var(axis=(0, 2))
         n = batch.shape[0] * batch.shape[2]
-        if n > 1:  # unbiased variance feeds the running estimate
-            run_var = var * n / (n - 1)
-        else:
-            run_var = var
+        run_var = var * n / (n - 1) if n > 1 else var  # unbiased, for the running estimate
         rm = params.tensors["bn_running_mean"]
         rv = params.tensors["bn_running_var"]
         rm[...] = ((1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mean).astype(np.float32)
         rv[...] = ((1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * run_var).astype(np.float32)
     else:
-        mean = w["bn_running_mean"]
-        var = w["bn_running_var"]
-    xhat = (batch - mean[None, :, None]) / np.sqrt(var[None, :, None] + _BN_EPS)
-    out, map_back = _linear(w, "map", w["bn_gamma"][None, :, None] * xhat
-                            + w["bn_beta"][None, :, None])
+        mean, var = w["bn_running_mean"], w["bn_running_var"]
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    scale = w["bn_gamma"] * inv_std
+    shift = w["bn_beta"] - scale * mean
+    weight, row_sum = w["map_w"], w["map_w"].sum(axis=1)
+    xw = batch @ weight.T
 
     def back(dy, grads):
-        d_bn = map_back(dy, grads)
-        grads["bn_gamma"] += (d_bn * xhat).sum(axis=(0, 2))
-        grads["bn_beta"] += d_bn.sum(axis=(0, 2))
-    return out, back
+        d_beta = (dy @ row_sum).sum(axis=0)
+        grads["bn_beta"] += d_beta
+        grads["bn_gamma"] += inv_std * ((dy * xw).sum(axis=(0, 2)) - mean * d_beta)
+        h, f = weight.shape
+        grads["map_w"] += (scale[:, None] * dy).reshape(-1, h).T @ batch.reshape(-1, f)
+        grads["map_w"] += (shift @ dy.sum(axis=0))[:, None]
+        grads["map_b"] += dy.sum(axis=(0, 1))
+    return scale[:, None] * xw + shift[:, None] * row_sum + w["map_b"], back
 
 
 def _token_embedding(w, ids: np.ndarray, positional: bool):
@@ -306,37 +315,41 @@ def _segment_row(w, x: np.ndarray):
     return x + w["seg_emb"][0], back
 
 
-def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout):
-    """Post-LN self-attention, LN(x + dropout(attention(x))), with weights ``p*``.
+def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries: int):
+    """Post-LN self-attention, LN(xq + dropout(attention(xq, x))), with weights ``p*``.
 
-    Its backward also carries the attention probabilities as ``back.probs``.
+    Queries, residual and output cover the first ``n_queries`` positions,
+    xq = x[:, :n_queries]; keys and values cover every position. Its backward
+    also carries the attention probabilities as ``back.probs``.
     """
-    b, seq, h = x.shape
+    b, _, h = x.shape
     dh = h // heads
+    xq = x[:, :n_queries]
 
     def split(y):
-        return y.reshape(b, seq, heads, dh).transpose(0, 2, 1, 3)
+        return y.reshape(b, y.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
     def merge(y):
-        return y.transpose(0, 2, 1, 3).reshape(b, seq, h)
+        return y.transpose(0, 2, 1, 3).reshape(b, y.shape[2], h)
 
-    projections = [_linear(w, p + name, x) for name in ("q", "k", "v")]
+    projections = [_linear(w, p + name, z) for name, z in (("q", xq), ("k", x), ("v", x))]
     q, k, v = (split(y) for y, _ in projections)
     probs = softmax(q @ k.swapaxes(-1, -2) / np.sqrt(dh))
     out, o_back = _linear(w, p + "o", merge(probs @ v))
     out, drop_back = dropout(out)
-    y, ln_back = _layer_norm(w, p + "attn_ln", x + out)
+    y, ln_back = _layer_norm(w, p + "attn_ln", xq + out)
 
     def back(dy, grads):
-        dx = ln_back(dy, grads)
-        d_ctx = split(o_back(drop_back(dx, grads), grads))
+        dxq = ln_back(dy, grads)
+        d_ctx = split(o_back(drop_back(dxq, grads), grads))
         d_probs = d_ctx @ v.swapaxes(-1, -2)
         d_v = probs.swapaxes(-1, -2) @ d_ctx
         d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
         d_scores = d_scores / np.sqrt(dh)
         d_qkv = (d_scores @ k, d_scores.swapaxes(-1, -2) @ q, d_v)
-        for (_, proj_back), d in zip(projections, d_qkv):
-            dx = dx + proj_back(merge(d), grads)
+        dq, dk, dv = (proj_back(merge(d), grads) for (_, proj_back), d in zip(projections, d_qkv))
+        dx = dk + dv
+        dx[:, :n_queries] += dxq + dq
         return dx
     back.probs = probs
     return y, back
@@ -357,7 +370,7 @@ def _ffn_sublayer(w, p: str, x: np.ndarray, dropout):
 
 
 def _pooler_classifier(w, x: np.ndarray, dropout):
-    """Logits from the first position through the tanh pooler and dropout."""
+    """Logits from the one remaining position, (B, 1, H), through the tanh pooler and dropout."""
     pre, pool_back = _linear(w, "pooler", x[:, 0, :])
     pooled = np.tanh(pre)
     cls_in, drop_back = dropout(pooled)
@@ -365,9 +378,7 @@ def _pooler_classifier(w, x: np.ndarray, dropout):
 
     def back(dlogits, grads):
         d_pooled = drop_back(cls_back(dlogits, grads), grads)
-        dx = np.zeros(x.shape)
-        dx[:, 0, :] = pool_back(d_pooled * (1.0 - pooled**2), grads)
-        return dx
+        return pool_back(d_pooled * (1.0 - pooled**2), grads)[:, None, :]
     return logits, back
 
 
@@ -418,7 +429,9 @@ def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
     x = run(dropout, x)
     for layer in range(cfg.layers):
         p = f"layer{0 if cfg.share_layers else layer}_"
-        x = run(_attention_sublayer, w, p, x, cfg.heads, dropout)
+        # the classifier reads position 0 only, so the last layer computes only that row
+        n_queries = 1 if layer == cfg.layers - 1 else cfg.seq_len
+        x = run(_attention_sublayer, w, p, x, cfg.heads, dropout, n_queries)
         x = run(_ffn_sublayer, w, p, x, dropout)
     logits = run(_pooler_classifier, w, x, dropout)
     return (logits, trace) if training else logits
@@ -463,41 +476,47 @@ def count_params(cfg: ModelConfig) -> int:
 
 PER_POSITION = "per_position"
 TOTAL = "total"
+EXECUTED = "executed"
 
 
 def mult_add_breakdown(cfg: ModelConfig, convention: str = TOTAL) -> dict[str, int]:
     """Multiply-add counts per component.
 
-    ``total`` is the true MAC count of one forward pass, including the
-    L^2 * H attention score/value products. ``per_position`` counts each
-    weight matrix once plus L for the batch norm, approximating parameter-
-    count-style accounting tools.
+    ``total`` is the architectural MAC count of one forward pass, every
+    layer at every position, including the L^2 * H attention score/value
+    products. ``executed`` is what ``forward`` runs for one clip: the last
+    layer computes its queries, output projection and feed-forward at
+    position 0 only (keys and values at every position), and the batch
+    norm folded into the mapping costs 2 * L * H. ``per_position`` counts
+    each weight matrix once plus L for the batch norm, approximating
+    parameter-count-style accounting tools.
     """
     h, c, seq, layers = cfg.hidden, cfg.classes, cfg.seq_len, cfg.layers
-    f = cfg.input_dim if cfg.input_mode == CONTINUOUS else 0
+    continuous = cfg.input_mode == CONTINUOUS
+    f = cfg.input_dim if continuous else 0
     if convention == PER_POSITION:
-        parts = {
-            "batch_norm": seq if cfg.input_mode == CONTINUOUS else 0,
+        return {
+            "batch_norm": seq if continuous else 0,
             "mapping": f * h,
             "attention": layers * 4 * h * h,
             "ffn": layers * 8 * h * h,
             "pooler": h * h,
             "classifier": h * c,
         }
-    elif convention == TOTAL:
-        parts = {
-            "batch_norm": seq * cfg.input_dim if cfg.input_mode == CONTINUOUS else 0,
-            "mapping": seq * f * h,
-            "attention_proj": layers * 4 * seq * h * h,
-            "attention_scores": layers * seq * seq * h,
-            "attention_values": layers * seq * seq * h,
-            "ffn": layers * 8 * seq * h * h,
-            "pooler": h * h,
-            "classifier": h * c,
-        }
-    else:
+    if convention not in (TOTAL, EXECUTED):
         raise ValueError(f"unknown convention {convention!r}")
-    return parts
+    # query rows per layer: every position, except in the executed last layer
+    rows = [seq] * layers if convention == TOTAL else [seq] * (layers - 1) + [1]
+    return {
+        "batch_norm": (seq * f if convention == TOTAL else 2 * seq * h) if continuous else 0,
+        "mapping": seq * f * h,
+        "attention_proj": sum(2 * seq * h * h + 2 * n * h * h for n in rows),
+        "attention_scores": sum(n * seq * h for n in rows),
+        "attention_values": sum(n * seq * h for n in rows),
+        "ffn": sum(8 * n * h * h for n in rows),
+        "pooler": h * h,
+        "classifier": h * c,
+    }
 
 
 def count_mult_adds(cfg: ModelConfig, convention: str = TOTAL) -> int:

@@ -107,6 +107,8 @@ class TestCount:
         assert cli.main(["count", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "6,642" in out
+        assert "(total forward pass): 8,173,792" in out
+        assert "(executed, last layer at position 0): 1,131,232" in out
 
     def test_one_second_variant(self, tmp_path, capsys):
         keys = dict(TINY_KEYS, window_samples=44100)

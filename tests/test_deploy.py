@@ -1,5 +1,7 @@
 """Dynamic int8 quantization, quantized inference, and benchmarking."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,12 @@ class TestBench:
         assert report.serialized_bytes > 0
         line = report.to_json_line()
         assert '"runs": 4' in line
+
+    def test_order_statistics_and_first_call(self):
+        report = deploy.bench(tiny_params(21), self._pipeline(), 220500, n_runs=5, warmup=2)
+        assert report.min_ms <= report.median_ms <= report.p90_ms <= report.max_ms
+        assert report.first_call_ms > 0
+        assert {"median_ms", "p90_ms", "first_call_ms"} <= set(json.loads(report.to_json_line()))
 
     def test_tiny_model_faster_than_large(self):
         pipeline = self._pipeline()

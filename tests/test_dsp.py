@@ -111,6 +111,21 @@ class TestMelFilterbank:
         with pytest.raises(ConfigError):
             dsp.SpectrogramConfig(n_fft=128, win_length=128, n_mels=100)
 
+    def test_cached_per_config_and_read_only(self):
+        fb = dsp.mel_filterbank(CFG)
+        assert dsp.mel_filterbank(CFG) is fb
+        np.testing.assert_array_equal(fb, dsp.mel_filterbank.__wrapped__(CFG))
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
+    def test_mel_spectrogram_equals_fresh_filterbank(self):
+        clip = AudioClip(white_noise(44100), SR)
+        cfg = dsp.SpectrogramConfig(log_scale=False)
+        power = np.abs(dsp.stft(clip, cfg).data) ** 2
+        expected = power @ dsp.mel_filterbank.__wrapped__(cfg).T
+        for _ in range(2):  # first call builds the filterbank, second reuses it
+            np.testing.assert_array_equal(dsp.mel_spectrogram(clip, cfg).data, expected)
+
 
 class TestMelSpectrogram:
     def test_five_second_shape(self):
@@ -139,6 +154,13 @@ class TestMfcc:
     def test_dct_matrix_orthonormal(self):
         mat = dsp.dct_matrix(128)
         np.testing.assert_allclose(mat.T @ mat, np.eye(128), atol=1e-9)
+
+    def test_dct_matrix_cached_and_read_only(self):
+        mat = dsp.dct_matrix(40)
+        assert dsp.dct_matrix(40) is mat
+        np.testing.assert_array_equal(mat, dsp.dct_matrix.__wrapped__(40))
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
     def test_constant_frame_concentrates_in_dc(self):
         c = -3.7

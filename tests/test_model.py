@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from tinysound import model
+from tinysound import model, train
 from tinysound.errors import CheckpointError, ConfigError
+
+from conftest import assert_grads_close, finite_difference_grads
 
 TINY86 = model.ModelConfig(input_dim=128, seq_len=86, hidden=16, layers=1,
                            heads=2, classes=6)
@@ -17,6 +20,48 @@ def small_cfg(**overrides):
                 dropout_rate=0.0)
     base.update(overrides)
     return model.ModelConfig(**base)
+
+
+def oracle_logits(params, batch):
+    """Plain eval-mode encoder: every layer at every position, batch norm unfolded."""
+    cfg, w = params.cfg, {k: v.astype(np.float64) for k, v in params.tensors.items()}
+
+    def lin(x, p):
+        return x @ w[p + "_w"].T + w[p + "_b"]
+
+    def ln(x, p):
+        xhat = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-12)
+        return w[p + "_g"] * xhat + w[p + "_b"]
+
+    if cfg.input_mode == "continuous":
+        xhat = (batch - w["bn_running_mean"][:, None]) / np.sqrt(w["bn_running_var"][:, None] + 1e-5)
+        x = lin(w["bn_gamma"][:, None] * xhat + w["bn_beta"][:, None], "map")
+    else:
+        x = w["tok_emb"][batch] + (w["pos_emb"] if cfg.use_positional else 0.0)
+    x = ln(x + w["seg_emb"][0], "emb_ln")
+    b, seq, h = x.shape
+    for layer in range(cfg.layers):
+        p = f"layer{0 if cfg.share_layers else layer}_"
+        q, k, v = (lin(x, p + n).reshape(b, seq, cfg.heads, -1).transpose(0, 2, 1, 3)
+                   for n in "qkv")
+        scores = q @ k.swapaxes(-1, -2) / np.sqrt(cfg.head_dim)
+        e = np.exp(scores - scores.max(-1, keepdims=True))
+        ctx = (e / e.sum(-1, keepdims=True)) @ v
+        x = ln(x + lin(ctx.transpose(0, 2, 1, 3).reshape(b, seq, h), p + "o"), p + "attn_ln")
+        pre = lin(x, p + "ffn_in")
+        x = ln(x + lin(0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0))), p + "ffn_out"), p + "ffn_ln")
+    return lin(np.tanh(lin(x[:, 0], "pooler")), "cls")
+
+
+def perturbed_params(cfg, seed):
+    """Every tensor random (positive running variances), so no term vanishes."""
+    rng = np.random.default_rng(seed)
+    tensors = {name: rng.normal(0.0, 0.3, shape).astype(np.float32)
+               for name, shape in model.param_shapes(cfg).items()}
+    if cfg.input_mode == "continuous":
+        tensors["bn_running_mean"] += 2.0
+        tensors["bn_running_var"] = rng.uniform(0.5, 3.0, cfg.seq_len).astype(np.float32)
+    return model.ModelParams(cfg, tensors)
 
 
 class TestConfig:
@@ -127,6 +172,58 @@ class TestForward:
         with pytest.raises(ValueError, match="vocabulary"):
             model.forward(params, np.full((1, 5), 20), training=False)
 
+    @pytest.mark.parametrize("overrides", [
+        {"layers": 1},
+        {"layers": 2},
+        {"layers": 3, "share_layers": True},
+        {"input_mode": "tokens", "input_dim": 20, "use_positional": True},
+    ])
+    def test_matches_full_sequence_oracle(self, overrides):
+        cfg = small_cfg(seq_len=9, **overrides)
+        params = perturbed_params(cfg, 30)
+        rng = np.random.default_rng(31)
+        if cfg.input_mode == "tokens":
+            batch = rng.integers(0, cfg.input_dim, size=(4, 9))
+        else:
+            batch = 2.0 + 1.5 * rng.normal(size=(4, 9, 6))
+        logits = model.forward(params, batch, training=False)
+        np.testing.assert_allclose(logits, oracle_logits(params, batch), rtol=0, atol=1e-12)
+
+    def test_last_layer_attends_from_position_zero_only(self):
+        cfg = small_cfg(layers=2)
+        params = model.init_model(cfg, np.random.default_rng(32))
+        batch = np.random.default_rng(33).normal(size=(3, 5, 6))
+        _, trace = model.forward(params, batch, training=True, freeze_stats=True)
+        assert trace.probs[0].shape == (3, cfg.heads, 5, 5)
+        assert trace.probs[-1].shape == (3, cfg.heads, 1, 5)
+
+    def test_running_stats_follow_the_unfolded_update(self):
+        cfg = small_cfg()
+        params = perturbed_params(cfg, 34)
+        rm = params.tensors["bn_running_mean"].copy()
+        rv = params.tensors["bn_running_var"].copy()
+        batch = 2.0 + 1.5 * np.random.default_rng(35).normal(size=(3, 5, 6))
+        model.forward(params, batch, training=True)
+        n = batch.shape[0] * batch.shape[2]
+        mean, var = batch.mean(axis=(0, 2)), batch.var(axis=(0, 2))
+        np.testing.assert_array_equal(params.tensors["bn_running_mean"],
+                                      (0.9 * rm + 0.1 * mean).astype(np.float32))
+        np.testing.assert_array_equal(params.tensors["bn_running_var"],
+                                      (0.9 * rv + 0.1 * (var * n / (n - 1))).astype(np.float32))
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_two_layer_gradients_match_finite_differences(self, dropout_rate):
+        cfg = small_cfg(seq_len=4, layers=2, dropout_rate=dropout_rate)
+        params = perturbed_params(cfg, 36)  # init-scale weights would hide small terms
+        batch = np.random.default_rng(37).normal(size=(2, 4, 6))
+        labels = np.array([0, 2])
+        logits, trace = model.forward(params, batch, training=True,
+                                      rng=np.random.default_rng(3))
+        _, dlogits = train.cross_entropy(logits, labels)
+        grads = model.backward(params, trace, dlogits)
+        fd = finite_difference_grads(cfg, params, batch, labels, seed=3)
+        assert_grads_close(grads, fd)
+
     def test_share_layers_applies_block_repeatedly(self):
         shared1 = small_cfg(layers=1, share_layers=True)
         shared3 = small_cfg(layers=3, share_layers=True)
@@ -187,6 +284,23 @@ class TestMultAdds:
         # counting tools report 5,982 under a convention we cannot reproduce
         assert model.count_mult_adds(TINY430, model.PER_POSITION) == 5902
         assert model.count_mult_adds(TINY86, model.PER_POSITION) == 5902 - (430 - 86)
+
+    def test_total_is_the_architectural_count(self):
+        assert model.count_mult_adds(TINY430, model.TOTAL) == 8_173_792
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_executed_hand_formula(self, layers):
+        cfg = model.ModelConfig(input_dim=128, seq_len=430, hidden=16, layers=layers,
+                                heads=2, classes=6, share_layers=layers > 1)
+        L, F, H, C = 430, 128, 16, 6
+        last = (2 * L * H + L * F * H      # folded batch norm, mapping
+                + 2 * L * H * H + 2 * H * H  # K, V at every position; Q, O at one
+                + 2 * L * H + 8 * H * H      # scores and values of one query; FFN
+                + H * H + H * C)             # pooler, classifier
+        full_layer = 12 * L * H * H + 2 * L * L * H
+        assert model.count_mult_adds(cfg, model.EXECUTED) == last + (layers - 1) * full_layer
+        if layers == 1:
+            assert model.count_mult_adds(cfg, model.EXECUTED) == 1_131_232
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
