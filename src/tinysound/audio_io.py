@@ -389,33 +389,30 @@ def load_manifest(root: str | Path, layout: str = CSV_MANIFEST) -> DatasetManife
 # Slicing
 # ---------------------------------------------------------------------------
 
-def random_slice(clip: AudioClip, n_samples: int, rng: np.random.Generator) -> AudioClip:
-    """Contiguous random window of exactly ``n_samples``.
-
-    The start offset is uniform over [0, len - n_samples]. Clips shorter
-    than the window are right-padded with zeros and start at 0.
-    """
+def slice_at(clip: AudioClip, n_samples: int, start: int) -> AudioClip:
+    """The window of exactly ``n_samples`` at ``start``; clips shorter than
+    the window are right-padded with zeros (their start is always 0)."""
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    n = len(clip)
-    if n >= n_samples:
-        start = int(rng.integers(0, n - n_samples + 1))
-        window = clip.samples[start : start + n_samples]
-    else:
-        window = np.zeros(n_samples, dtype=np.float64)
-        window[:n] = clip.samples
+    if len(clip) >= n_samples:
+        return clip.with_samples(clip.samples[start : start + n_samples])
+    window = np.zeros(n_samples, dtype=np.float64)
+    window[: len(clip)] = clip.samples
     return clip.with_samples(window)
+
+
+def center_start(n: int, n_samples: int) -> int:
+    """Start of the centered window; 0 when the clip is shorter than it."""
+    return max(0, (n - n_samples) // 2)
+
+
+def random_slice(clip: AudioClip, n_samples: int, rng: np.random.Generator) -> AudioClip:
+    """Window at a start uniform over [0, len - n_samples] (see ``slice_at``)."""
+    n = len(clip)
+    start = int(rng.integers(0, n - n_samples + 1)) if n >= n_samples else 0
+    return slice_at(clip, n_samples, start)
 
 
 def center_slice(clip: AudioClip, n_samples: int) -> AudioClip:
     """Deterministic center window used for evaluation."""
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    n = len(clip)
-    if n >= n_samples:
-        start = (n - n_samples) // 2
-        window = clip.samples[start : start + n_samples]
-    else:
-        window = np.zeros(n_samples, dtype=np.float64)
-        window[:n] = clip.samples
-    return clip.with_samples(window)
+    return slice_at(clip, n_samples, center_start(len(clip), n_samples))

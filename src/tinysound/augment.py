@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 import scipy.signal
 
 from . import dsp
@@ -75,6 +74,11 @@ def lowpass(x, rng: np.random.Generator, *, cutoff: float | None = None):
     return scipy.signal.lfilter(b, a, x)
 
 
+def _linear_stft_config(n_fft: int, hop: int, sample_rate: int) -> dsp.SpectrogramConfig:
+    return dsp.SpectrogramConfig(n_fft=n_fft, hop_length=hop, win_length=n_fft, n_mels=1,
+                                 sample_rate=sample_rate, log_scale=False)
+
+
 def time_stretch(x, rate: float, sample_rate: int = 44100) -> np.ndarray:
     """Phase-vocoder time stretch; rate > 1 is faster (output ~ len/rate).
 
@@ -86,14 +90,7 @@ def time_stretch(x, rate: float, sample_rate: int = 44100) -> np.ndarray:
     n_target = int(round(x.size / rate))
     if x.size == 0 or n_target == 0:
         return np.zeros(n_target)
-    cfg = dsp.SpectrogramConfig(
-        n_fft=_VOCODER_FFT,
-        hop_length=_VOCODER_HOP,
-        win_length=_VOCODER_FFT,
-        n_mels=1,
-        sample_rate=sample_rate,
-        log_scale=False,
-    )
+    cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP, sample_rate)
     spec = dsp.stft(AudioClip(x, sample_rate), cfg).data
     if spec.shape[0] == 0:
         return _fit_length(x, n_target)
@@ -183,14 +180,28 @@ def add_noise(x, rng: np.random.Generator, *, sigma: float | None = None):
     return x + rng.normal(0.0, sigma, size=x.size)
 
 
+def _median_filter(x: np.ndarray, axis: int, rows: int = 32) -> np.ndarray:
+    """Exact ``_HPSS_KERNEL``-tap running median along ``axis``, edges mirrored
+    as scipy's "reflect", by selection on contiguous blocks of ``rows`` rows."""
+    half = _HPSS_KERNEL // 2
+    pad = [(half, half) if a == axis else (0, 0) for a in range(2)]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, pad, mode="symmetric"), _HPSS_KERNEL, axis=axis)
+    out = np.empty_like(x)
+    for lo in range(0, len(x), rows):
+        block = windows[lo : lo + rows].copy()  # about 2 MB at 513 columns
+        block.partition(half)
+        out[lo : lo + rows] = block[..., half]
+    return out
+
+
 def hpss_masks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Soft harmonic/percussive masks from median-filtered magnitudes.
 
     Harmonic energy is sustained along time, percussive along frequency;
     the soft masks H^2/(H^2+P^2) and P^2/(H^2+P^2) sum to ~1 per bin.
     """
-    harm = scipy.ndimage.median_filter(magnitude, size=(_HPSS_KERNEL, 1), mode="reflect")
-    perc = scipy.ndimage.median_filter(magnitude, size=(1, _HPSS_KERNEL), mode="reflect")
+    harm, perc = _median_filter(magnitude, 0), _median_filter(magnitude, 1)
     h2, p2 = harm**2, perc**2
     denom = h2 + p2 + 1e-10
     return h2 / denom, p2 / denom
@@ -204,14 +215,7 @@ def hpss(x, rng: np.random.Generator, *, branch: str | None = None,
         branch = "harmonic" if rng.integers(0, 2) == 0 else "percussive"
     if branch not in ("harmonic", "percussive"):
         raise ValueError(f"branch must be harmonic or percussive, got {branch!r}")
-    cfg = dsp.SpectrogramConfig(
-        n_fft=_HPSS_FFT,
-        hop_length=_HPSS_HOP,
-        win_length=_HPSS_FFT,
-        n_mels=1,
-        sample_rate=sample_rate,
-        log_scale=False,
-    )
+    cfg = _linear_stft_config(_HPSS_FFT, _HPSS_HOP, sample_rate)
     spec = dsp.stft(AudioClip(x, sample_rate), cfg)
     if spec.data.shape[0] == 0:
         return x.copy()

@@ -250,21 +250,37 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 class ClipStore:
-    """Decodes, resamples to 44.1 kHz, and caches dataset audio."""
+    """Decodes, resamples to 44.1 kHz, and caches dataset audio, and the
+    read-only features of windows that cannot change between epochs."""
 
     def __init__(self, max_cached: int = 4096):
         self._cache: dict = {}
+        self._features: dict = {}
         self._max = max_cached
+
+    def _put(self, cache: dict, key, value):
+        if len(cache) >= self._max:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
+        return value
 
     def load(self, entry: ManifestEntry) -> AudioClip:
         key = str(entry.path)
         clip = self._cache.get(key)
         if clip is None:
-            clip = audio_io.load_audio(entry.path)
-            if len(self._cache) >= self._max:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = clip
+            clip = self._put(self._cache, key, audio_io.load_audio(entry.path))
         return AudioClip(clip.samples, clip.sample_rate, entry.label, key)
+
+    def features(self, clip: AudioClip, start: int, cfg: TrainConfig) -> np.ndarray:
+        """``cfg.pipeline`` features of the window at ``start`` of a clip this
+        store loaded; key (path, start, window_samples, pipeline)."""
+        key = (clip.source_id, start, cfg.window_samples, cfg.pipeline)
+        feats = self._features.get(key)
+        if feats is None:
+            feats = cfg.pipeline.extract(audio_io.slice_at(clip, cfg.window_samples, start))
+            feats.setflags(write=False)
+            self._put(self._features, key, feats)
+        return feats
 
 
 def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
@@ -300,12 +316,13 @@ def _entry_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
 
 def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
                      epoch: int, index: int) -> np.ndarray:
-    rng = _entry_rng(cfg.seed, epoch, index)
     clip = store.load(entry)
+    if not cfg.augments and len(clip) <= cfg.window_samples:
+        return store.features(clip, 0, cfg)  # random_slice starts it at 0 whatever it draws
+    rng = _entry_rng(cfg.seed, epoch, index)
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
-        samples = apply_pipeline(window.samples, cfg.augments, rng)
-        window = window.with_samples(samples)
+        window = window.with_samples(apply_pipeline(window.samples, cfg.augments, rng))
     return cfg.pipeline.extract(window)
 
 
@@ -355,8 +372,9 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     """Train over random slices; returns best/last checkpoints and metrics.
 
     Each epoch visits every training entry once in a seeded shuffle,
-    re-slicing and re-augmenting, so no two epochs see identical windows.
-    Fixing the seed makes the whole loop bit-reproducible and resumable.
+    re-slicing and re-augmenting; an unaugmented clip no longer than the
+    window has one fixed window, featurized once per run. Fixing the seed
+    makes the whole loop bit-reproducible and resumable.
     """
     if not manifest.entries:
         raise ValueError("manifest is empty")
@@ -427,7 +445,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
              batch_size: int | None = None, store: ClipStore | None = None) -> float:
     """Top-1 accuracy over deterministic center slices, eval mode; pass a
-    ``store`` to keep decoded clips between calls."""
+    ``store`` to keep decoded clips and window features between calls."""
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")
@@ -436,10 +454,8 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
     correct = 0
     for lo in range(0, len(entries), batch_size):
         chunk = entries[lo : lo + batch_size]
-        examples = []
-        for entry in chunk:
-            window = audio_io.center_slice(store.load(entry), cfg.window_samples)
-            examples.append(cfg.pipeline.extract(window))
+        examples = [store.features(c, audio_io.center_start(len(c), cfg.window_samples), cfg)
+                    for c in map(store.load, chunk)]
         logits = forward(params, np.stack(examples), training=False)
         pred = logits.argmax(axis=1)
         correct += int((pred == np.array([e.label for e in chunk])).sum())

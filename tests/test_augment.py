@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings, strategies as st
 
 from tinysound import augment, dsp
@@ -195,6 +196,36 @@ class TestHpss:
         h = augment.hpss(x, rng(), branch="harmonic")
         p = augment.hpss(x, rng(), branch="percussive")
         assert np.array_equal(out, h) or np.array_equal(out, p)
+
+    @staticmethod
+    def soft_masks(harm, perc):
+        h2, p2 = harm**2, perc**2
+        denom = h2 + p2 + 1e-10
+        return h2 / denom, p2 / denom
+
+    @pytest.mark.parametrize("frames", [1, *range(3, 41), 430])
+    def test_masks_match_median_filter_oracle(self, frames):
+        mags = np.abs(rng(frames).normal(size=(frames, 513)))
+        k = 17
+        want = self.soft_masks(
+            scipy.ndimage.median_filter(mags, size=(k, 1), mode="reflect"),
+            scipy.ndimage.median_filter(mags, size=(1, k), mode="reflect"))
+        got = augment.hpss_masks(mags)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("pair", [(0.7, 0.3), (0.3, 0.7)])
+    def test_two_frames_follow_the_reflect_window(self, pair):
+        # Mirrored, the frames a b repeat as ... b a | a b | b a ..., so each
+        # 17-frame window holds its own center value 9 times: the time median
+        # of two frames is the input itself, in either order. (scipy's
+        # median_filter maps [0.7, 0.3] to [0.3, 0.3] here.)
+        mags = np.array(pair)[:, None] * np.linspace(1.0, 2.0, 513)
+        want = self.soft_masks(
+            mags, scipy.ndimage.median_filter(mags, size=(1, 17), mode="reflect"))
+        got = augment.hpss_masks(mags)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestBitwiseDownsample:

@@ -1,11 +1,17 @@
 """Loss, gradients, optimizer schedule, and the training loop."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tinysound import audio_io, dsp, model, train
+import tinysound
+from tinysound import audio_io, augment, dsp, model, train
 from tinysound.errors import ConfigError, DivergenceError
 
 from conftest import (SR, assert_grads_close, finite_difference_grads, sine,
@@ -376,6 +382,90 @@ class TestEvaluate:
         accs = {train.evaluate(params, manifest.entries, tcfg, batch_size=b)
                 for b in (1, 5, 24)}
         assert len(accs) == 1
+
+
+def seeded_run_digest(root, augmented: bool) -> str:
+    """SHA-256 over the final weights and Adam moments of a seeded run on the
+    default pipeline and 5 s window, where every 1 s clip is zero-padded."""
+    manifest = audio_io.load_manifest(root, audio_io.FOLDER_PER_CLASS)
+    tcfg = train.TrainConfig(lr_peak=1e-3, warmup_steps=4, batch_size=8,
+                             epochs=1 if augmented else 3, seed=3,
+                             augments=augment.default_pipeline(0.3) if augmented else [])
+    last = train.train_loop(manifest, tcfg.pipeline.model_config(
+        tcfg.window_samples, classes=3), tcfg).last
+    tensors = {**last.params.tensors, **last.opt_tensors}
+    digest = hashlib.sha256()
+    for name in sorted(tensors):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(tensors[name]).tobytes())
+    return digest.hexdigest()
+
+
+# Taken before window features were cached (numpy 2.4.6, OpenBLAS 0.3.31,
+# one BLAS thread: the summation order of a BLAS product, and so the last
+# bits, depends on how many threads share it).
+GOLDEN_RUN_SHA256 = {
+    False: "eee5d49942a621f70ef77658015ec58bf0974f6c9e2c724772d4a85cef2e9470",
+    True: "6bc0eacd3958289b54fab8d04e4c69d2a2c6745dd38e892460b8af7e81e19b55",
+}
+
+
+class TestFeatureCache:
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_seeded_run_matches_golden_digest(self, small_dataset, augmented):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(tinysound.__file__).parents[1]),
+                                               str(Path(__file__).parent)]))
+        code = ("import sys, test_train; "
+                "print(test_train.seeded_run_digest(sys.argv[1], sys.argv[2] == 'True'))")
+        out = subprocess.run([sys.executable, "-c", code, str(small_dataset), str(augmented)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == GOLDEN_RUN_SHA256[augmented]
+
+    @staticmethod
+    def _config(dataset, window_samples, feature=train.MEL):
+        spec = train.PipelineConfig(feature=feature, spectrogram=dsp.SpectrogramConfig(
+            n_fft=512, hop_length=512, win_length=512, n_mels=32))
+        tcfg = train.TrainConfig(lr_peak=2e-3, warmup_steps=0, batch_size=8, epochs=3,
+                                 seed=4, window_samples=window_samples, pipeline=spec)
+        mcfg = spec.model_config(window_samples, classes=3, hidden=8, heads=2)
+        return audio_io.load_manifest(dataset, audio_io.FOLDER_PER_CLASS), mcfg, tcfg
+
+    @pytest.mark.parametrize("window_samples", [SR, 2 * SR, 8192])
+    def test_mel_calls_per_run(self, small_dataset, monkeypatch, window_samples):
+        manifest, mcfg, tcfg = self._config(small_dataset, window_samples)
+        mel, calls = dsp.mel_spectrogram, []
+        monkeypatch.setattr(dsp, "mel_spectrogram", lambda *a: calls.append(1) or mel(*a))
+        train.train_loop(manifest, mcfg, tcfg)
+        n_train, n_val = (len(part) for part in train.split_manifest(manifest, tcfg))
+        if window_samples >= SR:  # every 1 s clip fits: one window per clip
+            assert len(calls) == n_train + n_val
+        else:  # a random window per train clip and epoch; fixed eval windows
+            assert len(calls) == tcfg.epochs * n_train + n_val
+
+    def test_one_store_keeps_each_pipelines_features(self, small_dataset, monkeypatch):
+        store, batches = train.ClipStore(), []
+        forward = train.forward
+        monkeypatch.setattr(train, "forward",
+                            lambda params, batch, **kw: batches.append(batch) or
+                            forward(params, batch, **kw))
+        for feature in (train.MEL, train.MFCC):  # both 87 x 32 per window
+            manifest, mcfg, tcfg = self._config(small_dataset, 8192, feature)
+            entries = manifest.entries[:5]
+            params = model.init_model(mcfg, np.random.default_rng(0))
+            train.evaluate(params, entries, tcfg, store=store)
+            want = [tcfg.pipeline.extract(audio_io.center_slice(store.load(e), 8192))
+                    for e in entries]
+            np.testing.assert_array_equal(batches.pop(), np.stack(want))
+
+    def test_cached_features_are_read_only(self, small_dataset):
+        manifest, _, tcfg = self._config(small_dataset, SR)
+        store = train.ClipStore()
+        clip = store.load(manifest.entries[0])
+        feats = store.features(clip, 0, tcfg)
+        assert store.features(store.load(manifest.entries[0]), 0, tcfg) is feats
+        with pytest.raises(ValueError, match="read-only"):
+            feats[0, 0] = 0.0
 
 
 class TestFinetune:
