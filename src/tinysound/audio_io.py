@@ -11,6 +11,7 @@ import csv
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -225,13 +226,20 @@ def write_wav(path: str | Path, clip: AudioClip, bits: int = 16) -> None:
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _kaiser_sinc(offsets: np.ndarray, cutoff: float, half_width: int) -> np.ndarray:
-    """Kaiser-windowed sinc kernel evaluated at fractional tap offsets."""
-    u = offsets / half_width
-    window = np.zeros_like(offsets)
+def _table_offsets(half: int) -> np.ndarray:
+    """Kernel table offsets: row p, column j is p/_PHASES - (j - half + 1)."""
+    return np.arange(_PHASES + 1)[:, None] / _PHASES - np.arange(-half + 1, half + 1)
+
+
+@lru_cache(maxsize=8)
+def _kaiser_window(half: int) -> np.ndarray:
+    """The Kaiser window at every table offset, once per half-width; read-only."""
+    u = _table_offsets(half) / half
+    window = np.zeros_like(u)
     inside = np.abs(u) <= 1.0
     window[inside] = i0(_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / i0(_KAISER_BETA)
-    return cutoff * np.sinc(cutoff * offsets) * window
+    window.flags.writeable = False
+    return window
 
 
 def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.ndarray:
@@ -253,10 +261,9 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
         return np.zeros(n_out, dtype=np.float64)
     cutoff = min(1.0, ratio)  # anti-alias when decimating
     half = int(np.ceil((_RESAMPLE_TAPS // 2) / cutoff))
-    taps = np.arange(-half + 1, half + 1)
     # row p holds the kernel at offsets p/_PHASES - taps; each row is stored
     # with its step to the next row, so one einsum gives both terms
-    table = _kaiser_sinc(np.arange(_PHASES + 1)[:, None] / _PHASES - taps, cutoff, half)
+    table = cutoff * np.sinc(cutoff * _table_offsets(half)) * _kaiser_window(half)
     rows = np.stack([table[:-1], np.diff(table, axis=0)], axis=1)
     # zeros stand for the samples before and after the clip; window b of the
     # padded input holds x[b - half + 1 : b + half + 1], the taps of every
@@ -264,7 +271,7 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
     last_base = int((n_out - 1) / ratio)
     padded = np.concatenate([np.zeros(half - 1), x,
                              np.zeros(max(0, last_base + half + 1 - x.size))])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps.size)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half)
 
     out = np.empty(n_out, dtype=np.float64)
     # chunked to bound the (chunk x taps) workspace

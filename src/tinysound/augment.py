@@ -95,14 +95,16 @@ def time_stretch(x, rate: float, sample_rate: int = 44100) -> np.ndarray:
     if spec.shape[0] == 0:
         return _fit_length(x, n_target)
 
-    steps = np.arange(0.0, spec.shape[0], rate)
-    spec = np.vstack([spec, np.zeros((2, spec.shape[1]), dtype=spec.dtype)])
-    magnitudes = np.abs(spec)
-    phases = np.angle(spec)
+    n, bins = spec.shape
+    steps = np.arange(0.0, n, rate)
+    magnitudes, phases = np.zeros((n + 2, bins)), np.zeros((n + 2, bins))
+    np.abs(spec, out=magnitudes[:n])
+    np.arctan2(spec.imag, spec.real, out=phases[:n])  # what np.angle computes
+    del spec
     # expected phase advance per hop for each bin
-    advance = 2.0 * np.pi * _VOCODER_HOP * np.arange(spec.shape[1]) / _VOCODER_FFT
+    advance = 2.0 * np.pi * _VOCODER_HOP * np.arange(bins) / _VOCODER_FFT
 
-    out = np.empty((steps.size, spec.shape[1]), dtype=np.complex128)
+    out = np.empty((steps.size, bins), dtype=np.complex128)
     accumulator = phases[0].copy()
     for i, step in enumerate(steps):
         k = int(step)

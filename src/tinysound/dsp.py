@@ -139,17 +139,18 @@ def istft(spec: ComplexSpectrogram) -> AudioClip:
     Round-trips stft output to within 1e-4 RMS on interior samples.
     """
     cfg = spec.config
-    frames = np.fft.irfft(spec.data, n=cfg.n_fft, axis=1)
     window = _padded_window(cfg)
-    n_frames = frames.shape[0]
+    n_frames = spec.data.shape[0]
     pad = cfg.n_fft // 2
     total = (n_frames - 1) * cfg.hop_length + cfg.n_fft if n_frames else cfg.n_fft
     acc = np.zeros(total)
     norm = np.zeros(total)
-    for k in range(n_frames):
-        start = k * cfg.hop_length
-        acc[start : start + cfg.n_fft] += frames[k] * window
-        norm[start : start + cfg.n_fft] += window**2
+    for lo in range(0, n_frames, 64):  # bounds the inverse transforms' workspace
+        frames = np.fft.irfft(spec.data[lo : lo + 64], n=cfg.n_fft, axis=1)
+        for k, frame in enumerate(frames, lo):
+            start = k * cfg.hop_length
+            acc[start : start + cfg.n_fft] += frame * window
+            norm[start : start + cfg.n_fft] += window**2
     covered = norm > 1e-10
     acc[covered] /= norm[covered]
     n_out = spec.n_samples if spec.n_samples is not None else n_frames * cfg.hop_length

@@ -11,8 +11,12 @@ optimizer step whose results overflow float32 raises it before writing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -250,13 +254,15 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 class ClipStore:
-    """Decodes, resamples to 44.1 kHz, and caches dataset audio, and the
-    read-only features of windows that cannot change between epochs."""
+    """Caches labelled dataset clips, decoded at 44.1 kHz (a hit returns the cached
+    clip itself), and the read-only features of windows that cannot change between
+    epochs. One lock guards both caches; clips decode under it, features outside."""
 
     def __init__(self, max_cached: int = 4096):
         self._cache: dict = {}
         self._features: dict = {}
         self._max = max_cached
+        self._lock = threading.Lock()
 
     def _put(self, cache: dict, key, value):
         if len(cache) >= self._max:
@@ -265,21 +271,25 @@ class ClipStore:
         return value
 
     def load(self, entry: ManifestEntry) -> AudioClip:
-        key = str(entry.path)
-        clip = self._cache.get(key)
-        if clip is None:
-            clip = self._put(self._cache, key, audio_io.load_audio(entry.path))
-        return AudioClip(clip.samples, clip.sample_rate, entry.label, key)
+        key = (str(entry.path), entry.label)
+        with self._lock:
+            clip = self._cache.get(key)
+            if clip is None:
+                clip = self._put(self._cache, key, replace(
+                    audio_io.load_audio(entry.path), label=entry.label))
+        return clip
 
     def features(self, clip: AudioClip, start: int, cfg: TrainConfig) -> np.ndarray:
         """``cfg.pipeline`` features of the window at ``start`` of a clip this
         store loaded; key (path, start, window_samples, pipeline)."""
         key = (clip.source_id, start, cfg.window_samples, cfg.pipeline)
-        feats = self._features.get(key)
+        with self._lock:
+            feats = self._features.get(key)
         if feats is None:
             feats = cfg.pipeline.extract(audio_io.slice_at(clip, cfg.window_samples, start))
             feats.setflags(write=False)
-            self._put(self._features, key, feats)
+            with self._lock:
+                self._put(self._features, key, feats)
         return feats
 
 
@@ -324,6 +334,31 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
     if cfg.augments:
         window = window.with_samples(apply_pipeline(window.samples, cfg.augments, rng))
     return cfg.pipeline.extract(window)
+
+
+def _prepare_batch(entries, store: ClipStore, cfg: TrainConfig, epoch: int, chunk,
+                   pool: ThreadPoolExecutor | None, helpers: int) -> np.ndarray:
+    """Examples of ``chunk`` (indices into ``entries``), made by this thread
+    and up to ``helpers`` pool threads that take positions from one iterator.
+    After a failure no example starts; then the lowest position's is raised."""
+    examples, failures, positions = [None] * len(chunk), [], iter(enumerate(chunk))
+
+    def work():
+        for pos, i in positions:
+            if failures:
+                return
+            try:
+                examples[pos] = _prepare_example(entries[i], store, cfg, epoch, i)
+            except BaseException as exc:  # raised below, after every thread stops
+                failures.append((pos, exc))
+
+    running = [pool.submit(work) for _ in range(min(helpers, len(chunk) - 1))]
+    work()
+    for future in running:
+        future.result()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return np.stack(examples)
 
 
 @dataclass
@@ -373,8 +408,9 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 
     Each epoch visits every training entry once in a seeded shuffle,
     re-slicing and re-augmenting; an unaugmented clip no longer than the
-    window has one fixed window, featurized once per run. Fixing the seed
-    makes the whole loop bit-reproducible and resumable.
+    window has one fixed window, featurized once per run. This thread and one
+    pool thread per other usable CPU make each batch, the same for any count.
+    Fixing the seed makes the whole loop bit-reproducible and resumable.
     """
     if not manifest.entries:
         raise ValueError("manifest is empty")
@@ -402,39 +438,37 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     last: Checkpoint | None = None
     class_names = manifest.class_names
 
-    for epoch in range(start_epoch, cfg.epochs):
-        order = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, epoch])).permutation(len(train_entries))
-        losses = []
-        for step_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            chunk = order[lo : lo + cfg.batch_size]
-            examples = [
-                _prepare_example(train_entries[int(i)], store, cfg, epoch, int(i))
-                for i in chunk
-            ]
-            batch = np.stack(examples)
-            labels = np.array([train_entries[int(i)].label for i in chunk])
-            drop_rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch, step_idx, 1]))
-            logits, trace = forward(params, batch, training=True, rng=drop_rng)
-            loss, dlogits = cross_entropy(logits, labels)
-            grads = backward(params, trace, dlogits)
-            _check_finite(loss, grads, epoch, step_idx)
-            try:
-                adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch}, step {step_idx}: {exc}") from None
-            losses.append(loss)
+    helpers = len(os.sched_getaffinity(0)) - 1
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+        for epoch in range(start_epoch, cfg.epochs):
+            order = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, epoch])).permutation(len(train_entries))
+            losses = []
+            for step_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
+                chunk = order[lo : lo + cfg.batch_size].tolist()
+                batch = _prepare_batch(train_entries, store, cfg, epoch, chunk, pool, helpers)
+                labels = np.array([train_entries[i].label for i in chunk])
+                drop_rng = np.random.default_rng(
+                    np.random.SeedSequence([cfg.seed, epoch, step_idx, 1]))
+                logits, trace = forward(params, batch, training=True, rng=drop_rng)
+                loss, dlogits = cross_entropy(logits, labels)
+                grads = backward(params, trace, dlogits)
+                _check_finite(loss, grads, epoch, step_idx)
+                try:
+                    adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch}, step {step_idx}: {exc}") from None
+                losses.append(loss)
 
-        train_loss = float(np.mean(losses)) if losses else float("nan")
-        val_acc = evaluate(params, val_entries, cfg, store=store) if val_entries else float("nan")
-        metrics.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
-        log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
+            train_loss = float(np.mean(losses)) if losses else float("nan")
+            val_acc = evaluate(params, val_entries, cfg, store=store) if val_entries else np.nan
+            metrics.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
+            log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
 
-        last = _snapshot(params, opt, epoch, val_acc, class_names, cfg)
-        if best is None or not (val_acc <= best.metadata["val_acc"]):
-            best = last
+            last = _snapshot(params, opt, epoch, val_acc, class_names, cfg)
+            if best is None or not (val_acc <= best.metadata["val_acc"]):
+                best = last
 
     if last is None:  # zero epochs: snapshot the initial state
         last = _snapshot(params, opt, start_epoch - 1, float("nan"), class_names, cfg)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import i0
 
 from tinysound import audio_io
 from tinysound.audio_io import (AudioClip, decode_wav, encode_wav, load_manifest, random_slice,
@@ -190,6 +191,19 @@ class TestResample:
     def test_rejects_bad_ratio(self, ratio):
         with pytest.raises(ValueError, match="ratio"):
             sinc_resample(np.zeros(10), ratio)
+
+    @pytest.mark.parametrize("half", [16, 19, 21])
+    def test_cached_kaiser_window_is_read_only_and_fresh(self, half):
+        window = audio_io._kaiser_window(half)
+        assert audio_io._kaiser_window(half) is window
+        assert not window.flags.writeable
+        # built as the kernel table's window factor was before it was cached
+        offsets = np.arange(4097)[:, None] / 4096 - np.arange(-half + 1, half + 1)
+        u = offsets / half
+        fresh = np.zeros_like(offsets)
+        inside = np.abs(u) <= 1.0
+        fresh[inside] = i0(8.6 * np.sqrt(1.0 - u[inside] ** 2)) / i0(8.6)
+        assert window.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("ratio, n_out", [
         (2.0, None), (44100 / 48000, None), (16000 / 48000, None),

@@ -152,6 +152,40 @@ class TestSpeedAdjust:
             assert abs(dominant_freq(content) - 440.0) / 440.0 < 0.02, f"rate {r}"
 
 
+def loop_time_stretch(x, rate, sample_rate=44100):
+    """The phase vocoder as first written, stacked spectrum and all: the oracle
+    for the preallocated one."""
+    n_target = int(round(x.size / rate))
+    cfg = augment._linear_stft_config(2048, 512, sample_rate)
+    spec = dsp.stft(AudioClip(x, sample_rate), cfg).data
+    steps = np.arange(0.0, spec.shape[0], rate)
+    spec = np.vstack([spec, np.zeros((2, spec.shape[1]), dtype=spec.dtype)])
+    magnitudes = np.abs(spec)
+    phases = np.angle(spec)
+    advance = 2.0 * np.pi * 512 * np.arange(spec.shape[1]) / 2048
+    out = np.empty((steps.size, spec.shape[1]), dtype=np.complex128)
+    accumulator = phases[0].copy()
+    for i, step in enumerate(steps):
+        k = int(step)
+        frac = step - k
+        mag = (1.0 - frac) * magnitudes[k] + frac * magnitudes[k + 1]
+        out[i] = mag * np.exp(1j * accumulator)
+        delta = phases[k + 1] - phases[k] - advance
+        delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
+        accumulator += advance + delta
+    stretched = dsp.istft(dsp.ComplexSpectrogram(out, cfg, n_samples=steps.size * 512)).samples
+    return augment._fit_length(stretched, n_target)
+
+
+class TestTimeStretch:
+    @pytest.mark.parametrize("rate", [0.5, 0.87, 1 / 1.26, 1.5])
+    @pytest.mark.parametrize("n", [513, 2048, 30_001, 220_500])
+    def test_bytes_equal_the_loop_oracle(self, rate, n):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = augment.time_stretch(x, rate)
+        assert got.tobytes() == loop_time_stretch(x, rate).tobytes()
+
+
 class TestAddNoise:
     def test_zero_sigma_identity(self):
         x = sine(200, 0.1)

@@ -167,8 +167,10 @@ class TestBench:
             input_dim=128, seq_len=86, hidden=256, layers=16, heads=16,
             classes=50, share_layers=True)
         params = model.init_model(large_cfg, np.random.default_rng(20))
-        pipeline = self._pipeline()
-        f32 = deploy.bench(params, pipeline, 44100, n_runs=3, warmup=1)
-        q = deploy.bench(deploy.quantize_dynamic(params), pipeline, 44100,
-                         n_runs=3, warmup=1)
-        assert q.min_ms <= f32.min_ms * 1.1
+        pipeline, quantized = self._pipeline(), deploy.quantize_dynamic(params)
+        # alternating rounds share out whatever else the machine is running
+        f32_ms, q_ms = [], []
+        for _ in range(4):
+            f32_ms.append(deploy.bench(params, pipeline, 44100, n_runs=3, warmup=1).min_ms)
+            q_ms.append(deploy.bench(quantized, pipeline, 44100, n_runs=3, warmup=1).min_ms)
+        assert min(q_ms) <= min(f32_ms) * 1.1

@@ -89,6 +89,43 @@ class TestIstft:
         peak = spec.argmax() * SR / (rec.size - 4096)
         assert abs(peak - 880.0) < 3.0
 
+    @pytest.mark.parametrize("n_fft, hop, win", [(2048, 512, 2048), (1024, 512, 1024),
+                                                 (1024, 300, 900), (256, 400, 256)])
+    @pytest.mark.parametrize("n_frames", [1, 64, 65, 200])
+    @pytest.mark.parametrize("n_samples", [None, 5000])
+    def test_bytes_equal_the_whole_array_oracle(self, n_fft, hop, win, n_frames, n_samples):
+        cfg = dsp.SpectrogramConfig(n_fft=n_fft, hop_length=hop, win_length=win, n_mels=1,
+                                    log_scale=False)
+        rng = np.random.default_rng(n_frames)
+        shape = (n_frames, cfg.n_bins)
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        spec = dsp.ComplexSpectrogram(data, cfg, n_samples=n_samples)
+        assert dsp.istft(spec).samples.tobytes() == whole_array_istft(spec).tobytes()
+
+
+def whole_array_istft(spec):
+    """The inverse STFT as first written, one (frames x n_fft) irfft: the
+    oracle for the blocked one."""
+    cfg = spec.config
+    frames = np.fft.irfft(spec.data, n=cfg.n_fft, axis=1)
+    window = dsp._padded_window(cfg)
+    n_frames = frames.shape[0]
+    pad = cfg.n_fft // 2
+    total = (n_frames - 1) * cfg.hop_length + cfg.n_fft if n_frames else cfg.n_fft
+    acc = np.zeros(total)
+    norm = np.zeros(total)
+    for k in range(n_frames):
+        start = k * cfg.hop_length
+        acc[start : start + cfg.n_fft] += frames[k] * window
+        norm[start : start + cfg.n_fft] += window**2
+    covered = norm > 1e-10
+    acc[covered] /= norm[covered]
+    n_out = spec.n_samples if spec.n_samples is not None else n_frames * cfg.hop_length
+    out = np.zeros(n_out)
+    avail = min(n_out, max(0, total - pad))
+    out[:avail] = acc[pad : pad + avail]
+    return out
+
 
 class TestMelFilterbank:
     def test_rows_nonnegative_single_peak(self):

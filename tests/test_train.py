@@ -4,6 +4,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -466,6 +468,106 @@ class TestFeatureCache:
         assert store.features(store.load(manifest.entries[0]), 0, tcfg) is feats
         with pytest.raises(ValueError, match="read-only"):
             feats[0, 0] = 0.0
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make ``train_loop`` see ``n`` usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallelPreparation:
+    def test_seeded_augmented_run_same_for_any_cpu_count(self, small_dataset, monkeypatch):
+        digests = set()
+        for n in (1, 2, 4):
+            use_cpus(monkeypatch, n)
+            digests.add(seeded_run_digest(small_dataset, augmented=True))
+        assert len(digests) == 1
+
+    def test_pool_thread_failure_surfaces_with_its_type(self, small_dataset, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        amplify, main = augment.AUGMENTATIONS["amplify"], threading.main_thread()
+
+        def amplify_on_main_only(x, rng):
+            if threading.current_thread() is not main:
+                raise Boom("pool thread")
+            time.sleep(0.01)  # leaves the rest of the batch to the pool thread
+            return amplify(x, rng)
+
+        monkeypatch.setitem(augment.AUGMENTATIONS, "amplify", amplify_on_main_only)
+        use_cpus(monkeypatch, 2)
+        manifest, mcfg, tcfg = TestTrainLoop()._config(
+            1, small_dataset, augments=[augment.AugmentSpec("amplify", 1.0)])
+        before = threading.active_count()
+        with pytest.raises(Boom, match="pool thread"):
+            train.train_loop(manifest, mcfg, tcfg)
+        assert threading.active_count() == before
+
+    def test_first_position_failure_wins_and_stops_new_examples(self, small_dataset,
+                                                              monkeypatch):
+        manifest, mcfg, tcfg = TestTrainLoop()._config(1, small_dataset, batch_size=8)
+        n_train = len(train.split_manifest(manifest, tcfg)[0])
+        first = int(np.random.default_rng(
+            np.random.SeedSequence([tcfg.seed, 0])).permutation(n_train)[0])
+        started = []
+
+        def failing_example(entry, store, cfg, epoch, index):
+            started.append(index)
+            if index == first:  # fails last, after every other thread has failed
+                time.sleep(0.2)
+            raise LookupError(index)
+
+        monkeypatch.setattr(train, "_prepare_example", failing_example)
+        use_cpus(monkeypatch, 4)
+        with pytest.raises(LookupError) as info:
+            train.train_loop(manifest, mcfg, tcfg)
+        assert info.value.args == (first,)
+        assert len(started) <= 4  # one example per thread, of a batch of 8
+
+    def test_store_shared_by_threads_decodes_a_cached_path_once(self, small_dataset,
+                                                               monkeypatch):
+        entries = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[:3]
+        store, load_audio = train.ClipStore(max_cached=2), audio_io.load_audio
+        decodes, errors = [], []
+
+        def counted_load_audio(path):  # runs under the store's lock
+            if any(key[0] == str(path) for key in store._cache):
+                errors.append(f"{path} decoded while cached")
+            decodes.append(str(path))
+            return load_audio(path)
+
+        def hammer(order):
+            try:
+                for _ in range(40):
+                    for e in order:
+                        clip = store.load(e)
+                        assert clip.source_id == str(e.path) and clip.label == e.label
+                        feats = store.features(clip, 0, train.TrainConfig(window_samples=SR))
+                        assert feats.shape == (86, 128)
+            except Exception as exc:  # reported by the main thread
+                errors.append(repr(exc))
+
+        monkeypatch.setattr(audio_io, "load_audio", counted_load_audio)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(entries[k % 3:] + entries[:k % 3],))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert set(decodes) == {str(e.path) for e in entries}
+
+    def test_store_hit_returns_the_cached_clip(self, small_dataset):
+        entry = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[0]
+        store = train.ClipStore()
+        assert store.load(entry).samples is store.load(entry).samples
 
 
 class TestFinetune:
