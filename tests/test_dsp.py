@@ -1,7 +1,15 @@
 """Spectral features: STFT/iSTFT, mel filterbank, MFCC, reshaping."""
 
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from tinysound import dsp
@@ -159,7 +167,7 @@ class TestMelFilterbank:
         clip = AudioClip(white_noise(44100), SR)
         cfg = dsp.SpectrogramConfig(log_scale=False)
         power = np.abs(dsp.stft(clip, cfg).data) ** 2
-        expected = power @ dsp.mel_filterbank.__wrapped__(cfg).T
+        expected = (scipy.sparse.csr_array(dsp.mel_filterbank.__wrapped__(cfg)) @ power.T).T
         for _ in range(2):  # first call builds the filterbank, second reuses it
             np.testing.assert_array_equal(dsp.mel_spectrogram(clip, cfg).data, expected)
 
@@ -185,6 +193,69 @@ class TestMelSpectrogram:
             feats = dsp.mel_spectrogram(AudioClip(sine(centers[band]), SR), CFG)
             interior = feats.data[5:-5]
             assert np.all(interior.argmax(axis=1) == band), f"band {band}"
+
+
+    @pytest.mark.parametrize("cfg, n_empty", [
+        (dsp.SpectrogramConfig(log_scale=False), 0),
+        (dsp.SpectrogramConfig(n_fft=512, win_length=512, n_mels=32, log_scale=False), 0),
+        (dsp.SpectrogramConfig(n_fft=2048, win_length=2048, log_scale=False), 0),
+        (dsp.SpectrogramConfig(n_fft=256, win_length=256, n_mels=128, log_scale=False), 32),
+    ], ids=["default", "fft512-mels32", "fft2048", "fft256-mels128"])
+    def test_matches_dense_filterbank_product(self, cfg, n_empty):
+        clip = AudioClip(white_noise(SR), SR)
+        power = np.abs(dsp.stft(clip, cfg).data) ** 2
+        fb = dsp.mel_filterbank(cfg)
+        mel = dsp.mel_spectrogram(clip, cfg).data
+        assert mel.flags.c_contiguous
+        np.testing.assert_allclose(mel, power @ fb.T, rtol=1e-12, atol=0)
+        empty = ~fb.any(axis=1)  # bands narrower than the bin spacing
+        assert np.count_nonzero(empty) == n_empty
+        assert np.all(mel[:, empty] == 0.0)
+
+    def test_bytes_independent_of_blas_threads(self):
+        code = ("import hashlib, numpy as np; from tinysound import dsp; "
+                "from tinysound.audio_io import AudioClip; "
+                "x = np.random.default_rng(7).uniform(-1, 1, 5 * 44100); "
+                "mel = dsp.mel_spectrogram(AudioClip(x, 44100), dsp.SpectrogramConfig()); "
+                "print(hashlib.sha256(mel.data.tobytes()).hexdigest())")
+        src = str(Path(dsp.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+    def test_threads_on_cold_cache_match_serial(self):
+        clip = AudioClip(white_noise(SR), SR)
+        cfg = dsp.SpectrogramConfig(n_fft=512, win_length=512, n_mels=40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                dsp.mel_filterbank.cache_clear()
+                dsp._mel_filterbank_csr.cache_clear()
+                start = threading.Barrier(4, timeout=30)
+
+                def featurize():
+                    start.wait()
+                    return dsp.mel_spectrogram(clip, cfg).data.tobytes()
+
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(featurize) for _ in range(4)]
+                    results = [f.result(timeout=60) for f in futures]
+                serial = dsp.mel_spectrogram(clip, cfg).data.tobytes()
+                assert results == [serial] * 4
+        finally:
+            sys.setswitchinterval(interval)
+        csr = dsp._mel_filterbank_csr(cfg)
+        fresh = scipy.sparse.csr_array(dsp.mel_filterbank.__wrapped__(cfg))
+        for name in ("data", "indices", "indptr"):
+            arr = getattr(csr, name)
+            np.testing.assert_array_equal(arr, getattr(fresh, name))
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 class TestMfcc:

@@ -403,26 +403,27 @@ def seeded_run_digest(root, augmented: bool) -> str:
     return digest.hexdigest()
 
 
-# Taken before window features were cached (numpy 2.4.6, OpenBLAS 0.3.31,
-# one BLAS thread: the summation order of a BLAS product, and so the last
-# bits, depends on how many threads share it).
+# numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31. Featurization makes no BLAS
+# call, so the features do not depend on the BLAS thread count; the whole
+# run must give these bytes at 1 and at 2 BLAS threads.
 GOLDEN_RUN_SHA256 = {
-    False: "eee5d49942a621f70ef77658015ec58bf0974f6c9e2c724772d4a85cef2e9470",
-    True: "6bc0eacd3958289b54fab8d04e4c69d2a2c6745dd38e892460b8af7e81e19b55",
+    False: "011842d43fdcadb13815e9e371c7cd2da4f9d9841c615d14a379d169c878f5ed",
+    True: "9e3a7b15f5182fb538d0cfebeea9a26e3f7210290519c99919599b2ab58bc7a5",
 }
 
 
 class TestFeatureCache:
     @pytest.mark.parametrize("augmented", [False, True])
     def test_seeded_run_matches_golden_digest(self, small_dataset, augmented):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([str(Path(tinysound.__file__).parents[1]),
-                                               str(Path(__file__).parent)]))
+        path = os.pathsep.join([str(Path(tinysound.__file__).parents[1]),
+                                str(Path(__file__).parent)])
         code = ("import sys, test_train; "
                 "print(test_train.seeded_run_digest(sys.argv[1], sys.argv[2] == 'True'))")
-        out = subprocess.run([sys.executable, "-c", code, str(small_dataset), str(augmented)],
-                             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == GOLDEN_RUN_SHA256[augmented]
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", code, str(small_dataset), str(augmented)],
+                                 env=env, capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == GOLDEN_RUN_SHA256[augmented], f"{threads} BLAS threads"
 
     @staticmethod
     def _config(dataset, window_samples, feature=train.MEL):
