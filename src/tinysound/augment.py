@@ -13,7 +13,7 @@ import numpy as np
 import scipy.signal
 
 from . import dsp
-from .audio_io import AudioClip, sinc_resample
+from .audio_io import TARGET_RATE, AudioClip, sinc_resample
 from .errors import ConfigError
 
 # Phase vocoder configuration shared by pitch_shift and speed_adjust.
@@ -74,12 +74,12 @@ def lowpass(x, rng: np.random.Generator, *, cutoff: float | None = None):
     return scipy.signal.lfilter(b, a, x)
 
 
-def _linear_stft_config(n_fft: int, hop: int, sample_rate: int) -> dsp.SpectrogramConfig:
+def _linear_stft_config(n_fft: int, hop: int) -> dsp.SpectrogramConfig:
     return dsp.SpectrogramConfig(n_fft=n_fft, hop_length=hop, win_length=n_fft, n_mels=1,
-                                 sample_rate=sample_rate, log_scale=False)
+                                 sample_rate=TARGET_RATE, log_scale=False)
 
 
-def time_stretch(x, rate: float, sample_rate: int = 44100) -> np.ndarray:
+def time_stretch(x, rate: float) -> np.ndarray:
     """Phase-vocoder time stretch; rate > 1 is faster (output ~ len/rate).
 
     Pitch is preserved. Output length is exactly round(len / rate).
@@ -90,8 +90,8 @@ def time_stretch(x, rate: float, sample_rate: int = 44100) -> np.ndarray:
     n_target = int(round(x.size / rate))
     if x.size == 0 or n_target == 0:
         return np.zeros(n_target)
-    cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP, sample_rate)
-    spec = dsp.stft(AudioClip(x, sample_rate), cfg).data
+    cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP)
+    spec = dsp.stft(AudioClip(x, TARGET_RATE), cfg).data
     if spec.shape[0] == 0:
         return _fit_length(x, n_target)
 
@@ -121,8 +121,7 @@ def time_stretch(x, rate: float, sample_rate: int = 44100) -> np.ndarray:
     return _fit_length(stretched, n_target)
 
 
-def pitch_shift(x, rng: np.random.Generator, *, semitones: float | None = None,
-                sample_rate: int = 44100):
+def pitch_shift(x, rng: np.random.Generator, *, semitones: float | None = None):
     """Shift pitch up by s ~ U(0, 4) semitones; length is preserved.
 
     Time-stretches to length * 2^(s/12) at constant pitch, then resamples
@@ -134,7 +133,7 @@ def pitch_shift(x, rng: np.random.Generator, *, semitones: float | None = None,
     factor = 2.0 ** (semitones / 12.0)
     if factor == 1.0:
         return x.copy()
-    slowed = time_stretch(x, 1.0 / factor, sample_rate)
+    slowed = time_stretch(x, 1.0 / factor)
     shifted = sinc_resample(slowed, 1.0 / factor)
     return _fit_length(shifted, x.size)
 
@@ -157,8 +156,7 @@ def partial_erase(x, rng: np.random.Generator, *, fraction: float | None = None)
     return out
 
 
-def speed_adjust(x, rng: np.random.Generator, *, rate: float | None = None,
-                 sample_rate: int = 44100):
+def speed_adjust(x, rng: np.random.Generator, *, rate: float | None = None):
     """Phase-vocoder speed change, rate ~ U(0.5, 1.5); >1 is faster.
 
     Pitch is preserved; the result is trimmed or zero-padded back to the
@@ -169,7 +167,7 @@ def speed_adjust(x, rng: np.random.Generator, *, rate: float | None = None,
         rate = rng.uniform(0.5, 1.5)
     if rate == 1.0:
         return x.copy()
-    return _fit_length(time_stretch(x, rate, sample_rate), x.size)
+    return _fit_length(time_stretch(x, rate), x.size)
 
 
 def add_noise(x, rng: np.random.Generator, *, sigma: float | None = None):
@@ -209,16 +207,15 @@ def hpss_masks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h2 / denom, p2 / denom
 
 
-def hpss(x, rng: np.random.Generator, *, branch: str | None = None,
-         sample_rate: int = 44100):
+def hpss(x, rng: np.random.Generator, *, branch: str | None = None):
     """Harmonic/percussive separation; a coin picks which branch to keep."""
     x = _as_wave(x)
     if branch is None:
         branch = "harmonic" if rng.integers(0, 2) == 0 else "percussive"
     if branch not in ("harmonic", "percussive"):
         raise ValueError(f"branch must be harmonic or percussive, got {branch!r}")
-    cfg = _linear_stft_config(_HPSS_FFT, _HPSS_HOP, sample_rate)
-    spec = dsp.stft(AudioClip(x, sample_rate), cfg)
+    cfg = _linear_stft_config(_HPSS_FFT, _HPSS_HOP)
+    spec = dsp.stft(AudioClip(x, TARGET_RATE), cfg)
     if spec.data.shape[0] == 0:
         return x.copy()
     mask_h, mask_p = hpss_masks(np.abs(spec.data))

@@ -20,11 +20,6 @@ from .errors import ConfigError, TinySoundError
 
 log = logging.getLogger(__name__)
 
-COMMANDS = (
-    "featurize", "build-vocab", "augment-preview", "train", "finetune",
-    "eval", "predict", "count", "quantize", "bench", "sweep",
-)
-
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -147,13 +142,14 @@ def train_config(cfg: Config, seed_override: int | None = None) -> train.TrainCo
 
 def model_config(cfg: Config, pipeline: train.PipelineConfig,
                  window_samples: int, classes: int) -> model_mod.ModelConfig:
+    default = model_mod.ModelConfig
     return pipeline.model_config(
         window_samples, classes,
-        hidden=cfg.get_int("hidden", 16),
-        layers=cfg.get_int("layers", 1),
-        heads=cfg.get_int("heads", 2),
-        share_layers=cfg.get_bool("share_layers", False),
-        dropout_rate=cfg.get_float("dropout", 0.1),
+        hidden=cfg.get_int("hidden", default.hidden),
+        layers=cfg.get_int("layers", default.layers),
+        heads=cfg.get_int("heads", default.heads),
+        share_layers=cfg.get_bool("share_layers", default.share_layers),
+        dropout_rate=cfg.get_float("dropout", default.dropout_rate),
     )
 
 
@@ -378,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, needs_input=False, needs_ckpt=False, needs_base=False):
+    def add(name, handler, needs_input=False, needs_ckpt=False, needs_base=False):
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
@@ -391,38 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--base", required=True, help="base checkpoint to finetune")
         return p
 
-    add("featurize", needs_input=True)
-    add("build-vocab")
-    add("augment-preview", needs_input=True)
-    add("train")
-    add("finetune", needs_base=True)
-    add("eval", needs_ckpt=True)
-    p = add("predict", needs_input=True, needs_ckpt=True)
+    add("featurize", cmd_featurize, needs_input=True)
+    add("build-vocab", cmd_build_vocab)
+    add("augment-preview", cmd_augment_preview, needs_input=True)
+    add("train", cmd_train)
+    add("finetune", cmd_finetune, needs_base=True)
+    add("eval", cmd_eval, needs_ckpt=True)
+    p = add("predict", cmd_predict, needs_input=True, needs_ckpt=True)
     p.add_argument("--quantized", action="store_true")
-    add("count")
-    add("quantize", needs_ckpt=True)
-    p = add("bench", needs_ckpt=True)
+    add("count", cmd_count)
+    add("quantize", cmd_quantize, needs_ckpt=True)
+    p = add("bench", cmd_bench, needs_ckpt=True)
     p.add_argument("--quantized", action="store_true",
                    help="time float64 inference on the dequantized int8 weights")
     p.add_argument("--runs", type=int, default=10)
-    p = add("sweep")
+    p = add("sweep", cmd_sweep)
     p.add_argument("--budget", type=int, default=None)
     return parser
-
-
-_HANDLERS = {
-    "featurize": cmd_featurize,
-    "build-vocab": cmd_build_vocab,
-    "augment-preview": cmd_augment_preview,
-    "train": cmd_train,
-    "finetune": cmd_finetune,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "count": cmd_count,
-    "quantize": cmd_quantize,
-    "bench": cmd_bench,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is None:
             seed = config.get("seed")
             args.seed = int(seed) if seed is not None else 0
-        return _HANDLERS[args.command](args, config)
+        return args.handler(args, config)
     except (TinySoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,9 +112,6 @@ class CurveVocab:
         """Total id space including the special tokens."""
         return N_SPECIAL + len(self)
 
-    def lookup(self, curve: tuple[int, ...]) -> int:
-        return self.ids.get(curve, UNK_ID)
-
     def _lookup_keys(self, keys: np.ndarray) -> np.ndarray:
         """Token id of each curve key, UNK for keys not in the vocabulary."""
         pos = np.searchsorted(self._sorted_keys[:-1], keys)

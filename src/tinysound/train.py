@@ -170,28 +170,6 @@ class PipelineConfig:
         if self.feature == CURVE and self.vocab is None:
             raise ConfigError("curve pipeline needs a vocabulary")
 
-    @property
-    def input_mode(self) -> str:
-        return TOKENS if self.feature == CURVE else CONTINUOUS
-
-    def seq_len(self, window_samples: int) -> int:
-        if self.feature in (MEL, MFCC):
-            frames = dsp.frame_count(window_samples, self.spectrogram.hop_length)
-            return -(-frames // self.downsample)  # ceil
-        if self.feature == AMPLITUDE:
-            return self.reshape_rows
-        return 1 + window_samples // self.vocab.spec.curve_len
-
-    @property
-    def feature_dim(self) -> int:
-        if self.feature == MEL:
-            return self.spectrogram.n_mels
-        if self.feature == MFCC:
-            return self.n_coeffs if self.n_coeffs is not None else self.spectrogram.n_mels
-        if self.feature == AMPLITUDE:
-            return self.reshape_cols
-        return self.vocab.vocab_size
-
     def extract(self, clip: AudioClip) -> np.ndarray:
         """Feature matrix (L x F) or token ids (L,) for one sliced window."""
         if self.feature == CURVE:
@@ -211,16 +189,22 @@ class PipelineConfig:
             feats = dsp.normalize01(feats)
         return feats
 
-    def model_config(self, window_samples: int, classes: int, hidden: int = 16,
-                     layers: int = 1, heads: int = 2, share_layers: bool = False,
-                     dropout_rate: float = 0.1) -> ModelConfig:
-        return ModelConfig(
-            input_mode=self.input_mode,
-            input_dim=self.feature_dim,
-            seq_len=self.seq_len(window_samples),
-            hidden=hidden, layers=layers, heads=heads, classes=classes,
-            share_layers=share_layers, dropout_rate=dropout_rate,
-        )
+    def model_config(self, window_samples: int, classes: int, **arch) -> ModelConfig:
+        """The config of a model that takes this pipeline's inputs of
+        ``window_samples``; ``arch`` passes the other ``ModelConfig`` fields."""
+        if self.feature == CURVE:
+            return ModelConfig(input_mode=TOKENS, input_dim=self.vocab.vocab_size,
+                               seq_len=1 + window_samples // self.vocab.spec.curve_len,
+                               classes=classes, **arch)
+        if self.feature == AMPLITUDE:
+            rows, dim = self.reshape_rows, self.reshape_cols
+        else:
+            rows = dsp.frame_count(window_samples, self.spectrogram.hop_length)
+            dim = self.spectrogram.n_mels if self.feature == MEL or self.n_coeffs is None \
+                else self.n_coeffs
+        return ModelConfig(input_mode=CONTINUOUS, input_dim=dim,
+                           seq_len=-(-rows // self.downsample),  # ceil, as downsample_columns
+                           classes=classes, **arch)
 
 
 @dataclass
@@ -381,11 +365,15 @@ def _snapshot(params: ModelParams, opt: OptState, epoch: int, val_acc: float,
     return Checkpoint(params_copy, opt.copy().to_tensors(), opt.step, meta)
 
 
+def _config_diffs(have: ModelConfig, want: ModelConfig) -> list[str]:
+    have, want = asdict(have), asdict(want)
+    return [f"{k}={have[k]!r}, requested {want[k]!r}" for k in have if have[k] != want[k]]
+
+
 def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) -> None:
     """A resumed run continues bit for bit only under the config it was saved
     with; metadata keys the checkpoint lacks are not checked."""
-    have, want = asdict(ckpt.params.cfg), asdict(model_cfg)
-    diffs = [f"{k}={have[k]!r}, requested {want[k]!r}" for k in have if have[k] != want[k]]
+    diffs = _config_diffs(ckpt.params.cfg, model_cfg)
     diffs += [f"{k}={ckpt.metadata[k]!r}, requested {getattr(cfg, k)!r}"
               for k in ("seed", "window_samples")
               if k in ckpt.metadata and ckpt.metadata[k] != getattr(cfg, k)]
@@ -410,10 +398,17 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     re-slicing and re-augmenting; an unaugmented clip no longer than the
     window has one fixed window, featurized once per run. This thread and one
     pool thread per other usable CPU make each batch, the same for any count.
-    Fixing the seed makes the whole loop bit-reproducible and resumable.
+    Fixing the seed makes the whole loop bit-reproducible and resumable. A
+    model whose input shape is not the pipeline's raises ``ConfigError``
+    before any example is prepared.
     """
     if not manifest.entries:
         raise ValueError("manifest is empty")
+    shape = lambda c: f"{c.input_mode} {c.seq_len}x{c.input_dim}"
+    produced = shape(cfg.pipeline.model_config(cfg.window_samples, model_cfg.classes))
+    if produced != shape(model_cfg):
+        raise ConfigError(f"pipeline produces {produced} inputs; "
+                          f"model expects {shape(model_cfg)}")
     train_entries, val_entries = split_manifest(manifest, cfg)
     assert not {str(e.path) for e in train_entries} & {str(e.path) for e in val_entries}
     store = ClipStore()
@@ -500,48 +495,21 @@ def finetune(base: Checkpoint, manifest: DatasetManifest, cfg: TrainConfig,
              model_cfg: ModelConfig | None = None) -> TrainResult:
     """Continue training from a checkpoint on a new label set.
 
-    The classifier is re-initialized at the new class count; every other
-    tensor is loaded from the base and nothing is frozen. The base must
-    match the requested architecture and the feature pipeline in every
-    dimension except the classifier width.
+    Trains ``model_cfg`` (default: the base's) at the new class count. The
+    classifier is re-initialized; every other tensor is loaded from the base
+    and nothing is frozen. The base must match the requested config in every
+    field except the class count and the dropout rate.
     """
-    n_classes = len(manifest.class_names)
-    base_cfg = base.params.cfg
-    if model_cfg is not None:
-        for field_name in ("input_mode", "input_dim", "seq_len", "hidden",
-                           "layers", "heads", "share_layers"):
-            want = getattr(model_cfg, field_name)
-            have = getattr(base_cfg, field_name)
-            if want != have:
-                raise ConfigError(
-                    f"base checkpoint has {field_name}={have}, requested {want}"
-                )
-    pipe_dim = cfg.pipeline.feature_dim
-    pipe_len = cfg.pipeline.seq_len(cfg.window_samples)
-    if (cfg.pipeline.input_mode, pipe_dim, pipe_len) != (
-            base_cfg.input_mode, base_cfg.input_dim, base_cfg.seq_len):
-        raise ConfigError(
-            f"pipeline produces {cfg.pipeline.input_mode} {pipe_len}x{pipe_dim} inputs; "
-            f"base expects {base_cfg.input_mode} {base_cfg.seq_len}x{base_cfg.input_dim}"
-        )
-    new_cfg = replace(base_cfg, classes=n_classes)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E]))
-    fresh = init_model(new_cfg, rng)
-    tensors = {}
-    for tname, tensor in fresh.tensors.items():
-        if tname.startswith("cls_"):
-            tensors[tname] = tensor
-        else:
-            src = base.params.tensors[tname]
-            if src.shape != tensor.shape:
-                raise ConfigError(
-                    f"incompatible base checkpoint: {tname} is {src.shape}, need {tensor.shape}"
-                )
-            tensors[tname] = src.copy()
-    start = Checkpoint(ModelParams(new_cfg, tensors), None, 0,
-                       {"epoch": -1, "val_acc": float("nan"),
-                        "class_names": list(manifest.class_names), "seed": cfg.seed})
-    return train_loop(manifest, new_cfg, cfg, resume_from=start)
+    want = replace(model_cfg or base.params.cfg, classes=len(manifest.class_names))
+    diffs = _config_diffs(replace(base.params.cfg, classes=want.classes,
+                                  dropout_rate=want.dropout_rate), want)
+    if diffs:
+        raise ConfigError("base checkpoint has " + "; ".join(diffs))
+    fresh = init_model(want, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E])))
+    tensors = {name: tensor if name.startswith("cls_") else base.params.tensors[name].copy()
+               for name, tensor in fresh.tensors.items()}
+    start = Checkpoint(ModelParams(want, tensors), None, 0, {"epoch": -1})
+    return train_loop(manifest, want, cfg, resume_from=start)
 
 
 def write_metrics_csv(path, metrics: list[dict]) -> None:

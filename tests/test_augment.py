@@ -152,12 +152,12 @@ class TestSpeedAdjust:
             assert abs(dominant_freq(content) - 440.0) / 440.0 < 0.02, f"rate {r}"
 
 
-def loop_time_stretch(x, rate, sample_rate=44100):
+def loop_time_stretch(x, rate):
     """The phase vocoder as first written, stacked spectrum and all: the oracle
     for the preallocated one."""
     n_target = int(round(x.size / rate))
-    cfg = augment._linear_stft_config(2048, 512, sample_rate)
-    spec = dsp.stft(AudioClip(x, sample_rate), cfg).data
+    cfg = augment._linear_stft_config(2048, 512)
+    spec = dsp.stft(AudioClip(x, SR), cfg).data
     steps = np.arange(0.0, spec.shape[0], rate)
     spec = np.vstack([spec, np.zeros((2, spec.shape[1]), dtype=spec.dtype)])
     magnitudes = np.abs(spec)

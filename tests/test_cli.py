@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, augment, cli, dsp, tokenizer
+from tinysound import audio_io, augment, cli, dsp, model, tokenizer
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError
 
@@ -214,6 +214,15 @@ class TestTrainEvalPredict:
         assert cli.main(["finetune", "--config", cfg, "--base",
                          str(out / "best.tsck"), "--out", str(dest)]) == 0
         assert (dest / "best.tsck").exists()
+
+    def test_finetune_trains_at_the_configured_dropout(self, run_dir, small_dataset, tmp_path):
+        _, _, out = run_dir
+        cfg = write_cfg(tmp_path / "ft.cfg", data_root=str(small_dataset),
+                        layout="folder_per_class", **dict(FAST_KEYS, dropout=0.3, epochs=1))
+        dest = tmp_path / "ft"
+        assert cli.main(["finetune", "--config", cfg, "--base",
+                         str(out / "best.tsck"), "--out", str(dest)]) == 0
+        assert model.load_checkpoint(dest / "last.tsck").params.cfg.dropout_rate == 0.3
 
 
 class TestSweep:

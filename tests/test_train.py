@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tinysound
-from tinysound import audio_io, augment, dsp, model, train
+from tinysound import audio_io, augment, dsp, model, tokenizer, train
 from tinysound.errors import ConfigError, DivergenceError
 
 from conftest import (SR, assert_grads_close, finite_difference_grads, sine,
@@ -340,6 +340,15 @@ class TestTrainLoop:
         for name, tensor in calls[-1].tensors.items():
             assert np.all(np.isfinite(tensor)), name
 
+    def test_shape_mismatch_rejected_before_any_example(self, small_dataset, monkeypatch):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        prepared = []
+        monkeypatch.setattr(train, "_prepare_example", lambda *a: prepared.append(a))
+        with pytest.raises(ConfigError, match="pipeline produces continuous 16x32 inputs; "
+                                              "model expects continuous 20x32"):
+            train.train_loop(manifest, replace(mcfg, seq_len=20), tcfg)
+        assert prepared == []
+
     def test_empty_manifest_rejected(self):
         manifest = audio_io.DatasetManifest((), (), audio_io.FOLDER_PER_CLASS)
         with pytest.raises(ValueError):
@@ -571,6 +580,30 @@ class TestParallelPreparation:
         assert store.load(entry).samples is store.load(entry).samples
 
 
+@pytest.mark.parametrize("feature, extra", [
+    (train.MEL, {}), (train.MEL, {"downsample": 3}), (train.MFCC, {}),
+    (train.MFCC, {"n_coeffs": 13, "downsample": 2}),
+    (train.AMPLITUDE, {"reshape_rows": 16, "reshape_cols": 64}),
+    (train.AMPLITUDE, {"reshape_rows": 16, "reshape_cols": 64, "downsample": 3}),
+    (train.CURVE, {}),
+])
+def test_model_config_takes_the_extracted_shape(feature, extra):
+    window = audio_io.center_slice(audio_io.AudioClip(sine(440, 0.25), SR), 8192)
+    if feature == train.CURVE:
+        spec = tokenizer.CurveSpec(curve_len=4, resolution=16, top_k=50)
+        extra = {"vocab": tokenizer.build_curve_vocab([window], spec)[0]}
+    pipeline = train.PipelineConfig(feature=feature, spectrogram=dsp.SpectrogramConfig(
+        n_fft=512, hop_length=512, win_length=512, n_mels=32), **extra)
+    mcfg = pipeline.model_config(8192, classes=3)
+    example = pipeline.extract(window)
+    if feature == train.CURVE:
+        assert (mcfg.input_mode, mcfg.seq_len) == (model.TOKENS, example.shape[0])
+        assert mcfg.input_dim == extra["vocab"].vocab_size
+    else:
+        assert (mcfg.input_mode, mcfg.seq_len, mcfg.input_dim) == (
+            model.CONTINUOUS, *example.shape)
+
+
 class TestFinetune:
     def _base(self, dataset):
         manifest = audio_io.load_manifest(dataset, audio_io.FOLDER_PER_CLASS)
@@ -612,6 +645,28 @@ class TestFinetune:
                                   heads=2, classes=3)
         with pytest.raises(ConfigError, match="hidden"):
             train.finetune(base.last, manifest, tcfg, model_cfg=wider)
+
+    def test_requested_dropout_is_trained(self, small_dataset, monkeypatch):
+        manifest, tcfg, base = self._base(small_dataset)
+        tcfg.epochs = 1
+        rates, forward = [], train.forward
+
+        def recording(params, batch, training, **kwargs):
+            rates.append((training, params.cfg.dropout_rate))
+            return forward(params, batch, training, **kwargs)
+
+        monkeypatch.setattr(train, "forward", recording)
+        want = replace(base.last.params.cfg, dropout_rate=0.3)
+        result = train.finetune(base.last, manifest, tcfg, model_cfg=want)
+        assert result.last.params.cfg.dropout_rate == 0.3
+        assert {rate for training, rate in rates if training} == {0.3}
+
+    def test_heads_mismatch_rejected(self, small_dataset):
+        manifest, tcfg, base = self._base(small_dataset)
+        more_heads = replace(base.last.params.cfg, heads=4)
+        assert model.param_shapes(more_heads) == model.param_shapes(base.last.params.cfg)
+        with pytest.raises(ConfigError, match="heads=2, requested 4"):
+            train.finetune(base.last, manifest, tcfg, model_cfg=more_heads)
 
     def test_pipeline_mismatch_rejected(self, small_dataset):
         manifest, tcfg, base = self._base(small_dataset)
