@@ -23,8 +23,8 @@ clip = AudioClip(signal, SR)
 cfg = dsp.SpectrogramConfig()
 mel = dsp.mel_spectrogram(clip, cfg)
 print(f"mel spectrogram: {mel.shape[0]} frames x {mel.shape[1]} bands "
-      f"({mel.frame_rate:.1f} frames/s)")
-print(f"  dynamic range: {mel.data.min():.1f} .. {mel.data.max():.1f} dB")
+      f"({SR / cfg.hop_length:.1f} frames/s)")
+print(f"  dynamic range: {mel.min():.1f} .. {mel.max():.1f} dB")
 
 # A 5 s window at the same hop yields the 430-frame sequence the tiny model uses.
 five_s = AudioClip(np.tile(signal, 5), SR)
@@ -33,7 +33,7 @@ print(f"5 s window: {dsp.mel_spectrogram(five_s, cfg).shape[0]} frames")
 # MFCCs: orthonormal DCT-II over the log-mel vectors.
 coeffs = dsp.mfcc(clip, cfg, n_coeffs=20)
 print(f"mfcc: {coeffs.shape} (first frame, c0..c4: "
-      f"{np.array2string(coeffs.data[0, :5], precision=1)})")
+      f"{np.array2string(coeffs[0, :5], precision=1)})")
 
 # Keeping every 3rd frame shortens the sequence without touching the bands.
 downsampled = dsp.downsample_columns(mel, 3)
@@ -45,7 +45,7 @@ print(f"amplitude reshape: {reshaped.shape} consumes {86 * 512} samples")
 
 # 0-1 normalization used by pipelines that skip the model's batch norm.
 normed = dsp.normalize01(mel)
-print(f"normalize01: min {normed.data.min()}, max {normed.data.max()}")
+print(f"normalize01: min {normed.min()}, max {normed.max()}")
 
 try:
     import matplotlib
@@ -53,7 +53,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(8, 4))
-    ax.imshow(mel.data.T, origin="lower", aspect="auto", cmap="magma")
+    ax.imshow(mel.T, origin="lower", aspect="auto", cmap="magma")
     ax.set_xlabel("frame")
     ax.set_ylabel("mel band")
     ax.set_title("Log-mel spectrogram, 440 Hz tone")

@@ -14,7 +14,7 @@ cli        batch command-line front end
 
 from . import audio_io, augment, deploy, dsp, model, tokenizer, train
 from .audio_io import AudioClip, DatasetManifest, load_manifest, read_wav, resample
-from .dsp import FeatureMatrix, SpectrogramConfig, mel_spectrogram, mfcc
+from .dsp import SpectrogramConfig, mel_spectrogram, mfcc
 from .model import ModelConfig, ModelParams, count_params, forward, init_model
 from .train import PipelineConfig, TrainConfig, train_loop, evaluate
 from .deploy import quantize_dynamic, qforward, bench

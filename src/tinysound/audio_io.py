@@ -66,10 +66,6 @@ class AudioClip:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def with_samples(self, samples: np.ndarray) -> "AudioClip":
         """New clip with the same rate/label/source but different samples."""
         return AudioClip(samples, self.sample_rate, self.label, self.source_id)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.signal
 
 from . import dsp
-from .audio_io import TARGET_RATE, AudioClip, sinc_resample
+from .audio_io import sinc_resample
 from .errors import ConfigError
 
 # Phase vocoder configuration shared by pitch_shift and speed_adjust.
@@ -76,7 +76,7 @@ def lowpass(x, rng: np.random.Generator, *, cutoff: float | None = None):
 
 def _linear_stft_config(n_fft: int, hop: int) -> dsp.SpectrogramConfig:
     return dsp.SpectrogramConfig(n_fft=n_fft, hop_length=hop, win_length=n_fft, n_mels=1,
-                                 sample_rate=TARGET_RATE, log_scale=False)
+                                 log_scale=False)
 
 
 def time_stretch(x, rate: float) -> np.ndarray:
@@ -91,7 +91,7 @@ def time_stretch(x, rate: float) -> np.ndarray:
     if x.size == 0 or n_target == 0:
         return np.zeros(n_target)
     cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP)
-    spec = dsp.stft(AudioClip(x, TARGET_RATE), cfg).data
+    spec = dsp.stft(x, cfg)
     if spec.shape[0] == 0:
         return _fit_length(x, n_target)
 
@@ -115,9 +115,7 @@ def time_stretch(x, rate: float) -> np.ndarray:
         delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
         accumulator += advance + delta
 
-    stretched = dsp.istft(
-        dsp.ComplexSpectrogram(out, cfg, n_samples=steps.size * _VOCODER_HOP)
-    ).samples
+    stretched = dsp.istft(out, cfg, steps.size * _VOCODER_HOP)
     return _fit_length(stretched, n_target)
 
 
@@ -215,13 +213,12 @@ def hpss(x, rng: np.random.Generator, *, branch: str | None = None):
     if branch not in ("harmonic", "percussive"):
         raise ValueError(f"branch must be harmonic or percussive, got {branch!r}")
     cfg = _linear_stft_config(_HPSS_FFT, _HPSS_HOP)
-    spec = dsp.stft(AudioClip(x, TARGET_RATE), cfg)
-    if spec.data.shape[0] == 0:
+    spec = dsp.stft(x, cfg)
+    if spec.shape[0] == 0:
         return x.copy()
-    mask_h, mask_p = hpss_masks(np.abs(spec.data))
+    mask_h, mask_p = hpss_masks(np.abs(spec))
     mask = mask_h if branch == "harmonic" else mask_p
-    masked = dsp.ComplexSpectrogram(spec.data * mask, cfg, n_samples=x.size)
-    return _fit_length(dsp.istft(masked).samples, x.size)
+    return dsp.istft(spec * mask, cfg, x.size)
 
 
 def bitwise_downsample(x, rng: np.random.Generator, *, resolution: int | None = None):

@@ -86,7 +86,6 @@ def spectrogram_config(cfg: Config) -> dsp.SpectrogramConfig:
         hop_length=cfg.get_int("hop_length", 512),
         win_length=cfg.get_int("win_length", 1024),
         n_mels=cfg.get_int("n_mels", 128),
-        sample_rate=audio_io.TARGET_RATE,
         log_scale=cfg.get_bool("log_mel", True),
     )
 
@@ -170,10 +169,10 @@ def cmd_featurize(args, cfg: Config) -> int:
     window = audio_io.center_slice(clip, cfg.get_int("window_samples", 220_500))
     if pipeline.feature == train.CURVE:
         raise ConfigError("featurize writes feature matrices; curve tokens have no TSFM form")
-    feats = pipeline.features(window)
+    feats = pipeline.extract(window)
     out = args.out or (Path(args.input).stem + ".tsfm")
-    dsp.save_features(out, feats)
-    print(f"wrote {feats.shape[0]}x{feats.shape[1]} {feats.kind} features to {out}")
+    dsp.save_features(out, feats, pipeline.feature)
+    print(f"wrote {feats.shape[0]}x{feats.shape[1]} {pipeline.feature} features to {out}")
     return 0
 
 
@@ -256,17 +255,16 @@ def cmd_eval(args, cfg: Config) -> int:
 
 def cmd_predict(args, cfg: Config) -> int:
     tcfg = train_config(cfg, args.seed)
+    loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
+    model_cfg = loaded.cfg if args.quantized else loaded.params.cfg
+    tcfg.pipeline.check_model(model_cfg, tcfg.window_samples)
     clip = audio_io.load_audio(args.input)
-    window = audio_io.center_slice(clip, tcfg.window_samples)
-    example = tcfg.pipeline.extract(window)
+    example = tcfg.pipeline.extract(audio_io.center_slice(clip, tcfg.window_samples))
     if args.quantized:
-        qparams = deploy.load_quantized(args.ckpt)
-        metadata = qparams.metadata
-        logits = deploy.qforward(qparams, example[None, ...])[0]
+        logits = deploy.qforward(loaded, example[None, ...])[0]
     else:
-        ckpt = model_mod.load_checkpoint(args.ckpt)
-        metadata = ckpt.metadata
-        logits = model_mod.forward(ckpt.params, example[None, ...], training=False)[0]
+        logits = model_mod.forward(loaded.params, example[None, ...], training=False)[0]
+    metadata = loaded.metadata
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
     names = metadata.get("class_names") or [str(i) for i in range(len(probs))]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_mod
-from .audio_io import AudioClip
+from .audio_io import TARGET_RATE, AudioClip
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, count_params, encode_checkpoint, forward
 
@@ -162,7 +162,7 @@ class BenchReport:
 
 
 def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
-          warmup: int = 3, serialized_bytes: int | None = None) -> BenchReport:
+          warmup: int = 3) -> BenchReport:
     """Wall-clock latency of feature extraction and one forward pass.
 
     Runs in this process on a deterministic input; the first ``warmup``
@@ -170,15 +170,17 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
     Model and feature time are reported separately. For ``QuantizedParams``
     the timed pass is float64 inference on the weights dequantized once up
     front, as ``qforward`` runs it; no integer arithmetic is timed;
-    ``quantized`` in the report says only which weights were loaded. ``serialized_bytes`` defaults to the encoded TSCQ
-    (or TSCK) size.
+    ``quantized`` in the report says only which weights were loaded, and
+    ``serialized_bytes`` is the size of the encoded TSCQ (or TSCK). A model
+    whose input shape is not the pipeline's raises ``ConfigError``.
     """
     quantized = isinstance(params_or_q, QuantizedParams)
     params = params_or_q.dequantize() if quantized else params_or_q
     cfg = params.cfg
+    pipeline.check_model(cfg, window_samples)
 
-    wave = np.sin(2 * np.pi * 440.0 * np.arange(window_samples) / 44100.0)
-    clip = AudioClip(wave, 44100)
+    wave = np.sin(2 * np.pi * 440.0 * np.arange(window_samples) / TARGET_RATE)
+    clip = AudioClip(wave, TARGET_RATE)
 
     feature_times, model_times = [], []
     for _ in range(warmup + n_runs):
@@ -192,9 +194,8 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
     first_call_ms = model_times[0]
     feature_times, model_times = feature_times[warmup:], model_times[warmup:]
 
-    if serialized_bytes is None:
-        serialized_bytes = len(encode_quantized(params_or_q) if quantized
-                               else encode_checkpoint(params))
+    serialized_bytes = len(encode_quantized(params_or_q) if quantized
+                           else encode_checkpoint(params))
 
     return BenchReport(
         mean_ms=float(np.mean(model_times)),

@@ -16,13 +16,17 @@ import numpy as np
 import scipy.sparse
 
 from . import _binio
-from .audio_io import AudioClip
+from .audio_io import TARGET_RATE, AudioClip
 from .errors import ConfigError, DecodeError
 
 _DB_FLOOR_POWER = 1e-10
 _DB_RANGE = 80.0
 
-FEATURE_KINDS = ("mel", "mfcc", "amplitude_reshape")
+MEL = "mel"
+MFCC = "mfcc"
+AMPLITUDE = "amplitude"
+#: Kinds of feature matrix; a kind's index is its TSFM kind code.
+FEATURE_KINDS = (MEL, MFCC, AMPLITUDE)
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,6 @@ class SpectrogramConfig:
     hop_length: int = 512
     win_length: int = 1024
     n_mels: int = 128
-    sample_rate: int = 44100
     log_scale: bool = True
 
     def __post_init__(self):
@@ -45,50 +48,10 @@ class SpectrogramConfig:
             raise ConfigError(
                 f"n_mels {self.n_mels} exceeds n_fft/2+1 = {self.n_fft // 2 + 1}"
             )
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
 
     @property
     def n_bins(self) -> int:
         return self.n_fft // 2 + 1
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """L x F matrix of per-frame feature vectors."""
-
-    data: np.ndarray
-    kind: str
-    frame_rate: float
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-D, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("feature matrix contains NaN or Inf")
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
-@dataclass(frozen=True)
-class ComplexSpectrogram:
-    """Complex STFT frames (time x bins) with the config that produced them."""
-
-    data: np.ndarray
-    config: SpectrogramConfig
-    n_samples: int | None = None
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("spectrogram contains NaN or Inf")
-        object.__setattr__(self, "data", data)
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -110,14 +73,14 @@ def frame_count(n_samples: int, hop_length: int) -> int:
     return n_samples // hop_length
 
 
-def stft(clip: AudioClip, cfg: SpectrogramConfig) -> ComplexSpectrogram:
-    """Short-time Fourier transform with centered frames.
+def stft(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
+    """Short-time Fourier transform of a 1-D signal with centered frames.
 
-    Returns floor(n / hop) frames of n_fft/2 + 1 one-sided bins.
+    Returns the complex (frames x bins) array: floor(n / hop) frames of
+    n_fft/2 + 1 one-sided bins.
     """
-    x = clip.samples
     if x.size < 1:
-        raise ValueError("cannot transform an empty clip")
+        raise ValueError("cannot transform an empty signal")
     pad = cfg.n_fft // 2
     if x.size > 1:
         padded = np.pad(x, pad, mode="reflect")
@@ -130,35 +93,33 @@ def stft(clip: AudioClip, cfg: SpectrogramConfig) -> ComplexSpectrogram:
         frames = frames[: n_frames * cfg.hop_length : cfg.hop_length]
     else:
         frames = np.empty((0, cfg.n_fft))
-    spec = np.fft.rfft(frames * window, axis=1)
-    return ComplexSpectrogram(spec, cfg, n_samples=x.size)
+    return np.fft.rfft(frames * window, axis=1)
 
 
-def istft(spec: ComplexSpectrogram) -> AudioClip:
-    """Inverse STFT by windowed overlap-add with window-square normalization.
+def istft(spec: np.ndarray, cfg: SpectrogramConfig, n_samples: int) -> np.ndarray:
+    """Inverse STFT by windowed overlap-add with window-square normalization:
+    the first ``n_samples`` samples of the signal, zero past the last frame.
 
     Round-trips stft output to within 1e-4 RMS on interior samples.
     """
-    cfg = spec.config
     window = _padded_window(cfg)
-    n_frames = spec.data.shape[0]
+    n_frames = spec.shape[0]
     pad = cfg.n_fft // 2
     total = (n_frames - 1) * cfg.hop_length + cfg.n_fft if n_frames else cfg.n_fft
     acc = np.zeros(total)
     norm = np.zeros(total)
     for lo in range(0, n_frames, 64):  # bounds the inverse transforms' workspace
-        frames = np.fft.irfft(spec.data[lo : lo + 64], n=cfg.n_fft, axis=1)
+        frames = np.fft.irfft(spec[lo : lo + 64], n=cfg.n_fft, axis=1)
         for k, frame in enumerate(frames, lo):
             start = k * cfg.hop_length
             acc[start : start + cfg.n_fft] += frame * window
             norm[start : start + cfg.n_fft] += window**2
     covered = norm > 1e-10
     acc[covered] /= norm[covered]
-    n_out = spec.n_samples if spec.n_samples is not None else n_frames * cfg.hop_length
-    out = np.zeros(n_out)
-    avail = min(n_out, max(0, total - pad))
+    out = np.zeros(n_samples)
+    avail = min(n_samples, max(0, total - pad))
     out[:avail] = acc[pad : pad + avail]
-    return AudioClip(out, cfg.sample_rate)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +151,15 @@ def mel_to_hz(mel):
 def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
     """Triangular mel filterbank, n_mels x (n_fft/2 + 1), area-normalized.
 
-    Filters span 0 Hz to sr/2 on the Slaney mel scale; each row is scaled
+    Filters span 0 Hz to TARGET_RATE/2 on the Slaney mel scale; each row is scaled
     by 2 / (f_upper - f_lower) so filter area is independent of bandwidth.
     Built once per config and shared, so the returned array is read-only.
     """
     if cfg.n_mels > cfg.n_bins:
         raise ConfigError(f"n_mels {cfg.n_mels} exceeds available bins {cfg.n_bins}")
-    edges_mel = np.linspace(0.0, float(hz_to_mel(cfg.sample_rate / 2.0)), cfg.n_mels + 2)
+    edges_mel = np.linspace(0.0, float(hz_to_mel(TARGET_RATE / 2.0)), cfg.n_mels + 2)
     edges_hz = mel_to_hz(edges_mel)
-    bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.n_fft
+    bin_freqs = np.arange(cfg.n_bins) * TARGET_RATE / cfg.n_fft
 
     lower = edges_hz[:-2, None]
     center = edges_hz[1:-1, None]
@@ -232,14 +193,13 @@ def power_to_db(power: np.ndarray) -> np.ndarray:
     return np.maximum(db, db.max() - _DB_RANGE)
 
 
-def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig) -> FeatureMatrix:
-    """Power mel spectrogram, optionally in dB (log_scale)."""
-    spec = stft(clip, cfg)
-    power = np.abs(spec.data) ** 2
+def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
+    """Power mel spectrogram (frames x n_mels), optionally in dB (log_scale)."""
+    power = np.abs(stft(clip.samples, cfg)) ** 2
     mel = np.ascontiguousarray((_mel_filterbank_csr(cfg) @ power.T).T)
     if cfg.log_scale:
         mel = power_to_db(mel)
-    return FeatureMatrix(mel, "mel", cfg.sample_rate / cfg.hop_length)
+    return mel
 
 
 @lru_cache(maxsize=16)
@@ -254,47 +214,39 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def mfcc(clip: AudioClip, cfg: SpectrogramConfig, n_coeffs: int | None = None) -> FeatureMatrix:
+def mfcc(clip: AudioClip, cfg: SpectrogramConfig, n_coeffs: int | None = None) -> np.ndarray:
     """Mel-frequency cepstral coefficients: DCT-II of the log-mel spectrum."""
     if n_coeffs is None:
         n_coeffs = cfg.n_mels
     if n_coeffs > cfg.n_mels:
         raise ConfigError(f"n_coeffs {n_coeffs} exceeds n_mels {cfg.n_mels}")
-    log_cfg = replace(cfg, log_scale=True)
-    logmel = mel_spectrogram(clip, log_cfg)
-    coeffs = logmel.data @ dct_matrix(cfg.n_mels).T
-    return FeatureMatrix(coeffs[:, :n_coeffs], "mfcc", logmel.frame_rate)
+    logmel = mel_spectrogram(clip, replace(cfg, log_scale=True))
+    return (logmel @ dct_matrix(cfg.n_mels).T)[:, :n_coeffs]
 
 
-def downsample_columns(features: FeatureMatrix, n: int) -> FeatureMatrix:
+def downsample_columns(features: np.ndarray, n: int) -> np.ndarray:
     """Keep every n-th time frame (rows 0, n, 2n, ...); L' = ceil(L / n)."""
     if n < 1:
         raise ValueError(f"downsampling factor must be >= 1, got {n}")
-    if n == 1:
-        return features
-    return FeatureMatrix(features.data[::n], features.kind, features.frame_rate / n)
+    return features[::n] if n > 1 else features
 
 
-def reshape_amplitudes(clip: AudioClip, rows: int, cols: int) -> FeatureMatrix:
+def reshape_amplitudes(clip: AudioClip, rows: int, cols: int) -> np.ndarray:
     """Lay out the first rows*cols samples row-major as a feature matrix."""
     needed = rows * cols
     if len(clip) < needed:
         raise ValueError(
             f"need {needed} samples to reshape to {rows}x{cols}, have {len(clip)}"
         )
-    data = clip.samples[:needed].reshape(rows, cols)
-    return FeatureMatrix(data, "amplitude_reshape", clip.sample_rate / cols)
+    return clip.samples[:needed].reshape(rows, cols)
 
 
-def normalize01(features: FeatureMatrix) -> FeatureMatrix:
+def normalize01(features: np.ndarray) -> np.ndarray:
     """Scale the whole matrix to [0, 1]; constant matrices map to zeros."""
-    data = features.data
-    lo, hi = data.min(), data.max()
+    lo, hi = features.min(), features.max()
     if hi == lo:
-        out = np.zeros_like(data)
-    else:
-        out = (data - lo) / (hi - lo)
-    return FeatureMatrix(out, features.kind, features.frame_rate)
+        return np.zeros_like(features)
+    return (features - lo) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +256,22 @@ def normalize01(features: FeatureMatrix) -> FeatureMatrix:
 _FEATURE_MAGIC = b"TSFM"
 
 
-def save_features(path, features: FeatureMatrix) -> None:
+def save_features(path, features: np.ndarray, kind: str) -> None:
+    """Write an L x F matrix of one of ``FEATURE_KINDS`` as a TSFM file."""
     rows, cols = features.shape
-    header = struct.pack("<IIB", rows, cols, FEATURE_KINDS.index(features.kind))
-    Path(path).write_bytes(_FEATURE_MAGIC + header + features.data.astype("<f4").tobytes())
+    header = struct.pack("<IIB", rows, cols, FEATURE_KINDS.index(kind))
+    Path(path).write_bytes(_FEATURE_MAGIC + header + features.astype("<f4").tobytes())
 
 
-def load_features(path, frame_rate: float = 0.0) -> FeatureMatrix:
-    """Read a TSFM file; any malformed content raises DecodeError."""
+def load_features(path) -> tuple[np.ndarray, str]:
+    """Read a TSFM file as its float64 matrix and kind; any malformed
+    content, a NaN or Inf value included, raises DecodeError."""
     r = _binio.Reader(Path(path).read_bytes(), _FEATURE_MAGIC, DecodeError, "feature file")
     shape = r.unpack("<II", "header")
     (kind_code,) = r.unpack("<B", "header")
     if kind_code >= len(FEATURE_KINDS):
         raise r.error(f"unknown feature kind code {kind_code}")
     values = r.array("<f4", shape, "feature payload")
-    with r.rejecting("feature payload", ValueError):
-        return FeatureMatrix(values, FEATURE_KINDS[kind_code], frame_rate)
+    if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
+        raise r.error("feature payload contains NaN or Inf")
+    return values.astype(np.float64), FEATURE_KINDS[kind_code]

@@ -76,10 +76,6 @@ class ModelConfig:
         return 4 * self.hidden
 
     @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
-
-    @property
     def n_layer_blocks(self) -> int:
         return 1 if self.share_layers else self.layers
 
@@ -191,12 +187,6 @@ class ForwardTrace:
     """A training-mode forward's record: each op's backward, in forward order."""
 
     backwards: list = field(default_factory=list)
-
-    @property
-    def probs(self) -> list[np.ndarray]:
-        """Attention probabilities of each layer, (B, heads, L, L); the last
-        layer attends from position 0 only, (B, heads, 1, L)."""
-        return [back.probs for back in self.backwards if hasattr(back, "probs")]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

@@ -125,15 +125,6 @@ def quantize_signal(clip: AudioClip, resolution: int) -> np.ndarray:
     return np.minimum(levels, resolution - 1)
 
 
-def relative_shift(span) -> tuple[int, ...]:
-    """Shift a window so its minimum value becomes zero."""
-    span = tuple(int(v) for v in span)
-    if not span:
-        raise ValueError("cannot shift an empty span")
-    low = min(span)
-    return tuple(v - low for v in span)
-
-
 def _curve_keys(clip: AudioClip, spec: CurveSpec, stride: int) -> np.ndarray:
     """Key of every curve_len window of the quantized clip, one per stride."""
     levels = quantize_signal(clip, spec.resolution)

@@ -24,6 +24,7 @@ import numpy as np
 from . import audio_io, dsp, tokenizer as tokenizer_mod
 from .audio_io import AudioClip, DatasetManifest, ManifestEntry
 from .augment import AugmentSpec, apply_pipeline
+from .dsp import AMPLITUDE, FEATURE_KINDS, MEL, MFCC
 from .errors import ConfigError, DivergenceError
 from .model import (
     CONTINUOUS,
@@ -143,9 +144,6 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 # Feature pipeline
 # ---------------------------------------------------------------------------
 
-MEL = "mel"
-MFCC = "mfcc"
-AMPLITUDE = "amplitude"
 CURVE = "curve"
 
 
@@ -163,7 +161,7 @@ class PipelineConfig:
     vocab: "tokenizer_mod.CurveVocab | None" = None
 
     def __post_init__(self):
-        if self.feature not in (MEL, MFCC, AMPLITUDE, CURVE):
+        if self.feature not in (*FEATURE_KINDS, CURVE):
             raise ConfigError(f"unknown feature kind {self.feature!r}")
         if self.downsample < 1:
             raise ConfigError(f"downsample must be >= 1, got {self.downsample}")
@@ -174,10 +172,6 @@ class PipelineConfig:
         """Feature matrix (L x F) or token ids (L,) for one sliced window."""
         if self.feature == CURVE:
             return tokenizer_mod.tokenize(clip, self.vocab)
-        return self.features(clip).data
-
-    def features(self, clip: AudioClip) -> dsp.FeatureMatrix:
-        """Feature matrix of one sliced window for mel, MFCC and amplitude."""
         if self.feature == MEL:
             feats = dsp.mel_spectrogram(clip, self.spectrogram)
         elif self.feature == MFCC:
@@ -205,6 +199,15 @@ class PipelineConfig:
         return ModelConfig(input_mode=CONTINUOUS, input_dim=dim,
                            seq_len=-(-rows // self.downsample),  # ceil, as downsample_columns
                            classes=classes, **arch)
+
+    def check_model(self, model_cfg: ModelConfig, window_samples: int) -> None:
+        """Raise ``ConfigError`` unless ``model_cfg`` takes this pipeline's
+        inputs of ``window_samples``."""
+        shape = lambda c: f"{c.input_mode} {c.seq_len}x{c.input_dim}"
+        produced = shape(self.model_config(window_samples, model_cfg.classes))
+        if produced != shape(model_cfg):
+            raise ConfigError(f"pipeline produces {produced} inputs; "
+                              f"model expects {shape(model_cfg)}")
 
 
 @dataclass
@@ -404,11 +407,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     """
     if not manifest.entries:
         raise ValueError("manifest is empty")
-    shape = lambda c: f"{c.input_mode} {c.seq_len}x{c.input_dim}"
-    produced = shape(cfg.pipeline.model_config(cfg.window_samples, model_cfg.classes))
-    if produced != shape(model_cfg):
-        raise ConfigError(f"pipeline produces {produced} inputs; "
-                          f"model expects {shape(model_cfg)}")
+    cfg.pipeline.check_model(model_cfg, cfg.window_samples)
     train_entries, val_entries = split_manifest(manifest, cfg)
     assert not {str(e.path) for e in train_entries} & {str(e.path) for e in val_entries}
     store = ClipStore()
@@ -474,10 +473,12 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
              batch_size: int | None = None, store: ClipStore | None = None) -> float:
     """Top-1 accuracy over deterministic center slices, eval mode; pass a
-    ``store`` to keep decoded clips and window features between calls."""
+    ``store`` to keep decoded clips and window features between calls. A
+    model whose input shape is not the pipeline's raises ``ConfigError``."""
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")
+    cfg.pipeline.check_model(params.cfg, cfg.window_samples)
     store = store if store is not None else ClipStore()
     batch_size = batch_size or cfg.batch_size
     correct = 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, augment, cli, dsp, model, tokenizer
+from tinysound import audio_io, augment, cli, dsp, model, tokenizer, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError
 
@@ -118,14 +118,18 @@ class TestCount:
 
 
 class TestFeaturize:
-    def test_writes_loadable_features(self, tmp_path, capsys):
+    @pytest.mark.parametrize("feature", [dsp.MEL, dsp.MFCC, dsp.AMPLITUDE])
+    def test_writes_loadable_features(self, tmp_path, capsys, feature):
         wav = tmp_path / "x.wav"
         audio_io.write_wav(wav, AudioClip(sine(440, 0.5), SR))
-        cfg = write_cfg(tmp_path / "c.cfg", **FAST_KEYS)
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(FAST_KEYS, feature=feature,
+                                                   reshape_rows=16, reshape_cols=32))
         out = tmp_path / "x.tsfm"
         assert cli.main(["featurize", str(wav), "--config", cfg, "--out", str(out)]) == 0
-        feats = dsp.load_features(out)
-        assert feats.shape == (16, 32)  # 8192 / 512 frames
+        feats, kind = dsp.load_features(out)
+        assert feats.shape == (16, 32)  # 8192 / 512 frames, or 16 rows of 32 samples
+        assert kind == feature
+        assert out.read_bytes()[12] == dsp.FEATURE_KINDS.index(feature)  # after magic, L, F
 
 
 class TestAugmentPreview:
@@ -207,6 +211,22 @@ class TestTrainEvalPredict:
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert record["quantized"] is True
         assert record["runs"] == 4
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
+    def test_pipeline_model_mismatch_exits_2_before_featurizing(
+            self, run_dir, tmp_path, capsys, monkeypatch, command):
+        _, cfg, out = run_dir  # trained at 32 mels
+        wrong = write_cfg(tmp_path / "w.cfg", **dict(cli.parse_config_file(cfg), n_mels=16))
+        extracted = []
+        monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
+        argv = [command, "--config", wrong, "--ckpt", str(out / "best.tsck")]
+        if command == "predict":
+            wav = tmp_path / "probe.wav"
+            audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
+            argv.insert(1, str(wav))
+        assert cli.main(argv) == 2
+        assert "pipeline produces" in capsys.readouterr().err
+        assert extracted == []
 
     def test_finetune(self, run_dir, tmp_path, capsys):
         tmp, cfg, out = run_dir

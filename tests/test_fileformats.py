@@ -29,7 +29,7 @@ def golden_files(tmp_path) -> dict:
     paths = {s: tmp_path / f"g{s}" for s in (".tsck", ".tscq", ".tsfm", ".tscv")}
     model.save_checkpoint(paths[".tsck"], params, opt, step=17, metadata=META)
     deploy.save_quantized(paths[".tscq"], deploy.quantize_dynamic(params, metadata=META))
-    dsp.save_features(paths[".tsfm"], dsp.FeatureMatrix(rng.normal(size=(5, 7)), "mfcc", 1.0))
+    dsp.save_features(paths[".tsfm"], rng.normal(size=(5, 7)), dsp.MFCC)
     vocab = tok.CurveVocab(tok.CurveSpec(curve_len=4, resolution=16, top_k=10, mode=tok.RELATIVE),
                            [(0, 1, 2, 3), (3, 2, 1, 0), (15, 0, 15, 0)])
     tok.save_vocab(paths[".tscv"], vocab)
@@ -173,8 +173,9 @@ def _resave_quantized(path, q):
     deploy.load_quantized(path)
 
 
-def _check_features(path, feats):
-    assert feats.data.ndim == 2 and np.all(np.isfinite(feats.data))
+def _check_features(path, loaded):
+    feats, _ = loaded
+    assert feats.ndim == 2 and np.all(np.isfinite(feats))
 
 
 def _resave_vocab(path, vocab):

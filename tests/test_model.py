@@ -44,13 +44,19 @@ def oracle_logits(params, batch):
         p = f"layer{0 if cfg.share_layers else layer}_"
         q, k, v = (lin(x, p + n).reshape(b, seq, cfg.heads, -1).transpose(0, 2, 1, 3)
                    for n in "qkv")
-        scores = q @ k.swapaxes(-1, -2) / np.sqrt(cfg.head_dim)
+        scores = q @ k.swapaxes(-1, -2) / np.sqrt(cfg.hidden // cfg.heads)
         e = np.exp(scores - scores.max(-1, keepdims=True))
         ctx = (e / e.sum(-1, keepdims=True)) @ v
         x = ln(x + lin(ctx.transpose(0, 2, 1, 3).reshape(b, seq, h), p + "o"), p + "attn_ln")
         pre = lin(x, p + "ffn_in")
         x = ln(x + lin(0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0))), p + "ffn_out"), p + "ffn_ln")
     return lin(np.tanh(lin(x[:, 0], "pooler")), "cls")
+
+
+def attention_probs(trace):
+    """Attention probabilities of each layer, (B, heads, L, L), that a training
+    forward's backwards keep; the last layer's are (B, heads, 1, L)."""
+    return [back.probs for back in trace.backwards if hasattr(back, "probs")]
 
 
 def perturbed_params(cfg, seed):
@@ -114,8 +120,8 @@ class TestForward:
         params = model.init_model(cfg, np.random.default_rng(3))
         batch = np.random.default_rng(4).normal(size=(2, 5, 6))
         _, trace = model.forward(params, batch, training=True, freeze_stats=True)
-        assert len(trace.probs) == cfg.layers
-        for probs in trace.probs:
+        assert len(attention_probs(trace)) == cfg.layers
+        for probs in attention_probs(trace):
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_zero_input_zero_classifier_equal_logits(self):
@@ -194,8 +200,8 @@ class TestForward:
         params = model.init_model(cfg, np.random.default_rng(32))
         batch = np.random.default_rng(33).normal(size=(3, 5, 6))
         _, trace = model.forward(params, batch, training=True, freeze_stats=True)
-        assert trace.probs[0].shape == (3, cfg.heads, 5, 5)
-        assert trace.probs[-1].shape == (3, cfg.heads, 1, 5)
+        assert attention_probs(trace)[0].shape == (3, cfg.heads, 5, 5)
+        assert attention_probs(trace)[-1].shape == (3, cfg.heads, 1, 5)
 
     def test_running_stats_follow_the_unfolded_update(self):
         cfg = small_cfg()
