@@ -259,11 +259,10 @@ AUGMENTATIONS = {
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    """One augmentation in a pipeline: kind, application probability, seed."""
+    """One augmentation in a pipeline: kind and application probability."""
 
     kind: str
     probability: float = 0.3
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in AUGMENTATIONS:
@@ -272,7 +271,7 @@ class AugmentSpec:
             raise ConfigError(f"probability must be in [0, 1], got {self.probability}")
 
 
-def default_pipeline(probability: float = 0.3) -> list[AugmentSpec]:
+def default_pipeline(probability: float = AugmentSpec.probability) -> list[AugmentSpec]:
     """All eleven augmentations at a shared independent probability."""
     return [AugmentSpec(kind, probability) for kind in AUGMENTATIONS]
 
@@ -283,8 +282,5 @@ def apply_pipeline(x, specs: list[AugmentSpec], rng: np.random.Generator) -> np.
     for spec in specs:
         if rng.random() >= spec.probability:
             continue
-        param_rng = (
-            np.random.default_rng(spec.rng_seed) if spec.rng_seed is not None else rng
-        )
-        out = AUGMENTATIONS[spec.kind](out, param_rng)
+        out = AUGMENTATIONS[spec.kind](out, rng)
     return out

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 One flat config file (``key = value``, ``#`` comments) is shared by every
-subcommand; flags override config values. All randomness is controlled by
-``--seed``. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+subcommand; a key outside ``KNOWN_KEYS`` is an error, and flags override config
+values. All randomness is controlled by ``--seed``, else the ``seed`` key.
+Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -48,94 +49,83 @@ class Config:
     def __init__(self, values: dict[str, str]):
         self.values = values
 
-    def get(self, key: str, default=None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default: int) -> int:
+    def get(self, key: str, default=None):
+        """The value of ``key`` parsed as the type of ``default``; a str or
+        ``None`` default returns the raw string."""
         raw = self.values.get(key)
         if raw is None:
             return default
+        if default is None or isinstance(default, str):
+            return raw
+        if isinstance(default, bool):
+            if raw.lower() not in _BOOL_TRUE | _BOOL_FALSE:
+                raise ConfigError(f"config key {key} is not a boolean: {raw!r}")
+            return raw.lower() in _BOOL_TRUE
         try:
-            return int(raw)
+            return type(default)(raw)
         except ValueError as exc:
-            raise ConfigError(f"config key {key} is not an integer: {raw!r}") from exc
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key} is not a number: {raw!r}") from exc
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in _BOOL_TRUE:
-            return True
-        if raw.lower() in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"config key {key} is not a boolean: {raw!r}")
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ConfigError(f"config key {key} is not {kind}: {raw!r}") from exc
 
 
 def spectrogram_config(cfg: Config) -> dsp.SpectrogramConfig:
+    default = dsp.SpectrogramConfig
     return dsp.SpectrogramConfig(
-        n_fft=cfg.get_int("n_fft", 1024),
-        hop_length=cfg.get_int("hop_length", 512),
-        win_length=cfg.get_int("win_length", 1024),
-        n_mels=cfg.get_int("n_mels", 128),
-        log_scale=cfg.get_bool("log_mel", True),
+        n_fft=cfg.get("n_fft", default.n_fft),
+        hop_length=cfg.get("hop_length", default.hop_length),
+        win_length=cfg.get("win_length", default.win_length),
+        n_mels=cfg.get("n_mels", default.n_mels),
+        log_scale=cfg.get("log_mel", default.log_scale),
     )
 
 
 def pipeline_config(cfg: Config) -> train.PipelineConfig:
-    feature = cfg.get("feature", "mel")
+    default = train.PipelineConfig
+    feature = cfg.get("feature", default.feature)
     vocab = None
     if feature == train.CURVE:
         vocab_path = cfg.get("vocab_path")
         if vocab_path is None:
             raise ConfigError("curve feature requires a vocab_path config key")
-        vocab = tokenizer.load_vocab(vocab_path)
-    n_coeffs = cfg.get_int("n_coeffs", 0)
+        try:
+            vocab = tokenizer.load_vocab(vocab_path)
+        except OSError as exc:
+            raise ConfigError(f"config key vocab_path: {exc}") from exc
     return train.PipelineConfig(
         feature=feature,
         spectrogram=spectrogram_config(cfg),
-        n_coeffs=n_coeffs or None,
-        downsample=cfg.get_int("downsample", 1),
-        normalize=cfg.get_bool("normalize01", False),
-        reshape_rows=cfg.get_int("reshape_rows", 512),
-        reshape_cols=cfg.get_int("reshape_cols", 512),
+        n_coeffs=cfg.get("n_coeffs", 0) or None,
+        downsample=cfg.get("downsample", default.downsample),
+        normalize=cfg.get("normalize01", default.normalize),
+        reshape_rows=cfg.get("reshape_rows", default.reshape_rows),
+        reshape_cols=cfg.get("reshape_cols", default.reshape_cols),
         vocab=vocab,
     )
 
 
 def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
     """One boolean + probability config key per augmentation kind."""
-    if not cfg.get_bool("augment", False):
+    if not cfg.get("augment", False):
         return []
-    default_p = cfg.get_float("augment_probability", 0.3)
-    specs = []
-    for kind in augment.AUGMENTATIONS:
-        if cfg.get_bool(f"aug_{kind}", True):
-            specs.append(augment.AugmentSpec(kind, cfg.get_float(f"aug_{kind}_p", default_p)))
-    return specs
+    default_p = cfg.get("augment_probability", augment.AugmentSpec.probability)
+    return [augment.AugmentSpec(kind, cfg.get(f"aug_{kind}_p", default_p))
+            for kind in augment.AUGMENTATIONS if cfg.get(f"aug_{kind}", True)]
 
 
-def train_config(cfg: Config, seed_override: int | None = None) -> train.TrainConfig:
-    val_fold = cfg.get_int("val_fold", -1)
+def train_config(cfg: Config, seed: int) -> train.TrainConfig:
+    default = train.TrainConfig
+    val_fold = cfg.get("val_fold", -1)
     return train.TrainConfig(
-        lr_peak=cfg.get_float("lr_peak", 1e-4),
-        warmup_steps=cfg.get_int("warmup_steps", 10_000),
-        batch_size=cfg.get_int("batch_size", 64),
-        epochs=cfg.get_int("epochs", 100),
-        seed=seed_override if seed_override is not None else cfg.get_int("seed", 0),
-        window_samples=cfg.get_int("window_samples", 220_500),
+        lr_peak=cfg.get("lr_peak", default.lr_peak),
+        warmup_steps=cfg.get("warmup_steps", default.warmup_steps),
+        batch_size=cfg.get("batch_size", default.batch_size),
+        epochs=cfg.get("epochs", default.epochs),
+        seed=seed,
+        window_samples=cfg.get("window_samples", default.window_samples),
         augments=augment_specs(cfg),
         pipeline=pipeline_config(cfg),
         val_fold=val_fold if val_fold >= 0 else None,
-        val_fraction=cfg.get_float("val_fraction", 0.2),
+        val_fraction=cfg.get("val_fraction", default.val_fraction),
     )
 
 
@@ -144,11 +134,11 @@ def model_config(cfg: Config, pipeline: train.PipelineConfig,
     default = model_mod.ModelConfig
     return pipeline.model_config(
         window_samples, classes,
-        hidden=cfg.get_int("hidden", default.hidden),
-        layers=cfg.get_int("layers", default.layers),
-        heads=cfg.get_int("heads", default.heads),
-        share_layers=cfg.get_bool("share_layers", default.share_layers),
-        dropout_rate=cfg.get_float("dropout", default.dropout_rate),
+        hidden=cfg.get("hidden", default.hidden),
+        layers=cfg.get("layers", default.layers),
+        heads=cfg.get("heads", default.heads),
+        share_layers=cfg.get("share_layers", default.share_layers),
+        dropout_rate=cfg.get("dropout", default.dropout_rate),
     )
 
 
@@ -164,9 +154,10 @@ def load_dataset(cfg: Config) -> audio_io.DatasetManifest:
 # ---------------------------------------------------------------------------
 
 def cmd_featurize(args, cfg: Config) -> int:
-    pipeline = pipeline_config(cfg)
+    tcfg = train_config(cfg, args.seed)
+    pipeline = tcfg.pipeline
     clip = audio_io.load_audio(args.input)
-    window = audio_io.center_slice(clip, cfg.get_int("window_samples", 220_500))
+    window = audio_io.center_slice(clip, tcfg.window_samples)
     if pipeline.feature == train.CURVE:
         raise ConfigError("featurize writes feature matrices; curve tokens have no TSFM form")
     feats = pipeline.extract(window)
@@ -178,11 +169,12 @@ def cmd_featurize(args, cfg: Config) -> int:
 
 def cmd_build_vocab(args, cfg: Config) -> int:
     manifest = load_dataset(cfg)
+    default = tokenizer.CurveSpec
     spec = tokenizer.CurveSpec(
-        curve_len=cfg.get_int("curve_len", 8),
-        resolution=cfg.get_int("resolution", 64),
-        top_k=cfg.get_int("top_k", 50_000),
-        mode=cfg.get("curve_mode", tokenizer.ABSOLUTE),
+        curve_len=cfg.get("curve_len", default.curve_len),
+        resolution=cfg.get("resolution", default.resolution),
+        top_k=cfg.get("top_k", default.top_k),
+        mode=cfg.get("curve_mode", default.mode),
     )
     store = train.ClipStore()
     corpus = [store.load(e) for e in manifest.entries]
@@ -276,10 +268,9 @@ def cmd_predict(args, cfg: Config) -> int:
 
 
 def cmd_count(args, cfg: Config) -> int:
-    pipeline = pipeline_config(cfg)
-    window = cfg.get_int("window_samples", 220_500)
-    classes = cfg.get_int("classes", 6)
-    mcfg = model_config(cfg, pipeline, window, classes)
+    tcfg = train_config(cfg, args.seed)
+    mcfg = model_config(cfg, tcfg.pipeline, tcfg.window_samples,
+                        cfg.get("classes", model_mod.ModelConfig.classes))
     params = model_mod.count_params(mcfg)
     print(f"parameters: {params:,}")
     print(f"mult-adds (per-position convention): {model_mod.count_mult_adds(mcfg, model_mod.PER_POSITION):,}")
@@ -311,30 +302,32 @@ def cmd_bench(args, cfg: Config) -> int:
     return 0
 
 
-_SWEEP_KEYS = {
-    "sweep_n_mels": "n_mels",
-    "sweep_hop_length": "hop_length",
-    "sweep_layers": "layers",
-    "sweep_heads": "heads",
-    "sweep_window_samples": "window_samples",
-    "sweep_augment": "augment",
-}
+_SWEEP_KEYS = ("n_mels", "hop_length", "layers", "heads", "window_samples", "augment")
+
+# Every key a reader above uses; main rejects any other as a typo.
+KNOWN_KEYS = frozenset((
+    "data_root", "layout", "vocab_path", "feature", "n_coeffs", "downsample", "normalize01",
+    "reshape_rows", "reshape_cols", "n_fft", "hop_length", "win_length", "n_mels", "log_mel",
+    "augment", "augment_probability", "lr_peak", "warmup_steps", "batch_size", "epochs",
+    "seed", "window_samples", "val_fold", "val_fraction", "hidden", "layers", "heads",
+    "share_layers", "dropout", "classes", "curve_len", "resolution", "top_k", "curve_mode",
+    *(f"aug_{kind}{suffix}" for kind in augment.AUGMENTATIONS for suffix in ("", "_p")),
+    *(f"sweep_{key}" for key in _SWEEP_KEYS),
+))
 
 
 def cmd_sweep(args, cfg: Config) -> int:
     manifest = load_dataset(cfg)
     axes = []
-    for sweep_key, target_key in _SWEEP_KEYS.items():
-        raw = cfg.get(sweep_key)
-        if raw is not None:
-            values = [v.strip() for v in raw.split(",") if v.strip()]
-            if values:
-                axes.append((target_key, values))
+    for key in _SWEEP_KEYS:
+        values = [v.strip() for v in cfg.get(f"sweep_{key}", "").split(",") if v.strip()]
+        if values:
+            axes.append((key, values))
     if not axes:
         raise ConfigError("sweep needs at least one sweep_* config key with values")
     points = list(itertools.product(*(vals for _, vals in axes)))
     if args.budget is not None and args.budget < len(points):
-        rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get_int("seed", 0))
+        rng = np.random.default_rng(args.seed)
         chosen = rng.choice(len(points), size=args.budget, replace=False)
         points = [points[i] for i in sorted(chosen)]
 
@@ -419,9 +412,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         config = Config(parse_config_file(args.config) if args.config else {})
+        unknown = sorted(config.values.keys() - KNOWN_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if args.seed is None:
-            seed = config.get("seed")
-            args.seed = int(seed) if seed is not None else 0
+            args.seed = config.get("seed", train.TrainConfig.seed)
         return args.handler(args, config)
     except (TinySoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

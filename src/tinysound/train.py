@@ -412,20 +412,17 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     assert not {str(e.path) for e in train_entries} & {str(e.path) for e in val_entries}
     store = ClipStore()
 
-    if resume_from is not None:
-        _check_resume(resume_from, model_cfg, cfg)
-        params = ModelParams(resume_from.params.cfg,
-                             {k: v.copy() for k, v in resume_from.params.tensors.items()})
-        opt = OptState.from_tensors(resume_from.opt_tensors or {}, resume_from.step)
-        if not opt.m:
-            opt = init_opt_state(params)
-            opt.step = resume_from.step
-        start_epoch = int(resume_from.metadata.get("epoch", -1)) + 1
-    else:
-        params = init_model(model_cfg, np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 0x1417])))
+    if resume_from is None:
+        resume_from = Checkpoint(init_model(model_cfg, np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 0x1417]))), None, 0, {})
+    _check_resume(resume_from, model_cfg, cfg)
+    params = ModelParams(resume_from.params.cfg,
+                         {k: v.copy() for k, v in resume_from.params.tensors.items()})
+    opt = OptState.from_tensors(resume_from.opt_tensors or {}, resume_from.step)
+    if not opt.m:
         opt = init_opt_state(params)
-        start_epoch = 0
+        opt.step = resume_from.step
+    start_epoch = int(resume_from.metadata.get("epoch", -1)) + 1
 
     metrics: list[dict] = []
     best: Checkpoint | None = None

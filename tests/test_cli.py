@@ -1,12 +1,14 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, augment, cli, dsp, model, tokenizer, train
+from tinysound import audio_io, cli, dsp, model, tokenizer, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError
 
@@ -51,12 +53,17 @@ class TestConfigFile:
 
     def test_typed_getters(self):
         cfg = cli.Config({"x": "3", "y": "0.5", "z": "true", "w": "off"})
-        assert cfg.get_int("x", 0) == 3
-        assert cfg.get_float("y", 0.0) == 0.5
-        assert cfg.get_bool("z", False) is True
-        assert cfg.get_bool("w", True) is False
+        assert cfg.get("x", 0) == 3
+        assert cfg.get("y", 0.0) == 0.5
+        assert cfg.get("z", False) is True
+        assert cfg.get("w", True) is False
         with pytest.raises(ConfigError):
-            cfg.get_int("y", 0)
+            cfg.get("y", 0)
+
+    def test_unreadable_vocab_path_names_its_key(self, tmp_path):
+        cfg = cli.Config({"feature": "curve", "vocab_path": str(tmp_path / "missing.tscv")})
+        with pytest.raises(ConfigError, match="vocab_path"):
+            cli.pipeline_config(cfg)
 
     def test_augment_section(self):
         cfg = cli.Config({"augment": "true", "aug_echo": "false",
@@ -81,6 +88,24 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
+
+    def test_unknown_keys_are_two_and_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(TINY_KEYS, hiden=32, n_mel=64))
+        assert cli.main(["count", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "hiden" in captured.err and "n_mel" in captured.err
+        assert "parameters" not in captured.out
+
+    def test_bad_seed_names_its_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(TINY_KEYS, seed="abc"))
+        assert cli.main(["count", "--config", cfg]) == 2
+        assert "config key seed is not an integer" in capsys.readouterr().err
+
+    def test_known_keys_are_the_keys_read(self):
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r'(?:cfg|config)\.get\("(\w+)"', source))
+        families = {k for k in cli.KNOWN_KEYS if k.startswith(("aug_", "sweep_"))}
+        assert read == cli.KNOWN_KEYS - families
 
     def test_diverging_train_is_two(self, small_dataset, tmp_path, capsys):
         keys = dict(FAST_KEYS, epochs=3, lr_peak=1e38, warmup_steps=0)
@@ -115,6 +140,13 @@ class TestCount:
         cfg = write_cfg(tmp_path / "t.cfg", **keys)
         cli.main(["count", "--config", cfg])
         assert "5,954" in capsys.readouterr().out
+
+    def test_readme_sample_config(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert cli.main(["count", "--config", str(cfg)]) == 0
+        assert "parameters: 6,642" in capsys.readouterr().out
 
 
 class TestFeaturize:
@@ -287,6 +319,15 @@ class TestSweep:
         cfg = write_cfg(tmp_path / "c.cfg", **self._base_keys(small_dataset))
         assert cli.main(["sweep", "--config", cfg]) == 2
 
+    def test_unswept_key_rejected_before_training(self, small_dataset, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", sweep_n_mels="16,32", sweep_dropout="0,0.1",
+                        **self._base_keys(small_dataset))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "sweep_dropout" in captured.err
+        assert "best_val_acc" not in captured.out and not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # Config properties: any file or any value of a known key gives a config or a
@@ -312,14 +353,7 @@ def test_config_file_parses_or_raises_config_error(tmp_path_factory, data):
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in values.items())
 
 
-_KNOWN_KEYS = (
-    "n_fft", "hop_length", "win_length", "n_mels", "log_mel", "feature", "n_coeffs",
-    "downsample", "normalize01", "reshape_rows", "reshape_cols", "augment",
-    "augment_probability", "lr_peak", "warmup_steps", "batch_size", "epochs", "seed",
-    "window_samples", "val_fold", "val_fraction", "hidden", "layers", "heads",
-    "share_layers", "dropout",
-    *(f"aug_{kind}{suffix}" for kind in augment.AUGMENTATIONS for suffix in ("", "_p")),
-)
+_KNOWN_KEYS = sorted(cli.KNOWN_KEYS)
 
 _VALUES = st.one_of(
     st.integers(-(2**40), 2**40).map(str),
@@ -335,7 +369,7 @@ _VALUES = st.one_of(
 def test_known_keys_give_configs_or_config_error(values):
     cfg = cli.Config(values)
     try:
-        tcfg = cli.train_config(cfg)
+        tcfg = cli.train_config(cfg, 0)
         cli.model_config(cfg, tcfg.pipeline, tcfg.window_samples, classes=3)
     except ConfigError:
         pass
