@@ -172,12 +172,14 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
     front, as ``qforward`` runs it; no integer arithmetic is timed;
     ``quantized`` in the report says only which weights were loaded, and
     ``serialized_bytes`` is the size of the encoded TSCQ (or TSCK). A model
-    whose input shape is not the pipeline's raises ``ConfigError``.
+    whose input shape is not the pipeline's, or ``n_runs < 1``, raises
+    ``ConfigError`` before anything is featurized.
     """
+    if n_runs < 1:
+        raise ConfigError(f"bench needs at least 1 run, got {n_runs}")
     quantized = isinstance(params_or_q, QuantizedParams)
     params = params_or_q.dequantize() if quantized else params_or_q
-    cfg = params.cfg
-    pipeline.check_model(cfg, window_samples)
+    pipeline.check_model(params.cfg, window_samples)
 
     wave = np.sin(2 * np.pi * 440.0 * np.arange(window_samples) / TARGET_RATE)
     clip = AudioClip(wave, TARGET_RATE)
@@ -193,10 +195,6 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
         model_times.append((t2 - t1) * 1e3)
     first_call_ms = model_times[0]
     feature_times, model_times = feature_times[warmup:], model_times[warmup:]
-
-    serialized_bytes = len(encode_quantized(params_or_q) if quantized
-                           else encode_checkpoint(params))
-
     return BenchReport(
         mean_ms=float(np.mean(model_times)),
         min_ms=float(np.min(model_times)),
@@ -206,7 +204,8 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
         first_call_ms=first_call_ms,
         feature_mean_ms=float(np.mean(feature_times)),
         runs=n_runs,
-        param_count=count_params(cfg),
-        serialized_bytes=int(serialized_bytes),
+        param_count=count_params(params.cfg),
+        serialized_bytes=len(encode_quantized(params_or_q) if quantized
+                             else encode_checkpoint(params)),
         quantized=quantized,
     )

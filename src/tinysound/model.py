@@ -13,8 +13,8 @@ that one row, while its keys and values still cover every position.
 Earlier layers run at every position.
 
 The encoder is a short sequence of ops, each returning its output and its
-backward; ``forward`` records the backwards when training and ``backward``
-walks them in reverse, each op adding the gradients of the weights it owns.
+backward; a training ``forward`` returns the list of backwards and ``backward``
+walks it in reverse, each op adding the gradients of the weights it owns.
 
 Tensors are stored float32 (the checkpoint payload format) and all
 arithmetic runs in float64.
@@ -23,7 +23,7 @@ arithmetic runs in float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -179,14 +179,8 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 # closure over what the op kept from its forward, the float64 weights
 # included. ``back`` adds the gradient of every weight the op owns into
 # ``grads``; the input ops return None, as nothing upstream learns. A
-# training forward records the backwards in order and ``backward`` walks
+# training forward returns the backwards in order and ``backward`` walks
 # them in reverse.
-
-@dataclass
-class ForwardTrace:
-    """A training-mode forward's record: each op's backward, in forward order."""
-
-    backwards: list = field(default_factory=list)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -374,7 +368,8 @@ def _pooler_classifier(w, x: np.ndarray, dropout):
 
 def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
             rng: np.random.Generator | None = None, freeze_stats: bool = False):
-    """Run the encoder; returns logits, plus a ForwardTrace when training.
+    """Run the encoder; returns logits, or ``(logits, backwards)`` when
+    training: each op's backward, in forward order, for ``backward``.
 
     Training mode normalizes with batch statistics (and updates the running
     stats unless ``freeze_stats``) and applies dropout, which requires
@@ -399,12 +394,12 @@ def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
     if drop_rate > 0.0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     w = {k: v.astype(np.float64) for k, v in params.tensors.items()}
-    trace = ForwardTrace() if training else None
+    backwards = [] if training else None  # eval keeps no backward, nor what it holds
 
     def run(op, *args):
         y, back = op(*args)
-        if trace is not None:
-            trace.backwards.append(back)
+        if training:
+            backwards.append(back)
         return y
 
     def dropout(x):
@@ -424,14 +419,14 @@ def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
         x = run(_attention_sublayer, w, p, x, cfg.heads, dropout, n_queries)
         x = run(_ffn_sublayer, w, p, x, dropout)
     logits = run(_pooler_classifier, w, x, dropout)
-    return (logits, trace) if training else logits
+    return (logits, backwards) if training else logits
 
 
-def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+def backward(params: ModelParams, backwards: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of every learnable tensor given dLoss/dLogits."""
     grads = {name: np.zeros(params.tensors[name].shape) for name in learnable_names(params.cfg)}
     dy = np.asarray(dlogits, dtype=np.float64)
-    for back in reversed(trace.backwards):
+    for back in reversed(backwards):
         dy = back(dy, grads)
     return grads
 

@@ -77,10 +77,6 @@ class OptState:
     v: dict[str, np.ndarray]
     step: int = 0
 
-    def copy(self) -> "OptState":
-        return OptState({k: t.copy() for k, t in self.m.items()},
-                        {k: t.copy() for k, t in self.v.items()}, self.step)
-
     def to_tensors(self) -> dict[str, np.ndarray]:
         out = {f"m__{k}": t for k, t in self.m.items()}
         out.update({f"v__{k}": t for k, t in self.v.items()})
@@ -307,39 +303,44 @@ def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
     return train, val
 
 
-def _entry_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, epoch, index]))
-
-
 def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
                      epoch: int, index: int) -> np.ndarray:
     clip = store.load(entry)
     if not cfg.augments and len(clip) <= cfg.window_samples:
         return store.features(clip, 0, cfg)  # random_slice starts it at 0 whatever it draws
-    rng = _entry_rng(cfg.seed, epoch, index)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, index]))
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
         window = window.with_samples(apply_pipeline(window.samples, cfg.augments, rng))
     return cfg.pipeline.extract(window)
 
 
-def _prepare_batch(entries, store: ClipStore, cfg: TrainConfig, epoch: int, chunk,
-                   pool: ThreadPoolExecutor | None, helpers: int) -> np.ndarray:
-    """Examples of ``chunk`` (indices into ``entries``), made by this thread
-    and up to ``helpers`` pool threads that take positions from one iterator.
-    After a failure no example starts; then the lowest position's is raised."""
+@contextlib.contextmanager
+def _helper_pool():
+    """``(pool, helpers)``: one pool thread per usable CPU besides the caller's."""
+    helpers = len(os.sched_getaffinity(0)) - 1
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+        yield pool, helpers
+
+
+def _prepare_batch(build, chunk, pool) -> np.ndarray:
+    """``build(item)`` for each item of ``chunk``, stacked: the one maker of
+    training and evaluation examples. This thread and the helpers of a
+    ``_helper_pool`` take positions from one iterator. After a failure no
+    example starts; then the lowest position's is raised with its own type."""
+    executor, helpers = pool
     examples, failures, positions = [None] * len(chunk), [], iter(enumerate(chunk))
 
     def work():
-        for pos, i in positions:
+        for pos, item in positions:
             if failures:
                 return
             try:
-                examples[pos] = _prepare_example(entries[i], store, cfg, epoch, i)
+                examples[pos] = build(item)
             except BaseException as exc:  # raised below, after every thread stops
                 failures.append((pos, exc))
 
-    running = [pool.submit(work) for _ in range(min(helpers, len(chunk) - 1))]
+    running = [executor.submit(work) for _ in range(min(helpers, len(chunk) - 1))]
     work()
     for future in running:
         future.result()
@@ -365,7 +366,8 @@ def _snapshot(params: ModelParams, opt: OptState, epoch: int, val_acc: float,
         "window_samples": cfg.window_samples,
     }
     params_copy = ModelParams(params.cfg, {k: v.copy() for k, v in params.tensors.items()})
-    return Checkpoint(params_copy, opt.copy().to_tensors(), opt.step, meta)
+    opt_copy = {k: t.copy() for k, t in opt.to_tensors().items()}
+    return Checkpoint(params_copy, opt_copy, opt.step, meta)
 
 
 def _config_diffs(have: ModelConfig, want: ModelConfig) -> list[str]:
@@ -400,7 +402,8 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     Each epoch visits every training entry once in a seeded shuffle,
     re-slicing and re-augmenting; an unaugmented clip no longer than the
     window has one fixed window, featurized once per run. This thread and one
-    pool thread per other usable CPU make each batch, the same for any count.
+    pool thread per other usable CPU make each batch and each epoch's
+    validation batch through ``_prepare_batch``, the same for any count.
     Fixing the seed makes the whole loop bit-reproducible and resumable. A
     model whose input shape is not the pipeline's raises ``ConfigError``
     before any example is prepared.
@@ -427,23 +430,22 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     metrics: list[dict] = []
     best: Checkpoint | None = None
     last: Checkpoint | None = None
-    class_names = manifest.class_names
 
-    helpers = len(os.sched_getaffinity(0)) - 1
-    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+    with _helper_pool() as pool:
         for epoch in range(start_epoch, cfg.epochs):
             order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, epoch])).permutation(len(train_entries))
             losses = []
             for step_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
                 chunk = order[lo : lo + cfg.batch_size].tolist()
-                batch = _prepare_batch(train_entries, store, cfg, epoch, chunk, pool, helpers)
+                batch = _prepare_batch(lambda i: _prepare_example(
+                    train_entries[i], store, cfg, epoch, i), chunk, pool)
                 labels = np.array([train_entries[i].label for i in chunk])
                 drop_rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, epoch, step_idx, 1]))
-                logits, trace = forward(params, batch, training=True, rng=drop_rng)
+                logits, backwards = forward(params, batch, training=True, rng=drop_rng)
                 loss, dlogits = cross_entropy(logits, labels)
-                grads = backward(params, trace, dlogits)
+                grads = backward(params, backwards, dlogits)
                 _check_finite(loss, grads, epoch, step_idx)
                 try:
                     adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
@@ -453,39 +455,42 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
                 losses.append(loss)
 
             train_loss = float(np.mean(losses)) if losses else float("nan")
-            val_acc = evaluate(params, val_entries, cfg, store=store) if val_entries else np.nan
+            val_acc = evaluate(params, val_entries, cfg, store, pool) if val_entries else np.nan
             metrics.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
             log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
 
-            last = _snapshot(params, opt, epoch, val_acc, class_names, cfg)
+            last = _snapshot(params, opt, epoch, val_acc, manifest.class_names, cfg)
             if best is None or not (val_acc <= best.metadata["val_acc"]):
                 best = last
 
     if last is None:  # zero epochs: snapshot the initial state
-        last = _snapshot(params, opt, start_epoch - 1, float("nan"), class_names, cfg)
+        last = _snapshot(params, opt, start_epoch - 1, float("nan"), manifest.class_names, cfg)
         best = last
     return TrainResult(best, last, metrics)
 
 
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
-             batch_size: int | None = None, store: ClipStore | None = None) -> float:
-    """Top-1 accuracy over deterministic center slices, eval mode; pass a
-    ``store`` to keep decoded clips and window features between calls. A
+             store: ClipStore | None = None, pool=None) -> float:
+    """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch``
+    batches of ``cfg.batch_size``. ``store`` keeps clips and features between
+    calls; ``pool``, a ``_helper_pool`` pair, is opened here when not given. A
     model whose input shape is not the pipeline's raises ``ConfigError``."""
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")
     cfg.pipeline.check_model(params.cfg, cfg.window_samples)
     store = store if store is not None else ClipStore()
-    batch_size = batch_size or cfg.batch_size
+
+    def example(entry):
+        clip = store.load(entry)
+        return store.features(clip, audio_io.center_start(len(clip), cfg.window_samples), cfg)
+
     correct = 0
-    for lo in range(0, len(entries), batch_size):
-        chunk = entries[lo : lo + batch_size]
-        examples = [store.features(c, audio_io.center_start(len(c), cfg.window_samples), cfg)
-                    for c in map(store.load, chunk)]
-        logits = forward(params, np.stack(examples), training=False)
-        pred = logits.argmax(axis=1)
-        correct += int((pred == np.array([e.label for e in chunk])).sum())
+    with _helper_pool() if pool is None else contextlib.nullcontext(pool) as pool:
+        for lo in range(0, len(entries), cfg.batch_size):
+            chunk = entries[lo : lo + cfg.batch_size]
+            logits = forward(params, _prepare_batch(example, chunk, pool), training=False)
+            correct += int((logits.argmax(axis=1) == np.array([e.label for e in chunk])).sum())
     return correct / len(entries)
 
 

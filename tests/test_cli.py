@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,20 @@ class TestTrainEvalPredict:
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert record["quantized"] is True
         assert record["runs"] == 4
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_bench_without_runs_exits_2_before_featurizing(self, run_dir, capsys, monkeypatch,
+                                                           runs):
+        _, cfg, out = run_dir
+        extracted = []
+        monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["bench", "--config", cfg, "--ckpt", str(out / "best.tsck"),
+                             "--runs", runs]) == 2
+        assert f"at least 1 run, got {runs}" in capsys.readouterr().err
+        assert extracted == []
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
     def test_pipeline_model_mismatch_exits_2_before_featurizing(

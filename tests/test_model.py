@@ -53,10 +53,10 @@ def oracle_logits(params, batch):
     return lin(np.tanh(lin(x[:, 0], "pooler")), "cls")
 
 
-def attention_probs(trace):
+def attention_probs(backwards):
     """Attention probabilities of each layer, (B, heads, L, L), that a training
     forward's backwards keep; the last layer's are (B, heads, 1, L)."""
-    return [back.probs for back in trace.backwards if hasattr(back, "probs")]
+    return [back.probs for back in backwards if hasattr(back, "probs")]
 
 
 def perturbed_params(cfg, seed):

@@ -14,7 +14,7 @@ import pytest
 
 import tinysound
 from tinysound import audio_io, augment, dsp, model, tokenizer, train
-from tinysound.errors import ConfigError, DivergenceError
+from tinysound.errors import ConfigError, DecodeError, DivergenceError
 
 from conftest import (SR, assert_grads_close, finite_difference_grads, sine,
                       write_synth_dataset)
@@ -390,7 +390,7 @@ class TestEvaluate:
         mcfg = tcfg.pipeline.model_config(tcfg.window_samples, classes=3,
                                           hidden=8, heads=2)
         params = model.init_model(mcfg, np.random.default_rng(5))
-        accs = {train.evaluate(params, manifest.entries, tcfg, batch_size=b)
+        accs = {train.evaluate(params, manifest.entries, replace(tcfg, batch_size=b))
                 for b in (1, 5, 24)}
         assert len(accs) == 1
 
@@ -481,7 +481,8 @@ class TestFeatureCache:
 
 
 def use_cpus(monkeypatch, n: int) -> None:
-    """Make ``train_loop`` see ``n`` usable CPUs, whatever this machine has."""
+    """Make ``train_loop`` and ``evaluate`` see ``n`` usable CPUs, whatever
+    this machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -534,6 +535,47 @@ class TestParallelPreparation:
             train.train_loop(manifest, mcfg, tcfg)
         assert info.value.args == (first,)
         assert len(started) <= 4  # one example per thread, of a batch of 8
+
+    def test_evaluate_same_for_any_cpu_count(self, small_dataset, monkeypatch):
+        manifest, mcfg, tcfg = TestTrainLoop()._config(1, small_dataset, batch_size=5)
+        params = model.init_model(mcfg, np.random.default_rng(5))
+        forward, batches = train.forward, []
+        monkeypatch.setattr(train, "forward", lambda params, batch, **kw:
+                            batches.append(batch.tobytes()) or forward(params, batch, **kw))
+        runs = []
+        for n in (1, 2, 4):
+            use_cpus(monkeypatch, n)
+            runs.append((train.evaluate(params, manifest.entries, tcfg), batches[:]))
+            batches.clear()
+        assert len(runs[0][1]) == 5  # 24 clips in batches of 5
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @staticmethod
+    def _corrupt_validation_clip(dataset, tmp_path):
+        """Folder manifest with folds: fold 1 (validation) holds every fourth
+        clip plus, at its second position, a WAV with a malformed header."""
+        manifest, mcfg, tcfg = TestTrainLoop()._config(1, dataset, val_fold=1)
+        entries = [replace(e, fold=int(k % 4 == 0)) for k, e in enumerate(manifest.entries)]
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFF\x24\x00\x00\x00WAVEjunk" + bytes(64))
+        entries.insert(4, replace(entries[0], path=bad))
+        return replace(manifest, entries=tuple(entries)), mcfg, tcfg
+
+    def test_corrupt_validation_clip_raises_decode_error(self, small_dataset, tmp_path,
+                                                         monkeypatch):
+        manifest, mcfg, tcfg = self._corrupt_validation_clip(small_dataset, tmp_path)
+        val = train.split_manifest(manifest, tcfg)[1]
+        assert [e.path.name for e in val].index("bad.wav") > 0
+        params = model.init_model(mcfg, np.random.default_rng(5))
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(DecodeError) as standalone:
+            train.evaluate(params, val, tcfg)
+        assert threading.active_count() == before
+        with pytest.raises(DecodeError) as per_epoch:
+            train.train_loop(manifest, mcfg, tcfg)
+        assert threading.active_count() == before
+        assert standalone.type is per_epoch.type is DecodeError
 
     def test_store_shared_by_threads_decodes_a_cached_path_once(self, small_dataset,
                                                                monkeypatch):
