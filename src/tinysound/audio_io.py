@@ -44,11 +44,10 @@ _RESAMPLE_CHUNK = 16384
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Immutable mono waveform with its sampling rate and optional label."""
+    """Immutable mono waveform with its sampling rate and source."""
 
     samples: np.ndarray
     sample_rate: int
-    label: int | None = None
     source_id: str = ""
 
     def __post_init__(self):
@@ -67,8 +66,8 @@ class AudioClip:
         return self.samples.size
 
     def with_samples(self, samples: np.ndarray) -> "AudioClip":
-        """New clip with the same rate/label/source but different samples."""
-        return AudioClip(samples, self.sample_rate, self.label, self.source_id)
+        """New clip with the same rate and source but different samples."""
+        return AudioClip(samples, self.sample_rate, self.source_id)
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return clip
     ratio = target_rate / clip.sample_rate
     out = sinc_resample(clip.samples, ratio)
-    return AudioClip(out, target_rate, clip.label, clip.source_id)
+    return AudioClip(out, target_rate, clip.source_id)
 
 
 # ---------------------------------------------------------------------------

@@ -68,22 +68,35 @@ class Config:
             raise ConfigError(f"config key {key} is not {kind}: {raw!r}") from exc
 
 
-def spectrogram_config(cfg: Config) -> dsp.SpectrogramConfig:
-    default = dsp.SpectrogramConfig
-    return dsp.SpectrogramConfig(
-        n_fft=cfg.get("n_fft", default.n_fft),
-        hop_length=cfg.get("hop_length", default.hop_length),
-        win_length=cfg.get("win_length", default.win_length),
-        n_mels=cfg.get("n_mels", default.n_mels),
-        log_scale=cfg.get("log_mel", default.log_scale),
-    )
+# Each config key that sets one dataclass field, as key: (owner, field). The
+# field's default is the key's default and the type its value parses as.
+_FIELD_KEYS = {
+    **{key: (dsp.SpectrogramConfig, key)
+       for key in ("n_fft", "hop_length", "win_length", "n_mels")},
+    "log_mel": (dsp.SpectrogramConfig, "log_scale"),
+    **{key: (train.PipelineConfig, key)
+       for key in ("feature", "downsample", "reshape_rows", "reshape_cols")},
+    "normalize01": (train.PipelineConfig, "normalize"),
+    **{key: (train.TrainConfig, key) for key in (
+        "lr_peak", "warmup_steps", "batch_size", "epochs", "window_samples", "val_fraction")},
+    **{key: (model_mod.ModelConfig, key)
+       for key in ("hidden", "layers", "heads", "share_layers")},
+    "dropout": (model_mod.ModelConfig, "dropout_rate"),
+    **{key: (tokenizer.CurveSpec, key) for key in ("curve_len", "resolution", "top_k")},
+    "curve_mode": (tokenizer.CurveSpec, "mode"),
+}
+
+
+def _fields(cfg: Config, owner) -> dict:
+    """The fields of ``owner`` that ``_FIELD_KEYS`` sets, as parsed from ``cfg``."""
+    return {field: cfg.get(key, getattr(owner, field))
+            for key, (key_owner, field) in _FIELD_KEYS.items() if key_owner is owner}
 
 
 def pipeline_config(cfg: Config) -> train.PipelineConfig:
-    default = train.PipelineConfig
-    feature = cfg.get("feature", default.feature)
+    fields = _fields(cfg, train.PipelineConfig)
     vocab = None
-    if feature == train.CURVE:
+    if fields["feature"] == train.CURVE:
         vocab_path = cfg.get("vocab_path")
         if vocab_path is None:
             raise ConfigError("curve feature requires a vocab_path config key")
@@ -92,15 +105,8 @@ def pipeline_config(cfg: Config) -> train.PipelineConfig:
         except OSError as exc:
             raise ConfigError(f"config key vocab_path: {exc}") from exc
     return train.PipelineConfig(
-        feature=feature,
-        spectrogram=spectrogram_config(cfg),
-        n_coeffs=cfg.get("n_coeffs", 0) or None,
-        downsample=cfg.get("downsample", default.downsample),
-        normalize=cfg.get("normalize01", default.normalize),
-        reshape_rows=cfg.get("reshape_rows", default.reshape_rows),
-        reshape_cols=cfg.get("reshape_cols", default.reshape_cols),
-        vocab=vocab,
-    )
+        spectrogram=dsp.SpectrogramConfig(**_fields(cfg, dsp.SpectrogramConfig)),
+        n_coeffs=cfg.get("n_coeffs", 0) or None, vocab=vocab, **fields)
 
 
 def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
@@ -113,33 +119,15 @@ def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
 
 
 def train_config(cfg: Config, seed: int) -> train.TrainConfig:
-    default = train.TrainConfig
     val_fold = cfg.get("val_fold", -1)
     return train.TrainConfig(
-        lr_peak=cfg.get("lr_peak", default.lr_peak),
-        warmup_steps=cfg.get("warmup_steps", default.warmup_steps),
-        batch_size=cfg.get("batch_size", default.batch_size),
-        epochs=cfg.get("epochs", default.epochs),
-        seed=seed,
-        window_samples=cfg.get("window_samples", default.window_samples),
-        augments=augment_specs(cfg),
-        pipeline=pipeline_config(cfg),
-        val_fold=val_fold if val_fold >= 0 else None,
-        val_fraction=cfg.get("val_fraction", default.val_fraction),
-    )
+        seed=seed, augments=augment_specs(cfg), pipeline=pipeline_config(cfg),
+        val_fold=val_fold if val_fold >= 0 else None, **_fields(cfg, train.TrainConfig))
 
 
 def model_config(cfg: Config, pipeline: train.PipelineConfig,
                  window_samples: int, classes: int) -> model_mod.ModelConfig:
-    default = model_mod.ModelConfig
-    return pipeline.model_config(
-        window_samples, classes,
-        hidden=cfg.get("hidden", default.hidden),
-        layers=cfg.get("layers", default.layers),
-        heads=cfg.get("heads", default.heads),
-        share_layers=cfg.get("share_layers", default.share_layers),
-        dropout_rate=cfg.get("dropout", default.dropout_rate),
-    )
+    return pipeline.model_config(window_samples, classes, **_fields(cfg, model_mod.ModelConfig))
 
 
 def load_dataset(cfg: Config) -> audio_io.DatasetManifest:
@@ -169,13 +157,7 @@ def cmd_featurize(args, cfg: Config) -> int:
 
 def cmd_build_vocab(args, cfg: Config) -> int:
     manifest = load_dataset(cfg)
-    default = tokenizer.CurveSpec
-    spec = tokenizer.CurveSpec(
-        curve_len=cfg.get("curve_len", default.curve_len),
-        resolution=cfg.get("resolution", default.resolution),
-        top_k=cfg.get("top_k", default.top_k),
-        mode=cfg.get("curve_mode", default.mode),
-    )
+    spec = tokenizer.CurveSpec(**_fields(cfg, tokenizer.CurveSpec))
     store = train.ClipStore()
     corpus = [store.load(e) for e in manifest.entries]
     vocab, stats = tokenizer.build_curve_vocab(corpus, spec)
@@ -306,11 +288,8 @@ _SWEEP_KEYS = ("n_mels", "hop_length", "layers", "heads", "window_samples", "aug
 
 # Every key a reader above uses; main rejects any other as a typo.
 KNOWN_KEYS = frozenset((
-    "data_root", "layout", "vocab_path", "feature", "n_coeffs", "downsample", "normalize01",
-    "reshape_rows", "reshape_cols", "n_fft", "hop_length", "win_length", "n_mels", "log_mel",
-    "augment", "augment_probability", "lr_peak", "warmup_steps", "batch_size", "epochs",
-    "seed", "window_samples", "val_fold", "val_fraction", "hidden", "layers", "heads",
-    "share_layers", "dropout", "classes", "curve_len", "resolution", "top_k", "curve_mode",
+    *_FIELD_KEYS, "data_root", "layout", "vocab_path", "n_coeffs", "augment",
+    "augment_probability", "seed", "val_fold", "classes",
     *(f"aug_{kind}{suffix}" for kind in augment.AUGMENTATIONS for suffix in ("", "_p")),
     *(f"sweep_{key}" for key in _SWEEP_KEYS),
 ))

@@ -22,6 +22,7 @@ arithmetic runs in float64.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -436,27 +437,9 @@ def backward(params: ModelParams, backwards: list, dlogits: np.ndarray) -> dict[
 # ---------------------------------------------------------------------------
 
 def count_params(cfg: ModelConfig) -> int:
-    """Learnable parameter count (running stats excluded).
-
-    Continuous mode follows the closed form
-    2L + (F*H + H) + 2H + 2H + blocks*(12H^2 + 13H) + (H^2 + H) + (H*C + C).
-    """
-    h, c = cfg.hidden, cfg.classes
-    if cfg.input_mode == CONTINUOUS:
-        input_part = 2 * cfg.seq_len + (cfg.input_dim * h + h)
-    else:
-        input_part = cfg.input_dim * h
-        if cfg.use_positional:
-            input_part += cfg.seq_len * h
-    layer_block = 12 * h * h + 13 * h
-    return (
-        input_part
-        + 2 * h  # segment bias table
-        + 2 * h  # embedding LayerNorm
-        + cfg.n_layer_blocks * layer_block
-        + (h * h + h)  # pooler
-        + (h * c + c)  # classifier
-    )
+    """Learnable parameter count (running stats excluded)."""
+    shapes = param_shapes(cfg)
+    return sum(math.prod(shapes[name]) for name in learnable_names(cfg))
 
 
 PER_POSITION = "per_position"

@@ -100,10 +100,6 @@ class CurveVocab:
     def curves(self) -> list[tuple[int, ...]]:
         return [tuple(curve) for curve in self.levels.tolist()]
 
-    @cached_property
-    def ids(self) -> dict[tuple[int, ...], int]:
-        return {curve: N_SPECIAL + rank for rank, curve in enumerate(self.curves)}
-
     def __len__(self) -> int:
         return len(self.levels)
 
@@ -168,12 +164,6 @@ def tokenize(clip: AudioClip, vocab: CurveVocab) -> np.ndarray:
     """
     ids = vocab._lookup_keys(_curve_keys(clip, vocab.spec, vocab.spec.curve_len))
     return np.concatenate(([CLS_ID], ids))
-
-
-def coverage(vocab: CurveVocab, corpus) -> CoverageStats:
-    """Recompute both coverage fractions of ``vocab`` over a corpus."""
-    corpus = list(corpus)
-    return _coverage(vocab, corpus, *_count_curves(corpus, vocab.spec))
 
 
 def _coverage(vocab: CurveVocab, corpus: list[AudioClip], keys: np.ndarray,

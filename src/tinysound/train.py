@@ -237,7 +237,7 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 class ClipStore:
-    """Caches labelled dataset clips, decoded at 44.1 kHz (a hit returns the cached
+    """Caches dataset clips by path, decoded at 44.1 kHz (a hit returns the cached
     clip itself), and the read-only features of windows that cannot change between
     epochs. One lock guards both caches; clips decode under it, features outside."""
 
@@ -254,12 +254,11 @@ class ClipStore:
         return value
 
     def load(self, entry: ManifestEntry) -> AudioClip:
-        key = (str(entry.path), entry.label)
+        key = str(entry.path)
         with self._lock:
             clip = self._cache.get(key)
             if clip is None:
-                clip = self._put(self._cache, key, replace(
-                    audio_io.load_audio(entry.path), label=entry.label))
+                clip = self._put(self._cache, key, audio_io.load_audio(entry.path))
         return clip
 
     def features(self, clip: AudioClip, start: int, cfg: TrainConfig) -> np.ndarray:

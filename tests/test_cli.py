@@ -76,6 +76,104 @@ class TestConfigFile:
         assert len(specs) == 10
 
 
+# Every key the command line accepted before the key-to-field table existed.
+_KEYS_BEFORE_TABLE = frozenset({
+    "aug_add_noise", "aug_add_noise_p", "aug_amplify", "aug_amplify_p", "aug_amplitude_clip",
+    "aug_amplitude_clip_p", "aug_bitwise_downsample", "aug_bitwise_downsample_p", "aug_echo",
+    "aug_echo_p", "aug_hpss", "aug_hpss_p", "aug_lowpass", "aug_lowpass_p",
+    "aug_partial_erase", "aug_partial_erase_p", "aug_pitch_shift", "aug_pitch_shift_p",
+    "aug_samplerate_downsample", "aug_samplerate_downsample_p", "aug_speed_adjust",
+    "aug_speed_adjust_p", "augment", "augment_probability", "batch_size", "classes",
+    "curve_len", "curve_mode", "data_root", "downsample", "dropout", "epochs", "feature",
+    "heads", "hidden", "hop_length", "layers", "layout", "log_mel", "lr_peak", "n_coeffs",
+    "n_fft", "n_mels", "normalize01", "reshape_cols", "reshape_rows", "resolution", "seed",
+    "share_layers", "sweep_augment", "sweep_heads", "sweep_hop_length", "sweep_layers",
+    "sweep_n_mels", "sweep_window_samples", "top_k", "val_fold", "val_fraction", "vocab_path",
+    "warmup_steps", "win_length", "window_samples",
+})
+
+# Each config key that sets one field: a valid value unlike the default, the
+# config that owns the field, the field, and the value it parses to.
+_ONE_FIELD_KEYS = {
+    "n_fft": ("2048", "spectrogram", "n_fft", 2048),
+    "hop_length": ("256", "spectrogram", "hop_length", 256),
+    "win_length": ("512", "spectrogram", "win_length", 512),
+    "n_mels": ("64", "spectrogram", "n_mels", 64),
+    "log_mel": ("off", "spectrogram", "log_scale", False),
+    "feature": ("mfcc", "pipeline", "feature", "mfcc"),
+    "downsample": ("2", "pipeline", "downsample", 2),
+    "normalize01": ("yes", "pipeline", "normalize", True),
+    "reshape_rows": ("256", "pipeline", "reshape_rows", 256),
+    "reshape_cols": ("128", "pipeline", "reshape_cols", 128),
+    "lr_peak": ("0.002", "train", "lr_peak", 0.002),
+    "warmup_steps": ("5", "train", "warmup_steps", 5),
+    "batch_size": ("8", "train", "batch_size", 8),
+    "epochs": ("3", "train", "epochs", 3),
+    "window_samples": ("8192", "train", "window_samples", 8192),
+    "val_fraction": ("0.5", "train", "val_fraction", 0.5),
+    "hidden": ("32", "model", "hidden", 32),
+    "layers": ("2", "model", "layers", 2),
+    "heads": ("4", "model", "heads", 4),
+    "share_layers": ("true", "model", "share_layers", True),
+    "dropout": ("0.25", "model", "dropout_rate", 0.25),
+    "curve_len": ("4", "curve", "curve_len", 4),
+    "resolution": ("16", "curve", "resolution", 16),
+    "top_k": ("100", "curve", "top_k", 100),
+    "curve_mode": ("relative", "curve", "mode", "relative"),
+}
+
+
+class _SpecSeen(Exception):
+    pass
+
+
+def one_field_values(values: dict, tmp_path, monkeypatch) -> dict:
+    """Every field of ``_ONE_FIELD_KEYS`` as the command line builds it from
+    ``values``: through ``train_config``, ``model_config`` and build-vocab."""
+    cfg = cli.Config(values)
+    tcfg = cli.train_config(cfg, 0)
+    specs = []
+
+    def seen(corpus, spec):
+        specs.append(spec)
+        raise _SpecSeen
+
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda cfg: audio_io.DatasetManifest((), ("a",), "csv"))
+    monkeypatch.setattr(tokenizer, "build_curve_vocab", seen)
+    with pytest.raises(_SpecSeen):
+        cli.main(["build-vocab", "--config", write_cfg(tmp_path / "c.cfg", **values)])
+    owners = {"spectrogram": tcfg.pipeline.spectrogram, "pipeline": tcfg.pipeline,
+              "train": tcfg, "model": cli.model_config(cfg, tcfg.pipeline,
+                                                       tcfg.window_samples, classes=3),
+              "curve": specs[0]}
+    return {(owner, field): getattr(owners[owner], field)
+            for _, owner, field, _ in _ONE_FIELD_KEYS.values()}
+
+
+class TestFieldKeys:
+    def test_known_keys_unchanged(self):
+        assert cli.KNOWN_KEYS == _KEYS_BEFORE_TABLE
+
+    def test_every_table_key_has_a_case(self):
+        assert set(cli._FIELD_KEYS) == set(_ONE_FIELD_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(_ONE_FIELD_KEYS))
+    def test_key_sets_its_field_only(self, key, tmp_path, monkeypatch):
+        raw, owner, field, value = _ONE_FIELD_KEYS[key]
+        expected = one_field_values({}, tmp_path, monkeypatch)
+        assert expected[owner, field] != value
+        expected[owner, field] = value
+        assert one_field_values({key: raw}, tmp_path, monkeypatch) == expected
+
+    @pytest.mark.parametrize("key,kind", [("n_fft", "an integer"), ("lr_peak", "a number"),
+                                          ("log_mel", "a boolean"), ("dropout", "a number")])
+    def test_malformed_value_names_its_key(self, key, kind, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", **{key: "x1"})
+        assert cli.main(["count", "--config", cfg]) == 2
+        assert f"config key {key} is not {kind}: 'x1'" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_no_subcommand_usage_error(self, capsys):
         assert cli.main([]) == 1
@@ -106,7 +204,7 @@ class TestExitCodes:
         source = Path(cli.__file__).read_text()
         read = set(re.findall(r'(?:cfg|config)\.get\("(\w+)"', source))
         families = {k for k in cli.KNOWN_KEYS if k.startswith(("aug_", "sweep_"))}
-        assert read == cli.KNOWN_KEYS - families
+        assert read == cli.KNOWN_KEYS - families - set(cli._FIELD_KEYS)
 
     def test_diverging_train_is_two(self, small_dataset, tmp_path, capsys):
         keys = dict(FAST_KEYS, epochs=3, lr_peak=1e38, warmup_steps=0)

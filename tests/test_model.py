@@ -241,7 +241,32 @@ class TestForward:
         assert not np.allclose(a, b)  # same weights, applied 1x vs 3x
 
 
+def closed_form_params(cfg):
+    """Learnable count by the closed form
+    2L + (F*H + H) + 2H + 2H + blocks*(12H^2 + 13H) + (H^2 + H) + (H*C + C),
+    whose input part is F*H (+ L*H positional) in tokens mode."""
+    h, c = cfg.hidden, cfg.classes
+    if cfg.input_mode == "continuous":
+        input_part = 2 * cfg.seq_len + (cfg.input_dim * h + h)
+    else:
+        input_part = cfg.input_dim * h + (cfg.seq_len * h if cfg.use_positional else 0)
+    return (input_part + 2 * h + 2 * h + cfg.n_layer_blocks * (12 * h * h + 13 * h)
+            + (h * h + h) + (h * c + c))
+
+
 class TestCountParams:
+    @pytest.mark.parametrize("mode,use_positional", [("continuous", None), ("tokens", None),
+                                                     ("tokens", False)])
+    @pytest.mark.parametrize("share_layers", [False, True])
+    @pytest.mark.parametrize("hidden,layers,heads", [(4, 1, 1), (8, 2, 2), (16, 3, 4),
+                                                      (24, 4, 3)])
+    def test_matches_closed_form(self, mode, use_positional, share_layers, hidden, layers,
+                                 heads):
+        cfg = model.ModelConfig(input_mode=mode, input_dim=11, seq_len=7, hidden=hidden,
+                                layers=layers, heads=heads, classes=5,
+                                use_positional=use_positional, share_layers=share_layers)
+        assert model.count_params(cfg) == closed_form_params(cfg)
+
     def test_table_values(self):
         assert model.count_params(TINY86) == 5954
         assert model.count_params(TINY430) == 6642

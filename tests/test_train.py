@@ -584,7 +584,7 @@ class TestParallelPreparation:
         decodes, errors = [], []
 
         def counted_load_audio(path):  # runs under the store's lock
-            if any(key[0] == str(path) for key in store._cache):
+            if str(path) in store._cache:
                 errors.append(f"{path} decoded while cached")
             decodes.append(str(path))
             return load_audio(path)
@@ -594,7 +594,7 @@ class TestParallelPreparation:
                 for _ in range(40):
                     for e in order:
                         clip = store.load(e)
-                        assert clip.source_id == str(e.path) and clip.label == e.label
+                        assert clip.source_id == str(e.path)
                         feats = store.features(clip, 0, train.TrainConfig(window_samples=SR))
                         assert feats.shape == (86, 128)
             except Exception as exc:  # reported by the main thread
