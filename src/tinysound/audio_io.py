@@ -44,11 +44,10 @@ _RESAMPLE_CHUNK = 16384
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Immutable mono waveform with its sampling rate and source."""
+    """Immutable mono waveform with its sampling rate."""
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str = ""
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.float64, copy=True)
@@ -66,15 +65,14 @@ class AudioClip:
         return self.samples.size
 
     def with_samples(self, samples: np.ndarray) -> "AudioClip":
-        """New clip with the same rate and source but different samples."""
-        return AudioClip(samples, self.sample_rate, self.source_id)
+        """New clip with the same rate but different samples."""
+        return AudioClip(samples, self.sample_rate)
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
     path: Path
     label: int
-    class_name: str
     fold: int = -1
 
 
@@ -84,7 +82,6 @@ class DatasetManifest:
 
     entries: tuple[ManifestEntry, ...]
     class_names: tuple[str, ...]
-    layout: str
 
     def __post_init__(self):
         n = len(self.class_names)
@@ -200,9 +197,7 @@ def encode_wav(clip: AudioClip, bits: int = 16) -> bytes:
 
 
 def read_wav(path: str | Path) -> AudioClip:
-    path = Path(path)
-    clip = decode_wav(path.read_bytes())
-    return AudioClip(clip.samples, clip.sample_rate, source_id=str(path))
+    return decode_wav(Path(path).read_bytes())
 
 
 def load_audio(path: str | Path) -> AudioClip:
@@ -293,7 +288,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return clip
     ratio = target_rate / clip.sample_rate
     out = sinc_resample(clip.samples, ratio)
-    return AudioClip(out, target_rate, clip.source_id)
+    return AudioClip(out, target_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +338,7 @@ def _load_csv_manifest(root: Path) -> tuple[list, list[str]]:
 
     class_names = sorted({cat for _, _, cat in rows})
     index = {name: i for i, name in enumerate(class_names)}
-    entries = [
-        ManifestEntry(path, index[cat], cat, fold) for path, fold, cat in rows
-    ]
+    entries = [ManifestEntry(path, index[cat], fold) for path, fold, cat in rows]
     return entries, class_names
 
 
@@ -358,7 +351,7 @@ def _load_folder_manifest(root: Path) -> tuple[list, list[str]]:
         if not wavs:
             warnings.warn(f"class folder {class_dir} contains no wav files")
         for path in wavs:
-            entries.append(ManifestEntry(path, label, class_dir.name, -1))
+            entries.append(ManifestEntry(path, label))
     return entries, class_names
 
 
@@ -384,7 +377,7 @@ def load_manifest(root: str | Path, layout: str = CSV_MANIFEST) -> DatasetManife
     for e in entries:
         if not e.path.is_file():
             raise ManifestError(f"manifest references missing file {e.path}")
-    return DatasetManifest(tuple(entries), tuple(class_names), layout)
+    return DatasetManifest(tuple(entries), tuple(class_names))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import logging
 import sys
@@ -196,12 +197,9 @@ def _run_training(args, cfg: Config, base: model_mod.Checkpoint | None) -> int:
         result = train.finetune(base, manifest, tcfg, model_cfg=mcfg)
     out_dir = Path(args.out or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_mod.save_checkpoint(out_dir / "best.tsck", result.best.params,
-                              result.best.opt_tensors, result.best.step,
-                              result.best.metadata)
-    model_mod.save_checkpoint(out_dir / "last.tsck", result.last.params,
-                              result.last.opt_tensors, result.last.step,
-                              result.last.metadata)
+    for name, ckpt in (("best", result.best), ("last", result.last)):
+        model_mod.save_checkpoint(out_dir / f"{name}.tsck", ckpt.params, ckpt.opt_tensors,
+                                  ckpt.step, ckpt.metadata)
     train.write_metrics_csv(out_dir / "metrics.csv", result.metrics)
     best_acc = result.best.metadata["val_acc"]
     print(f"best val_acc={best_acc:.4f}; checkpoints and metrics.csv in {out_dir}")
@@ -238,10 +236,8 @@ def cmd_predict(args, cfg: Config) -> int:
         logits = deploy.qforward(loaded, example[None, ...])[0]
     else:
         logits = model_mod.forward(loaded.params, example[None, ...], training=False)[0]
-    metadata = loaded.metadata
-    probs = np.exp(logits - logits.max())
-    probs /= probs.sum()
-    names = metadata.get("class_names") or [str(i) for i in range(len(probs))]
+    probs = model_mod.softmax(logits)
+    names = loaded.metadata.get("class_names") or [str(i) for i in range(len(probs))]
     order = np.argsort(probs)[::-1]
     print(f"prediction: {names[order[0]]}")
     for i in order:
@@ -337,7 +333,9 @@ def cmd_sweep(args, cfg: Config) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command table, built once per process; ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="tinysound",
         description="Tiny-transformer environmental sound classification toolkit.",

@@ -40,6 +40,10 @@ class SpectrogramConfig:
     def __post_init__(self):
         if self.hop_length <= 0:
             raise ConfigError(f"hop_length must be positive, got {self.hop_length}")
+        if self.win_length < 1:
+            raise ConfigError(f"win_length must be >= 1, got {self.win_length}")
+        if self.n_mels < 1:
+            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
         if self.win_length > self.n_fft:
             raise ConfigError(
                 f"win_length {self.win_length} exceeds n_fft {self.n_fft}"
@@ -155,8 +159,6 @@ def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
     by 2 / (f_upper - f_lower) so filter area is independent of bandwidth.
     Built once per config and shared, so the returned array is read-only.
     """
-    if cfg.n_mels > cfg.n_bins:
-        raise ConfigError(f"n_mels {cfg.n_mels} exceeds available bins {cfg.n_bins}")
     edges_mel = np.linspace(0.0, float(hz_to_mel(TARGET_RATE / 2.0)), cfg.n_mels + 2)
     edges_hz = mel_to_hz(edges_mel)
     bin_freqs = np.arange(cfg.n_bins) * TARGET_RATE / cfg.n_fft

@@ -25,7 +25,7 @@ from . import audio_io, dsp, tokenizer as tokenizer_mod
 from .audio_io import AudioClip, DatasetManifest, ManifestEntry
 from .augment import AugmentSpec, apply_pipeline
 from .dsp import AMPLITUDE, FEATURE_KINDS, MEL, MFCC
-from .errors import ConfigError, DivergenceError
+from .errors import CheckpointError, ConfigError, DivergenceError
 from .model import (
     CONTINUOUS,
     TOKENS,
@@ -69,30 +69,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 # Optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptState:
-    """Adam first/second moments (float32 storage) and the step counter."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        out = {f"m__{k}": t for k, t in self.m.items()}
-        out.update({f"v__{k}": t for k, t in self.v.items()})
-        return out
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], step: int) -> "OptState":
-        m = {k[3:]: t for k, t in tensors.items() if k.startswith("m__")}
-        v = {k[3:]: t for k, t in tensors.items() if k.startswith("v__")}
-        return cls(m, v, step)
-
-
-def init_opt_state(params: ModelParams) -> OptState:
-    zeros = lambda: {n: np.zeros(params.tensors[n].shape, dtype=np.float32)
-                     for n in learnable_names(params.cfg)}
-    return OptState(zeros(), zeros(), 0)
+def zero_moments(params: ModelParams) -> dict[str, np.ndarray]:
+    """Adam's moments at step 0: float32 zeros ``m__<name>``, then ``v__<name>``."""
+    return {f"{kind}__{n}": np.zeros(params.tensors[n].shape, dtype=np.float32)
+            for kind in ("m", "v") for n in learnable_names(params.cfg)}
 
 
 def lr_at(step: int, cfg: "TrainConfig") -> float:
@@ -105,21 +85,21 @@ def lr_at(step: int, cfg: "TrainConfig") -> float:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
-              opt: OptState, lr: float) -> tuple[ModelParams, OptState]:
-    """One bias-corrected Adam update, in place; returns the same objects.
+              moments: dict[str, np.ndarray], step: int, lr: float) -> int:
+    """One bias-corrected Adam update, in place; returns ``step + 1``.
 
     Raises ``DivergenceError``, with nothing written, when a new weight or
     moment is not finite in float32.
     """
-    t = opt.step + 1
+    t = step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     new = {}
     with np.errstate(over="ignore"):  # overflow is reported below
         for tname in learnable_names(params.cfg):
             g = np.asarray(grads[tname], dtype=np.float64)
-            m = opt.m[tname].astype(np.float64)
-            v = opt.v[tname].astype(np.float64)
+            m = moments[f"m__{tname}"].astype(np.float64)
+            v = moments[f"v__{tname}"].astype(np.float64)
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
@@ -128,12 +108,11 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     bad = [n for n, arrays in new.items() if not all(np.isfinite(a).all() for a in arrays)]
     if bad:
         raise DivergenceError(f"Adam step {t} overflows float32 in {', '.join(bad[:3])}")
-    opt.step = t
     for tname, (new_p, m, v) in new.items():
         params.tensors[tname][...] = new_p
-        opt.m[tname][...] = m
-        opt.v[tname][...] = v
-    return params, opt
+        moments[f"m__{tname}"][...] = m
+        moments[f"v__{tname}"][...] = v
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +205,8 @@ class TrainConfig:
             raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.window_samples <= 0:
             raise ConfigError(f"window_samples must be positive, got {self.window_samples}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -261,14 +242,14 @@ class ClipStore:
                 clip = self._put(self._cache, key, audio_io.load_audio(entry.path))
         return clip
 
-    def features(self, clip: AudioClip, start: int, cfg: TrainConfig) -> np.ndarray:
-        """``cfg.pipeline`` features of the window at ``start`` of a clip this
-        store loaded; key (path, start, window_samples, pipeline)."""
-        key = (clip.source_id, start, cfg.window_samples, cfg.pipeline)
+    def features(self, entry: ManifestEntry, start: int, cfg: TrainConfig) -> np.ndarray:
+        """``cfg.pipeline`` features of ``entry``'s window at ``start``; a miss loads the clip."""
+        key = (str(entry.path), start, cfg.window_samples, cfg.pipeline)
         with self._lock:
             feats = self._features.get(key)
         if feats is None:
-            feats = cfg.pipeline.extract(audio_io.slice_at(clip, cfg.window_samples, start))
+            window = audio_io.slice_at(self.load(entry), cfg.window_samples, start)
+            feats = cfg.pipeline.extract(window)
             feats.setflags(write=False)
             with self._lock:
                 self._put(self._features, key, feats)
@@ -306,7 +287,7 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
                      epoch: int, index: int) -> np.ndarray:
     clip = store.load(entry)
     if not cfg.augments and len(clip) <= cfg.window_samples:
-        return store.features(clip, 0, cfg)  # random_slice starts it at 0 whatever it draws
+        return store.features(entry, 0, cfg)  # random_slice starts it at 0 whatever it draws
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, index]))
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
@@ -355,18 +336,12 @@ class TrainResult:
     metrics: list[dict]
 
 
-def _snapshot(params: ModelParams, opt: OptState, epoch: int, val_acc: float,
-              class_names, cfg: TrainConfig) -> Checkpoint:
-    meta = {
-        "epoch": epoch,
-        "val_acc": float(val_acc),
-        "class_names": list(class_names),
-        "seed": cfg.seed,
-        "window_samples": cfg.window_samples,
-    }
+def _snapshot(params: ModelParams, moments: dict[str, np.ndarray], step: int, epoch: int,
+              val_acc: float, class_names, cfg: TrainConfig) -> Checkpoint:
+    meta = {"epoch": epoch, "val_acc": float(val_acc), "class_names": list(class_names),
+            "seed": cfg.seed, "window_samples": cfg.window_samples}
     params_copy = ModelParams(params.cfg, {k: v.copy() for k, v in params.tensors.items()})
-    opt_copy = {k: t.copy() for k, t in opt.to_tensors().items()}
-    return Checkpoint(params_copy, opt_copy, opt.step, meta)
+    return Checkpoint(params_copy, {k: t.copy() for k, t in moments.items()}, step, meta)
 
 
 def _config_diffs(have: ModelConfig, want: ModelConfig) -> list[str]:
@@ -376,13 +351,20 @@ def _config_diffs(have: ModelConfig, want: ModelConfig) -> list[str]:
 
 def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) -> None:
     """A resumed run continues bit for bit only under the config it was saved
-    with; metadata keys the checkpoint lacks are not checked."""
+    with; metadata keys the checkpoint lacks are not checked. A moment table
+    unlike ``zero_moments``' in names or shapes raises ``CheckpointError``."""
     diffs = _config_diffs(ckpt.params.cfg, model_cfg)
     diffs += [f"{k}={ckpt.metadata[k]!r}, requested {getattr(cfg, k)!r}"
               for k in ("seed", "window_samples")
               if k in ckpt.metadata and ckpt.metadata[k] != getattr(cfg, k)]
     if diffs:
         raise ConfigError("cannot resume: checkpoint has " + "; ".join(diffs))
+    have = {k: t.shape for k, t in (ckpt.opt_tensors or {}).items()}
+    want = {k: t.shape for k, t in zero_moments(ckpt.params).items()} if have else {}
+    for k in {**want, **have}:
+        if have.get(k) != want.get(k):
+            raise CheckpointError(f"cannot resume: optimizer moment {k}: checkpoint has "
+                                  f"{have.get(k, 'no entry')}, model needs {want.get(k, 'none')}")
 
 
 def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, step: int) -> None:
@@ -420,10 +402,9 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     _check_resume(resume_from, model_cfg, cfg)
     params = ModelParams(resume_from.params.cfg,
                          {k: v.copy() for k, v in resume_from.params.tensors.items()})
-    opt = OptState.from_tensors(resume_from.opt_tensors or {}, resume_from.step)
-    if not opt.m:
-        opt = init_opt_state(params)
-        opt.step = resume_from.step
+    zeros = zero_moments(params)
+    moments = {k: (resume_from.opt_tensors or zeros)[k].astype(np.float32) for k in zeros}
+    step = resume_from.step
     start_epoch = int(resume_from.metadata.get("epoch", -1)) + 1
 
     metrics: list[dict] = []
@@ -447,7 +428,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
                 grads = backward(params, backwards, dlogits)
                 _check_finite(loss, grads, epoch, step_idx)
                 try:
-                    adam_step(params, grads, opt, lr_at(opt.step + 1, cfg))
+                    step = adam_step(params, grads, moments, step, lr_at(step + 1, cfg))
                 except DivergenceError as exc:
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}, step {step_idx}: {exc}") from None
@@ -458,12 +439,12 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             metrics.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
             log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
 
-            last = _snapshot(params, opt, epoch, val_acc, manifest.class_names, cfg)
+            last = _snapshot(params, moments, step, epoch, val_acc, manifest.class_names, cfg)
             if best is None or not (val_acc <= best.metadata["val_acc"]):
                 best = last
 
     if last is None:  # zero epochs: snapshot the initial state
-        last = _snapshot(params, opt, start_epoch - 1, float("nan"), manifest.class_names, cfg)
+        last = _snapshot(params, moments, step, start_epoch - 1, np.nan, manifest.class_names, cfg)
         best = last
     return TrainResult(best, last, metrics)
 
@@ -481,8 +462,8 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
     store = store if store is not None else ClipStore()
 
     def example(entry):
-        clip = store.load(entry)
-        return store.features(clip, audio_io.center_start(len(clip), cfg.window_samples), cfg)
+        start = audio_io.center_start(len(store.load(entry)), cfg.window_samples)
+        return store.features(entry, start, cfg)
 
     correct = 0
     with _helper_pool() if pool is None else contextlib.nullcontext(pool) as pool:

@@ -252,7 +252,6 @@ class TestLoadAudio:
         assert clip.sample_rate == audio_io.TARGET_RATE
         np.testing.assert_array_equal(
             clip.samples, resample(audio_io.read_wav(path), audio_io.TARGET_RATE).samples)
-        assert clip.source_id == str(path)
 
     def test_target_rate_file_unchanged(self, tmp_path):
         path = tmp_path / "native.wav"

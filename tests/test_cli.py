@@ -1,5 +1,6 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
+import argparse
 import json
 import re
 import warnings
@@ -139,7 +140,7 @@ def one_field_values(values: dict, tmp_path, monkeypatch) -> dict:
         raise _SpecSeen
 
     monkeypatch.setattr(cli, "load_dataset",
-                        lambda cfg: audio_io.DatasetManifest((), ("a",), "csv"))
+                        lambda cfg: audio_io.DatasetManifest((), ("a",)))
     monkeypatch.setattr(tokenizer, "build_curve_vocab", seen)
     with pytest.raises(_SpecSeen):
         cli.main(["build-vocab", "--config", write_cfg(tmp_path / "c.cfg", **values)])
@@ -188,6 +189,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
 
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        assert cli.main(["count"]) == 0
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        assert cli.main(["count"]) == 0
+        assert built == []
+
     def test_unknown_keys_are_two_and_named(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", **dict(TINY_KEYS, hiden=32, n_mel=64))
         assert cli.main(["count", "--config", cfg]) == 2
@@ -223,6 +232,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         errors = [line for line in err if line.startswith("error:")]
         assert len(errors) == 1 and "val_fraction" in errors[0]
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_fewer_than_one_epoch_is_two(self, small_dataset, tmp_path, capsys, epochs):
+        cfg = write_cfg(tmp_path / "c.cfg", data_root=str(small_dataset),
+                        layout="folder_per_class", **dict(FAST_KEYS, epochs=epochs))
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestCount:
@@ -407,7 +424,6 @@ class TestSweep:
 
     def test_two_by_two_grid(self, small_dataset, tmp_path):
         keys = self._base_keys(small_dataset)
-        keys["epochs"] = 0  # grid shape only
         cfg = write_cfg(tmp_path / "c.cfg", sweep_n_mels="16,32",
                         sweep_heads="1,2", **keys)
         out = tmp_path / "sweep.csv"
@@ -416,7 +432,6 @@ class TestSweep:
 
     def test_budget_subsamples_deterministically(self, small_dataset, tmp_path):
         keys = self._base_keys(small_dataset)
-        keys["epochs"] = 0
         cfg = write_cfg(tmp_path / "c.cfg", sweep_n_mels="4,8,12,16,20,24,28,32",
                         sweep_heads="1,2,4", **keys)
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

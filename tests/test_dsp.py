@@ -40,6 +40,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             dsp.SpectrogramConfig(hop_length=0)
 
+    @pytest.mark.parametrize("field, value", [("win_length", 0), ("win_length", -600),
+                                              ("n_mels", 0), ("n_mels", -1)])
+    def test_rejects_nonpositive_window_and_mels(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            dsp.SpectrogramConfig(**{field: value})
+
 
 class TestStft:
     def test_bin_centered_sine_peaks_at_its_bin(self):

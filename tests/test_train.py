@@ -14,7 +14,7 @@ import pytest
 
 import tinysound
 from tinysound import audio_io, augment, dsp, model, tokenizer, train
-from tinysound.errors import ConfigError, DecodeError, DivergenceError
+from tinysound.errors import CheckpointError, ConfigError, DecodeError, DivergenceError
 
 from conftest import (SR, assert_grads_close, finite_difference_grads, sine,
                       write_synth_dataset)
@@ -148,60 +148,59 @@ class TestAdam:
     def _setup(self, seed=50):
         cfg = grad_cfg()
         params = model.init_model(cfg, np.random.default_rng(seed))
-        opt = train.init_opt_state(params)
-        return cfg, params, opt
+        return cfg, params, train.zero_moments(params)
 
     def test_zero_gradients_no_change(self):
-        cfg, params, opt = self._setup()
+        cfg, params, moments = self._setup()
         before = {k: v.copy() for k, v in params.tensors.items()}
         zeros = {n: np.zeros(params.tensors[n].shape) for n in model.learnable_names(cfg)}
-        train.adam_step(params, zeros, opt, lr=1e-3)
+        assert train.adam_step(params, zeros, moments, 0, lr=1e-3) == 1
         for name in before:
             np.testing.assert_array_equal(params.tensors[name], before[name])
-        assert opt.step == 1
 
     def test_first_step_is_signed_lr(self):
-        cfg, params, opt = self._setup()
+        cfg, params, moments = self._setup()
         grads = {n: np.zeros(params.tensors[n].shape) for n in model.learnable_names(cfg)}
         grads["cls_b"] = np.array([0.5, -0.25, 0.0])
         before = params.tensors["cls_b"].copy()
-        train.adam_step(params, grads, opt, lr=1e-3)
+        train.adam_step(params, grads, moments, 0, lr=1e-3)
         delta = params.tensors["cls_b"] - before
         np.testing.assert_allclose(delta[:2], [-1e-3, 1e-3], rtol=1e-4)
         assert delta[2] == 0.0
 
     def test_lr_zero_keeps_loss(self):
-        cfg, params, opt = self._setup()
+        cfg, params, moments = self._setup()
         batch = np.random.default_rng(12).normal(size=(2, 4, 6))
         labels = np.array([0, 1])
         logits, trace = model.forward(params, batch, training=True, freeze_stats=True)
         loss_before, dlogits = train.cross_entropy(logits, labels)
         grads = train.backward(params, trace, dlogits)
-        train.adam_step(params, grads, opt, lr=0.0)
+        train.adam_step(params, grads, moments, 0, lr=0.0)
         logits2 = model.forward(params, batch, training=False)
         loss_after, _ = train.cross_entropy(logits2, labels)
         assert loss_after == loss_before
 
     def test_deterministic(self):
-        cfg, params_a, opt_a = self._setup(seed=51)
-        _, params_b, opt_b = self._setup(seed=51)
+        cfg, params_a, moments_a = self._setup(seed=51)
+        _, params_b, moments_b = self._setup(seed=51)
         grads = {n: np.random.default_rng(13).normal(size=params_a.tensors[n].shape)
                  for n in model.learnable_names(cfg)}
-        train.adam_step(params_a, grads, opt_a, lr=1e-3)
-        train.adam_step(params_b, grads, opt_b, lr=1e-3)
+        train.adam_step(params_a, grads, moments_a, 0, lr=1e-3)
+        train.adam_step(params_b, grads, moments_b, 0, lr=1e-3)
         for name in params_a.tensors:
             np.testing.assert_array_equal(params_a.tensors[name], params_b.tensors[name])
+        for name in moments_a:
+            np.testing.assert_array_equal(moments_a[name], moments_b[name])
 
     def test_float32_overflow_raises_before_writing(self):
-        cfg, params, opt = self._setup()
+        cfg, params, moments = self._setup()
         grads = {n: np.zeros(params.tensors[n].shape) for n in model.learnable_names(cfg)}
         grads["cls_b"] = np.array([1.0, -1.0, 0.0])
-        train.adam_step(params, grads, opt, lr=1e-3)
-        before = {k: v.copy() for k, v in {**params.tensors, **opt.m, **opt.v}.items()}
+        step = train.adam_step(params, grads, moments, 0, lr=1e-3)
+        before = {k: v.copy() for k, v in {**params.tensors, **moments}.items()}
         with pytest.raises(DivergenceError, match="Adam step 2 overflows float32 in cls_b"):
-            train.adam_step(params, grads, opt, lr=1e39)
-        assert opt.step == 1
-        after = {**params.tensors, **opt.m, **opt.v}
+            train.adam_step(params, grads, moments, step, lr=1e39)
+        after = {**params.tensors, **moments}
         for name in before:
             np.testing.assert_array_equal(after[name], before[name])
 
@@ -320,6 +319,41 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=change):
             train.train_loop(manifest, mcfg, tcfg, resume_from=half.last)
 
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda moments: moments.pop("m__cls_b"), "m__cls_b: checkpoint has no entry"),
+        (lambda moments: moments.update(v__cls_w=np.zeros(1, np.float32)),
+         r"v__cls_w: checkpoint has \(1,\), model needs \(3, 8\)"),
+        (lambda moments: moments.update(m__extra=np.zeros(3, np.float32)),
+         r"m__extra: checkpoint has \(3,\), model needs none"),
+    ], ids=["missing", "misshaped", "extra"])
+    def test_resume_checks_the_moment_table_before_any_example(self, small_dataset,
+                                                                monkeypatch, tamper, named):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        half = train.train_loop(manifest, mcfg, tcfg).last
+        tamper(half.opt_tensors)
+        tcfg.epochs, prepared = 2, []
+        monkeypatch.setattr(train, "_prepare_example", lambda *a: prepared.append(a))
+        with pytest.raises(CheckpointError, match="cannot resume: optimizer moment " + named):
+            train.train_loop(manifest, mcfg, tcfg, resume_from=half)
+        assert prepared == []
+
+    def test_zero_moments_lay_out_a_saved_runs_table(self, small_dataset, tmp_path):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        last = train.train_loop(manifest, mcfg, tcfg).last
+        model.save_checkpoint(tmp_path / "last.tsck", last.params, last.opt_tensors,
+                              last.step, last.metadata)
+        saved = model.load_checkpoint(tmp_path / "last.tsck")
+        layout = lambda table: [(k, t.shape, t.dtype) for k, t in table.items()]
+        assert layout(train.zero_moments(saved.params)) == layout(saved.opt_tensors)
+        assert list(saved.opt_tensors) == [f"{kind}__{name}" for kind in ("m", "v")
+                                           for name in model.learnable_names(mcfg)]
+        assert not any(t.any() for t in train.zero_moments(saved.params).values())
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            train.TrainConfig(epochs=epochs)
+
     def test_divergence_stops_before_the_optimizer_writes(self, small_dataset, monkeypatch):
         manifest, mcfg, tcfg = self._config(3, small_dataset, lr_peak=1e38, warmup_steps=0)
         adam_step, calls = train.adam_step, []
@@ -350,7 +384,7 @@ class TestTrainLoop:
         assert prepared == []
 
     def test_empty_manifest_rejected(self):
-        manifest = audio_io.DatasetManifest((), (), audio_io.FOLDER_PER_CLASS)
+        manifest = audio_io.DatasetManifest((), ())
         with pytest.raises(ValueError):
             train.train_loop(manifest, grad_cfg(), train.TrainConfig())
 
@@ -473,9 +507,8 @@ class TestFeatureCache:
     def test_cached_features_are_read_only(self, small_dataset):
         manifest, _, tcfg = self._config(small_dataset, SR)
         store = train.ClipStore()
-        clip = store.load(manifest.entries[0])
-        feats = store.features(clip, 0, tcfg)
-        assert store.features(store.load(manifest.entries[0]), 0, tcfg) is feats
+        feats = store.features(manifest.entries[0], 0, tcfg)
+        assert store.features(manifest.entries[0], 0, tcfg) is feats
         with pytest.raises(ValueError, match="read-only"):
             feats[0, 0] = 0.0
 
@@ -593,9 +626,8 @@ class TestParallelPreparation:
             try:
                 for _ in range(40):
                     for e in order:
-                        clip = store.load(e)
-                        assert clip.source_id == str(e.path)
-                        feats = store.features(clip, 0, train.TrainConfig(window_samples=SR))
+                        store.load(e)
+                        feats = store.features(e, 0, train.TrainConfig(window_samples=SR))
                         assert feats.shape == (86, 128)
             except Exception as exc:  # reported by the main thread
                 errors.append(repr(exc))
