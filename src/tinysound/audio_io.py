@@ -11,6 +11,7 @@ import csv
 import struct
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -35,10 +36,8 @@ _KAISER_BETA = 8.6
 # Kernel table rows per input sample; linear interpolation between rows
 # keeps outputs within 1e-6 of direct evaluation.
 _PHASES = 4096
-# Outputs per chunk. A 4096-output chunk resamples about 10% faster in
-# isolation, but its workspace (under 3 MB) no longer lifts glibc's dynamic
-# mmap threshold, and every later 44.1 kHz predict in the process then
-# re-faults its ~14 MB of arrays (measured: +38% on perfbench infer p50).
+# Outputs per chunk of the table path, which serves only ratios that are not
+# small fractions; it bounds the gathered (chunk x 2 x taps) workspace.
 _RESAMPLE_CHUNK = 16384
 
 
@@ -60,6 +59,15 @@ class AudioClip:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
+
+    @classmethod
+    def _owning(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
+        """Skips the copy and scan: for a new, finite 1-D float64 array."""
+        clip = object.__new__(cls)
+        samples.setflags(write=False)
+        object.__setattr__(clip, "samples", samples)
+        object.__setattr__(clip, "sample_rate", int(sample_rate))
+        return clip
 
     def __len__(self) -> int:
         return self.samples.size
@@ -158,12 +166,12 @@ def decode_wav(data: bytes) -> AudioClip:
     start, size = payload
 
     if audio_format == _WAVE_PCM and bits == 16:
-        count = size // 2
-        raw = np.frombuffer(data, dtype="<i2", count=count, offset=start)
-        samples = raw.astype(np.float64) / 32768.0
+        raw = np.frombuffer(data, dtype="<i2", count=size // 2, offset=start)
+        samples = np.divide(raw, 32768.0, dtype=np.float64)  # exact: a power of two
     elif audio_format == _WAVE_IEEE_FLOAT and bits == 32:
-        count = size // 4
-        raw = np.frombuffer(data, dtype="<f4", count=count, offset=start)
+        raw = np.frombuffer(data, dtype="<f4", count=size // 4, offset=start)
+        if not np.isfinite(raw).all():
+            raise DecodeError("payload contains non-finite float samples", offset=start)
         samples = raw.astype(np.float64)
     else:
         raise UnsupportedFormatError(
@@ -173,9 +181,7 @@ def decode_wav(data: bytes) -> AudioClip:
     if channels == 2:
         usable = (samples.size // 2) * 2
         samples = samples[:usable].reshape(-1, 2).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise DecodeError("payload contains non-finite float samples", offset=start)
-    return AudioClip(samples, sample_rate)
+    return AudioClip._owning(samples, sample_rate)
 
 
 def encode_wav(clip: AudioClip, bits: int = 16) -> bytes:
@@ -221,25 +227,38 @@ def _table_offsets(half: int) -> np.ndarray:
     return np.arange(_PHASES + 1)[:, None] / _PHASES - np.arange(-half + 1, half + 1)
 
 
-@lru_cache(maxsize=8)
-def _kaiser_window(half: int) -> np.ndarray:
-    """The Kaiser window at every table offset, once per half-width; read-only."""
-    u = _table_offsets(half) / half
+def _kaiser(u: np.ndarray) -> np.ndarray:
+    """The Kaiser window at ``u`` half-widths from its centre; 0 outside."""
     window = np.zeros_like(u)
     inside = np.abs(u) <= 1.0
     window[inside] = i0(_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / i0(_KAISER_BETA)
+    return window
+
+
+@lru_cache(maxsize=8)
+def _kaiser_window(half: int) -> np.ndarray:
+    """The Kaiser window at every table offset, once per half-width; read-only."""
+    window = _kaiser(_table_offsets(half) / half)
     window.flags.writeable = False
     return window
+
+
+def _kaiser_sinc(offsets: np.ndarray, cutoff: float, window: np.ndarray) -> np.ndarray:
+    """The kernel at ``offsets``, given the Kaiser window there."""
+    return cutoff * np.sinc(cutoff * offsets) * window
 
 
 def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.ndarray:
     """Resample by an arbitrary positive ratio (output rate / input rate).
 
-    Output ``i`` is centred at input position ``i / ratio``. The kernel is
-    tabulated at ``_PHASES`` fractional positions per input sample and
-    linearly interpolated between the two neighbouring rows (bandlimited
-    interpolation after J. O. Smith); against the kernel evaluated directly
-    at every offset, outputs of a unit-range input differ by under 1e-6.
+    Output ``i`` is centred at input position ``i / ratio``. A ratio p/q with
+    q <= 512 is resampled by exact polyphase filtering: output ``r + p*m``
+    takes kernel phase ``r``, one directly evaluated row of taps, at input
+    ``floor(r*q/p) + q*m``. Other ratios (pitch_shift's 2^(s/12)) tabulate
+    the kernel at ``_PHASES`` positions per input sample and interpolate
+    between neighbouring rows (bandlimited interpolation after J. O. Smith).
+    Against the directly evaluated kernel, outputs of a unit-range input
+    differ by under 1e-6 on either path.
     """
     ratio = float(ratio)
     if not np.isfinite(ratio) or ratio <= 0:
@@ -251,20 +270,25 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
         return np.zeros(n_out, dtype=np.float64)
     cutoff = min(1.0, ratio)  # anti-alias when decimating
     half = int(np.ceil((_RESAMPLE_TAPS // 2) / cutoff))
-    # row p holds the kernel at offsets p/_PHASES - taps; each row is stored
-    # with its step to the next row, so one einsum gives both terms
-    table = cutoff * np.sinc(cutoff * _table_offsets(half)) * _kaiser_window(half)
-    rows = np.stack([table[:-1], np.diff(table, axis=0)], axis=1)
     # zeros stand for the samples before and after the clip; window b of the
     # padded input holds x[b - half + 1 : b + half + 1], the taps of every
-    # output centred in [b, b + 1)
-    last_base = int((n_out - 1) / ratio)
+    # output centred in [b, b + 1), plus a spare for an exact polyphase base
+    last_base = int((n_out - 1) / ratio) + 1
     padded = np.concatenate([np.zeros(half - 1), x,
                              np.zeros(max(0, last_base + half + 1 - x.size))])
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half)
-
     out = np.empty(n_out, dtype=np.float64)
-    # chunked to bound the (chunk x taps) workspace
+    p, q = Fraction(ratio).limit_denominator(512).as_integer_ratio()
+    if p / q == ratio:
+        offsets = (np.arange(min(p, n_out)) * q % p / p)[:, None] - np.arange(-half + 1, half + 1)
+        kernel = _kaiser_sinc(offsets, cutoff, _kaiser(offsets / half))
+        for r, taps in enumerate(kernel):  # no BLAS call, as in the table path
+            out[r::p] = np.einsum("mj,j->m", windows[r * q // p :: q][: out[r::p].size], taps)
+        return out
+    # row p holds the kernel at offsets p/_PHASES - taps; each row is stored
+    # with its step to the next row, so one einsum gives both terms
+    table = _kaiser_sinc(_table_offsets(half), cutoff, _kaiser_window(half))
+    rows = np.stack([table[:-1], np.diff(table, axis=0)], axis=1)
     for lo in range(0, n_out, _RESAMPLE_CHUNK):
         hi = min(lo + _RESAMPLE_CHUNK, n_out)
         centers = np.arange(lo, hi) / ratio
@@ -390,7 +414,8 @@ def slice_at(clip: AudioClip, n_samples: int, start: int) -> AudioClip:
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if len(clip) >= n_samples:
-        return clip.with_samples(clip.samples[start : start + n_samples])
+        window = clip.samples[start : start + n_samples]
+        return clip if window.size == len(clip) else clip.with_samples(window)  # immutable
     window = np.zeros(n_samples, dtype=np.float64)
     window[: len(clip)] = clip.samples
     return clip.with_samples(window)

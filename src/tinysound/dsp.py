@@ -77,27 +77,25 @@ def frame_count(n_samples: int, hop_length: int) -> int:
     return n_samples // hop_length
 
 
+def _frames(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
+    """The centered (frames x n_fft) frames of a 1-D signal, a strided view."""
+    if x.size < 1:
+        raise ValueError("cannot transform an empty signal")
+    padded = np.pad(x, cfg.n_fft // 2, mode="reflect" if x.size > 1 else "edge")
+    n_frames = frame_count(x.size, cfg.hop_length)
+    if n_frames == 0:
+        return np.empty((0, cfg.n_fft))
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
+    return frames[: n_frames * cfg.hop_length : cfg.hop_length]
+
+
 def stft(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     """Short-time Fourier transform of a 1-D signal with centered frames.
 
     Returns the complex (frames x bins) array: floor(n / hop) frames of
     n_fft/2 + 1 one-sided bins.
     """
-    if x.size < 1:
-        raise ValueError("cannot transform an empty signal")
-    pad = cfg.n_fft // 2
-    if x.size > 1:
-        padded = np.pad(x, pad, mode="reflect")
-    else:
-        padded = np.pad(x, pad, mode="edge")
-    n_frames = frame_count(x.size, cfg.hop_length)
-    window = _padded_window(cfg)
-    if n_frames > 0:
-        frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
-        frames = frames[: n_frames * cfg.hop_length : cfg.hop_length]
-    else:
-        frames = np.empty((0, cfg.n_fft))
-    return np.fft.rfft(frames * window, axis=1)
+    return np.fft.rfft(_frames(x, cfg) * _padded_window(cfg), axis=1)
 
 
 def istft(spec: np.ndarray, cfg: SpectrogramConfig, n_samples: int) -> np.ndarray:
@@ -196,9 +194,16 @@ def power_to_db(power: np.ndarray) -> np.ndarray:
 
 
 def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
-    """Power mel spectrogram (frames x n_mels), optionally in dB (log_scale)."""
-    power = np.abs(stft(clip.samples, cfg)) ** 2
-    mel = np.ascontiguousarray((_mel_filterbank_csr(cfg) @ power.T).T)
+    """Power mel spectrogram (frames x n_mels), optionally in dB (log_scale).
+
+    STFT, power and mel product run 64 frames at a time into the output, so
+    no whole-clip spectrum is built; the bytes are the whole-clip product's.
+    """
+    frames, window = _frames(clip.samples, cfg), _padded_window(cfg)
+    mel = np.empty((frames.shape[0], cfg.n_mels))
+    for lo in range(0, frames.shape[0], 64):
+        power = np.abs(np.fft.rfft(frames[lo : lo + 64] * window, axis=1)) ** 2
+        mel[lo : lo + 64] = (_mel_filterbank_csr(cfg) @ power.T).T
     if cfg.log_scale:
         mel = power_to_db(mel)
     return mel

@@ -24,6 +24,12 @@ def pcm16_wav(samples_i16, channels=1, sample_rate=44100) -> bytes:
     return header + body
 
 
+def _wav_with_fmt(tag, channels, rate, bits, body) -> bytes:
+    data = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+    data += b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, 0, 0, bits)
+    return data + b"data" + struct.pack("<I", len(body)) + body
+
+
 class TestDecodeWav:
     def test_int16_scaling(self):
         clip = decode_wav(pcm16_wav([0, 16384, -32768]))
@@ -91,15 +97,27 @@ class TestDecodeWav:
     def test_rate_range_inclusive(self, rate):
         assert decode_wav(_wav_with_fmt(1, 1, rate, 16, b"\0\0\1\0")).sample_rate == rate
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_float_payload_is_a_decode_error(self, channels, bad):
+        body = np.array([0.5, bad, 0.25, 0.0], dtype="<f4").tobytes()
+        with pytest.raises(DecodeError, match="non-finite"):
+            decode_wav(_wav_with_fmt(3, channels, 48000, 32, body))
+
+    @pytest.mark.parametrize("wav", [pcm16_wav([0, 16384, -32768, 7], channels=2),
+                                     _wav_with_fmt(3, 1, 48000, 32,
+                                                   np.array([0.5, -0.25], "<f4").tobytes())],
+                             ids=["pcm16-stereo", "float32"])
+    def test_decoded_clip_is_read_only_float64(self, wav):
+        samples = decode_wav(wav).samples
+        assert samples.dtype == np.float64 and samples.ndim == 1
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 1.0
+
 
 def _flip(data: bytes, pos: int, mask: int) -> bytes:
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
-
-
-def _wav_with_fmt(tag, channels, rate, bits, body) -> bytes:
-    data = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    data += b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, 0, 0, bits)
-    return data + b"data" + struct.pack("<I", len(body)) + body
 
 
 _VALID_WAVS = [pcm16_wav([0, 12000, -32768, 32767, 5], channels=1, sample_rate=22050),
@@ -148,6 +166,10 @@ class TestAudioClip:
         clip = AudioClip(np.zeros(4), 44100)
         with pytest.raises(ValueError):
             clip.samples[0] = 1.0
+
+
+_RATES = [8000, 11025, 16000, 22050, 32000, 44100, 48000, 96000]
+_RATE_PAIRS = [(src, dst) for src in _RATES for dst in _RATES if src != dst]
 
 
 class TestResample:
@@ -215,6 +237,35 @@ class TestResample:
         want = direct_kaiser_sinc_resample(x, ratio, n_out)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("src, dst", _RATE_PAIRS)
+    def test_every_rate_pair_matches_direct_kaiser_sinc(self, src, dst):
+        x = np.random.default_rng(src + dst).uniform(-1.0, 1.0, 600)
+        got = sinc_resample(x, dst / src)
+        want = direct_kaiser_sinc_resample(x, dst / src)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    def test_irrational_ratio_matches_direct_kaiser_sinc(self):
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, 600)
+        got = sinc_resample(x, np.sqrt(2.0))
+        assert np.max(np.abs(got - direct_kaiser_sinc_resample(x, np.sqrt(2.0)))) <= 1e-6
+
+    @pytest.mark.parametrize("ratio, table", [
+        (2.0, False), (44100 / 48000, False), (441 / 160, False),
+        (2 ** (-2.3 / 12), True), (np.sqrt(2.0), True), (11025 / 16000, True),
+    ])
+    def test_small_fractions_skip_the_kernel_table(self, monkeypatch, ratio, table):
+        # 11025/16000 is 441/640: its denominator is above 512
+        def no_table(half):
+            raise AssertionError("kernel table used")
+        monkeypatch.setattr(audio_io, "_kaiser_window", no_table)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, 300)
+        if table:
+            with pytest.raises(AssertionError, match="kernel table"):
+                sinc_resample(x, ratio)
+        else:
+            sinc_resample(x, ratio)
 
     def test_stopband_rejects_tone_above_new_nyquist(self):
         # 12 kHz is above 8 kHz, the Nyquist rate after 48 -> 16 kHz; what
@@ -328,6 +379,13 @@ class TestRandomSlice:
         clip = AudioClip(np.arange(100) / 100.0, SR)
         out = random_slice(clip, 100, np.random.default_rng(0))
         np.testing.assert_array_equal(out.samples, clip.samples)
+
+    def test_whole_clip_window_is_the_clip_itself(self):
+        clip = AudioClip(np.arange(100) / 100.0, SR)
+        assert audio_io.slice_at(clip, 100, 0) is clip
+        assert audio_io.center_slice(clip, 100) is clip
+        part = audio_io.slice_at(clip, 60, 40)
+        np.testing.assert_array_equal(part.samples, clip.samples[40:])
 
     def test_short_clip_zero_padded(self):
         clip = AudioClip(np.ones(1000), SR)

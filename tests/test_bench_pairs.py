@@ -1,0 +1,59 @@
+"""The summary of tools/bench_pairs.py on synthetic benchmark results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+              {"name": "latency_ms_p90", "unit": "ms", "better": "lower", "bound": 0.25}]
+
+
+def result(throughput, p90, attempted=10, failed=0):
+    return {"correct": not failed, "attempted": attempted, "failed": failed,
+            "metrics": {"throughput_per_s": {"value": throughput, "unit": "1/s"},
+                        "latency_ms_p90": {"value": p90, "unit": "ms"}}}
+
+
+def test_medians_quartiles_and_wins():
+    pairs = [(result(10, 60), result(11, 30)), (result(12, 64), result(12, 28)),
+             (result(14, 70), result(13, 29)), (result(11, 59), result(15, 61)),
+             (result(13, 66), result(14, 27))]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["pairs"] == 5
+    throughput, p90 = summary["metrics"]
+    assert throughput["parent"] == (11, 12, 13)  # inclusive quartiles of 10..14
+    assert throughput["change"] == (12, 13, 14)
+    assert throughput["wins"] == 3  # higher is better; the tie at 12 is no win
+    assert p90["parent"] == (60, 64, 66)
+    assert p90["change"] == (28, 29, 30)
+    assert p90["wins"] == 4  # lower is better; 61 > 59 loses
+    assert summary["failed_share"] == {"parent": 0.0, "change": 0.0}
+
+
+def test_failed_share_pools_every_run_of_a_side():
+    pairs = [(result(1, 1, attempted=10, failed=1), result(1, 1, attempted=10)),
+             (result(1, 1, attempted=30, failed=1), result(1, 1, attempted=30, failed=4))]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["failed_share"] == {"parent": pytest.approx(0.05), "change": 0.1}
+
+
+def test_one_pair_is_its_own_quartiles():
+    summary = bench_pairs.summarize([(result(5, 9), result(6, 8))], END_TO_END)
+    assert summary["metrics"][0]["parent"] == (5, 5, 5)
+    lines = bench_pairs.format_summary(summary)
+    assert lines[1] == ("throughput_per_s (1/s, higher is better): "
+                        "parent 5 [5, 5] -> change 6 [6, 6], wins 1/1")
+    assert lines[-1] == "failed share: parent 0 -> change 0"
+
+
+def test_seeds_and_alternating_order():
+    assert bench_pairs.parse_seeds("301-303,310") == [301, 302, 303, 310]
+    assert bench_pairs.schedule([1, 2, 3]) == [(1, ("parent", "change")),
+                                               (2, ("change", "parent")),
+                                               (3, ("parent", "change"))]

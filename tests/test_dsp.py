@@ -263,6 +263,19 @@ class TestMelSpectrogram:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
+    @pytest.mark.parametrize("log_scale", [False, True])
+    @pytest.mark.parametrize("frames", [1, 63, 64, 65, 129, 430])
+    def test_blocks_equal_whole_clip_product(self, frames, log_scale):
+        cfg = dsp.SpectrogramConfig(log_scale=log_scale)
+        x = white_noise(frames * cfg.hop_length + 17, seed=frames)
+        power = np.abs(dsp.stft(x, cfg)) ** 2
+        expected = np.ascontiguousarray((dsp._mel_filterbank_csr(cfg) @ power.T).T)
+        if log_scale:
+            expected = dsp.power_to_db(expected)
+        mel = dsp.mel_spectrogram(AudioClip(x, SR), cfg)
+        assert mel.shape == (frames, cfg.n_mels) and mel.flags.c_contiguous
+        assert mel.tobytes() == expected.tobytes()
+
 
 class TestMfcc:
     def test_dct_matrix_orthonormal(self):

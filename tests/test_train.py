@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -453,6 +454,29 @@ GOLDEN_RUN_SHA256 = {
     False: "011842d43fdcadb13815e9e371c7cd2da4f9d9841c615d14a379d169c878f5ed",
     True: "9e3a7b15f5182fb538d0cfebeea9a26e3f7210290519c99919599b2ab58bc7a5",
 }
+
+
+class TestPredictWorkingSet:
+    @pytest.mark.parametrize("rate, bound_mb", [(44100, 6.0), (22050, 9.0)])
+    def test_load_slice_extract_peak(self, tmp_path, rate, bound_mb):
+        # a predict request's data path on a 5 s clip; a small peak keeps
+        # the request's speed off the allocator's mmap and trim thresholds
+        path = tmp_path / "clip.wav"
+        x = np.random.default_rng(rate).uniform(-0.9, 0.9, 5 * rate)
+        audio_io.write_wav(path, audio_io.AudioClip(x, rate))
+        pipeline = train.PipelineConfig()
+
+        def featurize():
+            return pipeline.extract(audio_io.center_slice(audio_io.load_audio(path), 5 * SR))
+
+        featurize()  # builds the cached filterbank outside the measurement
+        tracemalloc.start()
+        try:
+            featurize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 class TestFeatureCache:
