@@ -252,13 +252,13 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
     """Resample by an arbitrary positive ratio (output rate / input rate).
 
     Output ``i`` is centred at input position ``i / ratio``. A ratio p/q with
-    q <= 512 is resampled by exact polyphase filtering: output ``r + p*m``
+    p, q <= 512 is resampled by exact polyphase filtering: output ``r + p*m``
     takes kernel phase ``r``, one directly evaluated row of taps, at input
-    ``floor(r*q/p) + q*m``. Other ratios (pitch_shift's 2^(s/12)) tabulate
-    the kernel at ``_PHASES`` positions per input sample and interpolate
-    between neighbouring rows (bandlimited interpolation after J. O. Smith).
-    Against the directly evaluated kernel, outputs of a unit-range input
-    differ by under 1e-6 on either path.
+    ``floor(r*q/p) + q*m``. Other ratios (pitch_shift's 2^(s/12); p > 512,
+    too many short phases) tabulate the kernel at ``_PHASES`` positions per
+    input sample and interpolate between neighbouring rows (bandlimited
+    interpolation after J. O. Smith). Against the directly evaluated kernel,
+    outputs of a unit-range input differ by under 1e-6 on either path.
     """
     ratio = float(ratio)
     if not np.isfinite(ratio) or ratio <= 0:
@@ -279,7 +279,7 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half)
     out = np.empty(n_out, dtype=np.float64)
     p, q = Fraction(ratio).limit_denominator(512).as_integer_ratio()
-    if p / q == ratio:
+    if p <= 512 and p / q == ratio:
         offsets = (np.arange(min(p, n_out)) * q % p / p)[:, None] - np.arange(-half + 1, half + 1)
         kernel = _kaiser_sinc(offsets, cutoff, _kaiser(offsets / half))
         for r, taps in enumerate(kernel):  # no BLAS call, as in the table path

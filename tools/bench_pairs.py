@@ -2,10 +2,10 @@
 
     python3 tools/bench_pairs.py --parent ../base --change . --workload infer --seeds 301-305
 
-For each seed, ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` runs once in each checkout: the parent first in even pairs and
-the change first in odd ones, so a slow drift of the machine falls on both
-sides alike. Each run's result line is printed as it arrives. At the end,
+For each seed, the change's BENCHMARK.json ``command`` with ``--workload W
+--seed S --seconds T --trace 0``, T its ``run_seconds``, runs once in each
+checkout: the parent first in even pairs and the change first in odd ones,
+so a slow drift of the machine falls on both sides alike. Each run's result line is printed as it arrives. At the end,
 for every end-to-end metric that the change's BENCHMARK.json lists, the
 median [q1, q3] of each side and the number of pairs the change won are
 printed, with each side's share of failed operations. Standard library only.
@@ -78,9 +78,9 @@ def format_summary(summary: dict) -> list[str]:
     return lines
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+def run_once(checkout: Path, bench: dict, workload: str, seed: int) -> dict:
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -93,19 +93,18 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 301-305")
-    parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
 
     pairs = []
     for seed, order in schedule(args.seeds):
         result = {}
         for side in order:
-            result[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
+            result[side] = run_once(checkouts[side], bench, args.workload, seed)
             print(f"seed {seed} {side}: {json.dumps(result[side])}", flush=True)
         pairs.append((result["parent"], result["change"]))
-    print("\n".join(format_summary(summarize(pairs, end_to_end))))
+    print("\n".join(format_summary(summarize(pairs, bench["end_to_end"]))))
     return 0
 
 
