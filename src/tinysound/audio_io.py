@@ -86,18 +86,21 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Ordered list of labelled audio files plus the class-name table."""
+    """Ordered list of distinct labelled audio files plus the class-name table."""
 
     entries: tuple[ManifestEntry, ...]
     class_names: tuple[str, ...]
 
     def __post_init__(self):
         n = len(self.class_names)
+        seen = set()
         for e in self.entries:
             if not (0 <= e.label < n):
-                raise ManifestError(
-                    f"class index {e.label} out of range for {n} classes ({e.path})"
-                )
+                raise ManifestError(f"class index {e.label} out of range for {n} classes "
+                                    f"({e.path})")
+            if str(e.path) in seen:
+                raise ManifestError(f"manifest lists {e.path} more than once")
+            seen.add(str(e.path))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -184,20 +187,12 @@ def decode_wav(data: bytes) -> AudioClip:
     return AudioClip._owning(samples, sample_rate)
 
 
-def encode_wav(clip: AudioClip, bits: int = 16) -> bytes:
-    """Serialize a clip as mono PCM16 (default) or IEEE float32 WAV bytes."""
-    if bits == 16:
-        scaled = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
-        body = scaled.astype("<i2").tobytes()
-        fmt_tag, block, bps = _WAVE_PCM, 2, 16
-    elif bits == 32:
-        body = clip.samples.astype("<f4").tobytes()
-        fmt_tag, block, bps = _WAVE_IEEE_FLOAT, 4, 32
-    else:
-        raise UnsupportedFormatError(f"cannot encode {bits}-bit WAV")
+def encode_wav(clip: AudioClip) -> bytes:
+    """Serialize a clip as mono PCM16 WAV bytes."""
+    body = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
     sr = clip.sample_rate
     header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, fmt_tag, 1, sr, sr * block, block, bps)
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_PCM, 1, sr, sr * 2, 2, 16)
     header += b"data" + struct.pack("<I", len(body))
     return header + body
 
@@ -214,8 +209,8 @@ def load_audio(path: str | Path) -> AudioClip:
     return clip if clip.sample_rate == TARGET_RATE else resample(clip, TARGET_RATE)
 
 
-def write_wav(path: str | Path, clip: AudioClip, bits: int = 16) -> None:
-    Path(path).write_bytes(encode_wav(clip, bits=bits))
+def write_wav(path: str | Path, clip: AudioClip) -> None:
+    Path(path).write_bytes(encode_wav(clip))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,7 @@ def _kaiser_sinc(offsets: np.ndarray, cutoff: float, window: np.ndarray) -> np.n
     return cutoff * np.sinc(cutoff * offsets) * window
 
 
-def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.ndarray:
+def sinc_resample(x: np.ndarray, ratio: float) -> np.ndarray:
     """Resample by an arbitrary positive ratio (output rate / input rate).
 
     Output ``i`` is centred at input position ``i / ratio``. A ratio p/q with
@@ -264,10 +259,9 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int | None = None) -> np.n
     if not np.isfinite(ratio) or ratio <= 0:
         raise ValueError(f"resample ratio must be positive and finite, got {ratio}")
     x = np.asarray(x, dtype=np.float64)
-    if n_out is None:
-        n_out = int(round(x.size * ratio))
-    if n_out == 0 or x.size == 0:
-        return np.zeros(n_out, dtype=np.float64)
+    n_out = int(round(x.size * ratio))
+    if n_out == 0:
+        return np.zeros(0, dtype=np.float64)
     cutoff = min(1.0, ratio)  # anti-alias when decimating
     half = int(np.ceil((_RESAMPLE_TAPS // 2) / cutoff))
     # zeros stand for the samples before and after the clip; window b of the

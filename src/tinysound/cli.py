@@ -315,7 +315,7 @@ def cmd_sweep(args, cfg: Config) -> int:
         mcfg = model_config(point_cfg, tcfg.pipeline, tcfg.window_samples,
                             classes=len(manifest.class_names))
         result = train.train_loop(manifest, mcfg, tcfg)
-        best = max((m["val_acc"] for m in result.metrics), default=float("nan"))
+        best = max(m["val_acc"] for m in result.metrics)
         label = ";".join(f"{key}={value}" for (key, _), value in zip(axes, point))
         rows.append((label, best))
         print(f"{label}: best_val_acc={best:.4f}")

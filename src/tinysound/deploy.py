@@ -32,25 +32,34 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedParams:
-    """int8 linear weights with per-tensor scales; everything else float32."""
+    """int8 linear weights with per-tensor scales; everything else float32.
+    Building one dequantizes it once; a scale that is not finite and positive,
+    a weight past float32's range or tensors unlike ``cfg``'s are ConfigErrors."""
 
     cfg: ModelConfig
     int8_weights: dict[str, np.ndarray]
     scales: dict[str, float]
     float_tensors: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
-    _dequantized: ModelParams | None = field(default=None, repr=False)
+    _params: ModelParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tensors = {k: v.copy() for k, v in self.float_tensors.items()}
+        for name, q in self.int8_weights.items():
+            scale = self.scales[name]
+            if not 0.0 < scale < float("inf"):
+                raise ConfigError(f"{name} scale must be finite and positive, got {scale}")
+            weights = q.astype(np.float64) * scale
+            if np.abs(weights).max(initial=0.0) > np.finfo(np.float32).max:
+                raise ConfigError(f"{name} scale {scale} takes weights past float32's range")
+            tensors[name] = weights.astype(np.float32)
+        object.__setattr__(self, "_params", ModelParams(self.cfg, tensors))
 
     def dequantize(self) -> ModelParams:
-        """Materialize float parameters (cached) for running the forward pass."""
-        if self._dequantized is None:
-            tensors = {k: v.copy() for k, v in self.float_tensors.items()}
-            for name, q in self.int8_weights.items():
-                tensors[name] = (q.astype(np.float64) * self.scales[name]).astype(np.float32)
-            self._dequantized = ModelParams(self.cfg, tensors)
-        return self._dequantized
+        """The float parameters for running the forward pass, built once."""
+        return self._params
 
 
 def quantize_dynamic(params: ModelParams, metadata: dict | None = None) -> QuantizedParams:
@@ -106,10 +115,8 @@ def save_quantized(path, qparams: QuantizedParams) -> None:
 
 
 def load_quantized(path) -> QuantizedParams:
-    """Read a TSCQ file; any malformed content raises CheckpointError.
-
-    Dequantizing here rejects tensors that do not fit the config at load.
-    """
+    """Read a TSCQ file; any malformed content, a bad scale or tensors that
+    do not fit the config included, raises CheckpointError."""
     r, cfg, metadata = model_mod._read_prefix(Path(path).read_bytes(), _QCKPT_MAGIC,
                                               _QCKPT_VERSION, "quantized checkpoint")
     int8_weights, scales, float_tensors = {}, {}, {}
@@ -119,10 +126,8 @@ def load_quantized(path) -> QuantizedParams:
             scales[name] = scale
         else:
             float_tensors[name] = array
-    qparams = QuantizedParams(cfg, int8_weights, scales, float_tensors, metadata)
     with r.rejecting("tensors", ConfigError):
-        qparams.dequantize()
-    return qparams
+        return QuantizedParams(cfg, int8_weights, scales, float_tensors, metadata)
 
 
 def weight_payload_bytes(params_or_q) -> int:

@@ -185,7 +185,7 @@ class PipelineConfig:
                               f"model expects {shape(model_cfg)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr_peak: float = 1e-4
     warmup_steps: int = 10_000
@@ -193,7 +193,7 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     window_samples: int = 220_500
-    augments: list[AugmentSpec] = field(default_factory=list)
+    augments: tuple[AugmentSpec, ...] = ()
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     val_fold: int | None = None
     val_fraction: float = 0.2
@@ -211,6 +211,7 @@ class TrainConfig:
             raise ConfigError(f"window_samples must be positive, got {self.window_samples}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        object.__setattr__(self, "augments", tuple(self.augments))
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +350,28 @@ def _config_diffs(have: ModelConfig, want: ModelConfig) -> list[str]:
     return [f"{k}={have[k]!r}, requested {want[k]!r}" for k in have if have[k] != want[k]]
 
 
-def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) -> None:
-    """A resumed run continues bit for bit only under the config it was saved
-    with; metadata keys the checkpoint lacks are not checked. A moment table
-    unlike ``zero_moments``' in names or shapes raises ``CheckpointError``."""
+def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) -> int:
+    """The first epoch to train from ``ckpt``: ``ConfigError`` unless below
+    ``cfg.epochs``. A resumed run continues bit for bit only under the config it
+    was saved with; metadata keys the checkpoint lacks are not checked. A moment
+    table unlike ``zero_moments``' in names or shapes raises ``CheckpointError``."""
     diffs = _config_diffs(ckpt.params.cfg, model_cfg)
     diffs += [f"{k}={ckpt.metadata[k]!r}, requested {getattr(cfg, k)!r}"
               for k in ("seed", "window_samples")
               if k in ckpt.metadata and ckpt.metadata[k] != getattr(cfg, k)]
     if diffs:
         raise ConfigError("cannot resume: checkpoint has " + "; ".join(diffs))
+    done = int(ckpt.metadata.get("epoch", -1)) + 1
+    if done >= cfg.epochs:
+        raise ConfigError(f"cannot resume: checkpoint has trained {done} epochs, "
+                          f"so epochs={cfg.epochs} leaves none to train")
     have = {k: t.shape for k, t in (ckpt.opt_tensors or {}).items()}
     want = {k: t.shape for k, t in zero_moments(ckpt.params).items()} if have else {}
     for k in {**want, **have}:
         if have.get(k) != want.get(k):
             raise CheckpointError(f"cannot resume: optimizer moment {k}: checkpoint has "
                                   f"{have.get(k, 'no entry')}, model needs {want.get(k, 'none')}")
+    return done
 
 
 def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, step: int) -> None:
@@ -393,23 +400,20 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
         raise ValueError("manifest is empty")
     cfg.pipeline.check_model(model_cfg, cfg.window_samples)
     train_entries, val_entries = split_manifest(manifest, cfg)
-    assert not {str(e.path) for e in train_entries} & {str(e.path) for e in val_entries}
     store = ClipStore()
 
     if resume_from is None:
         resume_from = Checkpoint(init_model(model_cfg, np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 0x1417]))), None, 0, {})
-    _check_resume(resume_from, model_cfg, cfg)
+    start_epoch = _check_resume(resume_from, model_cfg, cfg)
     params = ModelParams(resume_from.params.cfg,
                          {k: v.copy() for k, v in resume_from.params.tensors.items()})
     zeros = zero_moments(params)
     moments = {k: (resume_from.opt_tensors or zeros)[k].astype(np.float32) for k in zeros}
     step = resume_from.step
-    start_epoch = int(resume_from.metadata.get("epoch", -1)) + 1
 
     metrics: list[dict] = []
     best: Checkpoint | None = None
-    last: Checkpoint | None = None
 
     with _helper_pool() as pool:
         for epoch in range(start_epoch, cfg.epochs):
@@ -434,7 +438,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
                         f"training diverged at epoch {epoch}, step {step_idx}: {exc}") from None
                 losses.append(loss)
 
-            train_loss = float(np.mean(losses)) if losses else float("nan")
+            train_loss = float(np.mean(losses))
             val_acc = evaluate(params, val_entries, cfg, store, pool) if val_entries else np.nan
             metrics.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc})
             log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
@@ -442,10 +446,6 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             last = _snapshot(params, moments, step, epoch, val_acc, manifest.class_names, cfg)
             if best is None or not (val_acc <= best.metadata["val_acc"]):
                 best = last
-
-    if last is None:  # zero epochs: snapshot the initial state
-        last = _snapshot(params, moments, step, start_epoch - 1, np.nan, manifest.class_names, cfg)
-        best = last
     return TrainResult(best, last, metrics)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, cli, dsp, model, tokenizer, train
+from tinysound import audio_io, cli, deploy, dsp, model, tokenizer, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError
 
@@ -233,6 +233,19 @@ class TestExitCodes:
         errors = [line for line in err if line.startswith("error:")]
         assert len(errors) == 1 and "val_fraction" in errors[0]
 
+    def test_manifest_listing_a_file_twice_is_two(self, tmp_path, capsys):
+        (tmp_path / "audio").mkdir()
+        audio_io.write_wav(tmp_path / "audio" / "c0.wav", AudioClip(sine(440, 0.2), SR))
+        (tmp_path / "m.csv").write_text("filename,fold,target,category\n"
+                                        "c0.wav,1,0,dog\nc0.wav,2,0,dog\n")
+        cfg = write_cfg(tmp_path / "c.cfg", data_root=str(tmp_path), layout="csv_manifest",
+                        val_fold=1, **FAST_KEYS)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "c0.wav more than once" in errors[0]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_fewer_than_one_epoch_is_two(self, small_dataset, tmp_path, capsys, epochs):
         cfg = write_cfg(tmp_path / "c.cfg", data_root=str(small_dataset),
@@ -359,6 +372,22 @@ class TestTrainEvalPredict:
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert record["quantized"] is True
         assert record["runs"] == 4
+
+    def test_predict_quantized_names_the_class_qforward_gives(self, run_dir, tmp_path, capsys):
+        _, cfg, out = run_dir
+        qpath, wav = tmp_path / "m.tscq", tmp_path / "probe.wav"
+        assert cli.main(["quantize", "--ckpt", str(out / "best.tsck"),
+                         "--out", str(qpath)]) == 0
+        audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
+        capsys.readouterr()
+        assert cli.main(["predict", str(wav), "--config", cfg, "--ckpt", str(qpath),
+                         "--quantized"]) == 0
+        tcfg = cli.train_config(cli.Config(cli.parse_config_file(cfg)), seed=0)
+        window = audio_io.center_slice(audio_io.load_audio(wav), tcfg.window_samples)
+        qparams = deploy.load_quantized(qpath)
+        logits = deploy.qforward(qparams, tcfg.pipeline.extract(window)[None, ...])[0]
+        want = qparams.metadata["class_names"][int(np.argmax(logits))]
+        assert capsys.readouterr().out.splitlines()[0] == f"prediction: {want}"
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_bench_without_runs_exits_2_before_featurizing(self, run_dir, capsys, monkeypatch,

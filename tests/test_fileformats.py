@@ -4,6 +4,7 @@ typed failures on malformed files."""
 import hashlib
 import json
 import struct
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -128,6 +129,29 @@ class TestTypedFailures:
     def test_class_names_must_match_class_count(self, tmp_path):
         with pytest.raises(CheckpointError, match="class_names"):
             load_tsck(tmp_path, tsck_bytes(meta_block={"class_names": ["only one"]}))
+
+    @pytest.mark.parametrize("scale", [3e38, np.inf, np.nan, 0.0, -1.0])
+    def test_tscq_scale_must_be_finite_positive_and_in_range(self, tmp_path, scale):
+        valid = golden_files(tmp_path)[".tscq"].read_bytes()
+        head = name_block(b"cls_w") + struct.pack("<B", model._I8)
+        at = valid.index(head) + len(head)
+        load_tscq_rejecting_scale(tmp_path, valid[:at] + struct.pack("<f", scale) + valid[at + 4:])
+
+    def test_tscq_flip_into_an_overflowing_scale(self, tmp_path):
+        # found by the damaged-file property test: layer0_ffn_in_w's scale
+        # becomes 2.7e37, and 127 times that passes float32's range
+        valid = golden_files(tmp_path)[".tscq"].read_bytes()
+        load_tscq_rejecting_scale(tmp_path, _flip(valid, 1351, 68))
+
+
+def load_tscq_rejecting_scale(tmp_path, data: bytes) -> None:
+    path = tmp_path / "bad.tscq"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CheckpointError, match="scale"):
+            deploy.load_quantized(path)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 FAST_KEYS = dict(feature="mel", n_fft=512, win_length=512, hop_length=512,

@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -310,13 +310,13 @@ class TestTrainLoop:
     def test_resume_rejects_a_different_config(self, small_dataset, change):
         manifest, mcfg, tcfg = self._config(1, small_dataset)
         half = train.train_loop(manifest, mcfg, tcfg)
-        tcfg.epochs = 2
+        tcfg = replace(tcfg, epochs=2)
         if change == "hidden":
             mcfg = replace(mcfg, hidden=16)
         elif change == "seed":
-            tcfg.seed += 1
+            tcfg = replace(tcfg, seed=tcfg.seed + 1)
         else:  # same frame count, so the model config still fits
-            tcfg.window_samples += 8
+            tcfg = replace(tcfg, window_samples=tcfg.window_samples + 8)
         with pytest.raises(ConfigError, match=change):
             train.train_loop(manifest, mcfg, tcfg, resume_from=half.last)
 
@@ -332,7 +332,7 @@ class TestTrainLoop:
         manifest, mcfg, tcfg = self._config(1, small_dataset)
         half = train.train_loop(manifest, mcfg, tcfg).last
         tamper(half.opt_tensors)
-        tcfg.epochs, prepared = 2, []
+        tcfg, prepared = replace(tcfg, epochs=2), []
         monkeypatch.setattr(train, "_prepare_example", lambda *a: prepared.append(a))
         with pytest.raises(CheckpointError, match="cannot resume: optimizer moment " + named):
             train.train_loop(manifest, mcfg, tcfg, resume_from=half)
@@ -354,6 +354,46 @@ class TestTrainLoop:
     def test_fewer_than_one_epoch_rejected(self, epochs):
         with pytest.raises(ConfigError, match="epochs must be >= 1"):
             train.TrainConfig(epochs=epochs)
+
+    def test_config_is_frozen(self):
+        tcfg = train.TrainConfig(augments=[augment.AugmentSpec("amplify", 1.0)])
+        assert tcfg.augments == (augment.AugmentSpec("amplify", 1.0),)
+        with pytest.raises(FrozenInstanceError):
+            tcfg.epochs = 0
+
+    def test_replaced_config_is_checked(self):
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
+            replace(train.TrainConfig(), epochs=0)
+
+    def test_resuming_a_finished_run_rejected_before_any_example(self, small_dataset,
+                                                                 monkeypatch):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        finished = train.train_loop(manifest, mcfg, tcfg).last
+        prepared = []
+        monkeypatch.setattr(train, "_prepare_example", lambda *a: prepared.append(a))
+        with pytest.raises(ConfigError, match="trained 1 epochs, so epochs=1 leaves none"):
+            train.train_loop(manifest, mcfg, tcfg, resume_from=finished)
+        assert prepared == []
+
+    def test_nonfinite_gradient_stops_before_the_optimizer(self, small_dataset, monkeypatch):
+        manifest, mcfg, tcfg = self._config(2, small_dataset)
+        steps_per_epoch = -(-len(train.split_manifest(manifest, tcfg)[0]) // tcfg.batch_size)
+        poisoned = steps_per_epoch + 1  # epoch 1, step 1, counting steps from 0
+        backward, adam_step, backwards, updates = train.backward, train.adam_step, [], []
+
+        def poisoning_backward(*args):
+            grads = backward(*args)
+            if len(backwards) == poisoned:
+                grads["cls_b"] = np.full_like(grads["cls_b"], np.nan)
+            backwards.append(args)
+            return grads
+
+        monkeypatch.setattr(train, "backward", poisoning_backward)
+        monkeypatch.setattr(train, "adam_step", lambda *a: updates.append(a) or adam_step(*a))
+        with pytest.raises(DivergenceError,
+                           match="at epoch 1, step 1: gradient of cls_b not finite"):
+            train.train_loop(manifest, mcfg, tcfg)
+        assert len(backwards) == poisoned + 1 and len(updates) == poisoned
 
     def test_divergence_stops_before_the_optimizer_writes(self, small_dataset, monkeypatch):
         manifest, mcfg, tcfg = self._config(3, small_dataset, lr_peak=1e38, warmup_steps=0)
@@ -714,14 +754,17 @@ class TestFinetune:
                                           hidden=8, heads=2, dropout_rate=0.0)
         return manifest, tcfg, train.train_loop(manifest, mcfg, tcfg)
 
-    def test_zero_epochs_keeps_non_classifier_weights(self, small_dataset):
+    def test_zero_epochs_keeps_non_classifier_weights(self, small_dataset, monkeypatch):
         manifest, tcfg, base = self._base(small_dataset)
-        tcfg.epochs = 0
-        result = train.finetune(base.last, manifest, tcfg)
+        starts = []
+        monkeypatch.setattr(train, "train_loop", lambda *_, resume_from: starts.append(resume_from))
+        train.finetune(base.last, manifest, tcfg)
+        (start,) = starts
+        assert (start.step, start.opt_tensors, start.metadata) == (0, None, {"epoch": -1})
         for name, tensor in base.last.params.tensors.items():
             if name.startswith("cls_"):
                 continue
-            np.testing.assert_array_equal(result.last.params.tensors[name], tensor)
+            np.testing.assert_array_equal(start.params.tensors[name], tensor)
 
     def test_classifier_resized_to_new_classes(self, small_dataset, tmp_path):
         manifest, tcfg, base = self._base(small_dataset)
@@ -730,7 +773,7 @@ class TestFinetune:
         import shutil
         shutil.rmtree(root / "clicks")
         two_class = audio_io.load_manifest(root, audio_io.FOLDER_PER_CLASS)
-        tcfg.epochs = 1
+        tcfg = replace(tcfg, epochs=1)
         result = train.finetune(base.last, two_class, tcfg)
         assert result.last.params.cfg.classes == 2
         assert result.last.params.tensors["cls_w"].shape == (2, 8)
@@ -746,7 +789,7 @@ class TestFinetune:
 
     def test_requested_dropout_is_trained(self, small_dataset, monkeypatch):
         manifest, tcfg, base = self._base(small_dataset)
-        tcfg.epochs = 1
+        tcfg = replace(tcfg, epochs=1)
         rates, forward = [], train.forward
 
         def recording(params, batch, training, **kwargs):
@@ -768,7 +811,7 @@ class TestFinetune:
 
     def test_pipeline_mismatch_rejected(self, small_dataset):
         manifest, tcfg, base = self._base(small_dataset)
-        tcfg.window_samples = 16384  # longer window -> different seq_len
+        tcfg = replace(tcfg, window_samples=16384)  # longer window -> different seq_len
         with pytest.raises(ConfigError, match="pipeline"):
             train.finetune(base.last, manifest, tcfg)
 
