@@ -159,8 +159,7 @@ def cmd_featurize(args, cfg: Config) -> int:
 def cmd_build_vocab(args, cfg: Config) -> int:
     manifest = load_dataset(cfg)
     spec = tokenizer.CurveSpec(**_fields(cfg, tokenizer.CurveSpec))
-    store = train.ClipStore()
-    corpus = [store.load(e) for e in manifest.entries]
+    corpus = (audio_io.load_audio(e.path) for e in manifest.entries)
     vocab, stats = tokenizer.build_curve_vocab(corpus, spec)
     out = args.out or "vocab.tscv"
     tokenizer.save_vocab(out, vocab)

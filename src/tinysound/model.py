@@ -383,7 +383,7 @@ def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
             raise ValueError(
                 f"expected batch of shape (B, {cfg.seq_len}, {cfg.input_dim}), got {batch.shape}"
             )
-        batch = batch.astype(np.float64)
+        batch = np.asarray(batch, dtype=np.float64)
     else:
         if batch.ndim != 2 or batch.shape[1] != cfg.seq_len:
             raise ValueError(f"expected token batch of shape (B, {cfg.seq_len}), got {batch.shape}")

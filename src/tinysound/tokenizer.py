@@ -132,28 +132,27 @@ def _curve_keys(clip: AudioClip, spec: CurveSpec, stride: int) -> np.ndarray:
     return keys
 
 
-def _count_curves(corpus: list[AudioClip], spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct stride-1 curve keys of the corpus, ascending, and their counts."""
-    keys = [np.empty(0, np.int64)] + [_curve_keys(clip, spec, 1) for clip in corpus]
-    return np.unique(np.concatenate(keys), return_counts=True)
-
-
 def build_curve_vocab(corpus, spec: CurveSpec) -> tuple[CurveVocab, CoverageStats]:
     """Count stride-1 curves over a corpus and keep the top_k as vocabulary.
 
     Ties at the cut are broken lexicographically on the curve tuple (key
     order) so the result is deterministic. Coverage statistics are computed
-    against the same corpus.
+    against the same corpus, read once: each clip is dropped once keyed, and
+    every curve_len-th stride-1 key is the key ``tokenize`` looks up.
     """
-    corpus = list(corpus)
-    if not corpus:
+    clip_keys = [_curve_keys(clip, spec, 1) for clip in corpus]
+    if not clip_keys:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    keys, counts = _count_curves(corpus, spec)
+    keys, counts = np.unique(np.concatenate(clip_keys), return_counts=True)
     if not keys.size:
         raise ValueError("corpus holds no window of curve_len samples")
     kept = keys[np.lexsort((keys, -counts))[: spec.top_k]]
     vocab = CurveVocab(spec, kept[:, None] // _place_values(spec) % spec.resolution)
-    return vocab, _coverage(vocab, corpus, keys, counts)
+    in_vocab = int(counts[vocab._lookup_keys(keys) != UNK_ID].sum())
+    ids = vocab._lookup_keys(np.concatenate([k[:: spec.curve_len] for k in clip_keys]))
+    known = np.count_nonzero(ids != UNK_ID)
+    return vocab, CoverageStats(in_vocab / int(counts.sum()),
+                                known / ids.size if ids.size else 0.0, keys.size)
 
 
 def tokenize(clip: AudioClip, vocab: CurveVocab) -> np.ndarray:
@@ -164,16 +163,6 @@ def tokenize(clip: AudioClip, vocab: CurveVocab) -> np.ndarray:
     """
     ids = vocab._lookup_keys(_curve_keys(clip, vocab.spec, vocab.spec.curve_len))
     return np.concatenate(([CLS_ID], ids))
-
-
-def _coverage(vocab: CurveVocab, corpus: list[AudioClip], keys: np.ndarray,
-              counts: np.ndarray) -> CoverageStats:
-    total = int(counts.sum())
-    in_vocab = int(counts[vocab._lookup_keys(keys) != UNK_ID].sum())
-    ids = np.concatenate([np.empty(0, np.int64)] + [tokenize(clip, vocab)[1:] for clip in corpus])
-    known = np.count_nonzero(ids != UNK_ID)
-    return CoverageStats(in_vocab / total if total else 0.0,
-                         known / ids.size if ids.size else 0.0, keys.size)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,12 @@ class PipelineConfig:
             raise ConfigError(f"downsample must be >= 1, got {self.downsample}")
         if self.feature == CURVE and self.vocab is None:
             raise ConfigError("curve pipeline needs a vocabulary")
+        if self.n_coeffs is not None and not 1 <= self.n_coeffs <= self.spectrogram.n_mels:
+            raise ConfigError(f"n_coeffs must be in 1..n_mels = {self.spectrogram.n_mels}, "
+                              f"got {self.n_coeffs}")
+        for name in ("reshape_rows", "reshape_cols"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def extract(self, clip: AudioClip) -> np.ndarray:
         """Feature matrix (L x F) or token ids (L,) for one sliced window."""
@@ -158,9 +164,19 @@ class PipelineConfig:
             feats = dsp.normalize01(feats)
         return feats
 
+    def check_window(self, window_samples: int) -> None:
+        """Raise ``ConfigError`` unless a window of ``window_samples`` holds one
+        input: a spectrogram's hop, or an amplitude matrix's rows x cols samples."""
+        need = {MEL: self.spectrogram.hop_length, MFCC: self.spectrogram.hop_length,
+                AMPLITUDE: self.reshape_rows * self.reshape_cols}.get(self.feature, 1)
+        if window_samples < need:
+            raise ConfigError(f"window_samples must be >= {need} for {self.feature} "
+                              f"features, got {window_samples}")
+
     def model_config(self, window_samples: int, classes: int, **arch) -> ModelConfig:
         """The config of a model that takes this pipeline's inputs of
         ``window_samples``; ``arch`` passes the other ``ModelConfig`` fields."""
+        self.check_window(window_samples)
         if self.feature == CURVE:
             return ModelConfig(input_mode=TOKENS, input_dim=self.vocab.vocab_size,
                                seq_len=1 + window_samples // self.vocab.spec.curve_len,
@@ -209,6 +225,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.window_samples <= 0:
             raise ConfigError(f"window_samples must be positive, got {self.window_samples}")
+        self.pipeline.check_window(self.window_samples)
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         object.__setattr__(self, "augments", tuple(self.augments))
@@ -220,8 +237,8 @@ class TrainConfig:
 
 class ClipStore:
     """Caches dataset clips by path, decoded at 44.1 kHz (a hit returns the cached
-    clip itself), and the read-only features of windows that cannot change between
-    epochs. One lock guards both caches; clips decode under it, features outside."""
+    clip itself), and read-only features of each clip's one fixed window, by path,
+    window length and pipeline. One lock guards both; clips decode under it."""
 
     def __init__(self, max_cached: int = 4096):
         self._cache: dict = {}
@@ -243,14 +260,18 @@ class ClipStore:
                 clip = self._put(self._cache, key, audio_io.load_audio(entry.path))
         return clip
 
-    def features(self, entry: ManifestEntry, start: int, cfg: TrainConfig) -> np.ndarray:
-        """``cfg.pipeline`` features of ``entry``'s window at ``start``; a miss loads the clip."""
-        key = (str(entry.path), start, cfg.window_samples, cfg.pipeline)
+    def features(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray:
+        """``cfg.pipeline`` features of ``entry``'s center window. A miss cuts
+        the cached clip, else decodes the clip without keeping it."""
+        key = (str(entry.path), cfg.window_samples, cfg.pipeline)
         with self._lock:
             feats = self._features.get(key)
+            if feats is None:
+                clip = self._cache.get(key[0])
+                if clip is None:  # an empty AudioClip is falsy
+                    clip = audio_io.load_audio(entry.path)
         if feats is None:
-            window = audio_io.slice_at(self.load(entry), cfg.window_samples, start)
-            feats = cfg.pipeline.extract(window)
+            feats = cfg.pipeline.extract(audio_io.center_slice(clip, cfg.window_samples))
             feats.setflags(write=False)
             with self._lock:
                 self._put(self._features, key, feats)
@@ -288,7 +309,7 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
                      epoch: int, index: int) -> np.ndarray:
     clip = store.load(entry)
     if not cfg.augments and len(clip) <= cfg.window_samples:
-        return store.features(entry, 0, cfg)  # random_slice starts it at 0 whatever it draws
+        return store.features(entry, cfg)  # random_slice starts it at 0 too
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, index]))
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
@@ -452,7 +473,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
              store: ClipStore | None = None, pool=None) -> float:
     """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch``
-    batches of ``cfg.batch_size``. ``store`` keeps clips and features between
+    batches of ``cfg.batch_size``. ``store`` keeps features, not clips, between
     calls; ``pool``, a ``_helper_pool`` pair, is opened here when not given. A
     model whose input shape is not the pipeline's raises ``ConfigError``."""
     entries = list(entries)
@@ -460,16 +481,12 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
         raise ValueError("cannot evaluate on an empty split")
     cfg.pipeline.check_model(params.cfg, cfg.window_samples)
     store = store if store is not None else ClipStore()
-
-    def example(entry):
-        start = audio_io.center_start(len(store.load(entry)), cfg.window_samples)
-        return store.features(entry, start, cfg)
-
     correct = 0
     with _helper_pool() if pool is None else contextlib.nullcontext(pool) as pool:
         for lo in range(0, len(entries), cfg.batch_size):
             chunk = entries[lo : lo + cfg.batch_size]
-            logits = forward(params, _prepare_batch(example, chunk, pool), training=False)
+            batch = _prepare_batch(lambda e: store.features(e, cfg), chunk, pool)
+            logits = forward(params, batch, training=False)
             correct += int((logits.argmax(axis=1) == np.array([e.label for e in chunk])).sum())
     return correct / len(entries)
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,40 @@ class TestFeaturize:
         assert feats.shape == (16, 32)  # 8192 / 512 frames, or 16 rows of 32 samples
         assert kind == feature
         assert out.read_bytes()[12] == dsp.FEATURE_KINDS.index(feature)  # after magic, L, F
+
+    def test_normalize01_writes_the_normalized_matrix(self, tmp_path):
+        wav, out = tmp_path / "x.wav", tmp_path / "x.tsfm"
+        audio_io.write_wav(wav, AudioClip(sine(440, 0.5), SR))
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(FAST_KEYS, normalize01="true"))
+        assert cli.main(["featurize", str(wav), "--config", cfg, "--out", str(out)]) == 0
+        pipeline = cli.train_config(cli.Config(cli.parse_config_file(cfg)), 0).pipeline
+        assert pipeline.normalize
+        window = audio_io.center_slice(audio_io.load_audio(wav), 8192)
+        want = dsp.normalize01(replace(pipeline, normalize=False).extract(window))
+        np.testing.assert_array_equal(dsp.load_features(out)[0], want.astype(np.float32))
+
+    # configs whose pipeline cannot run, each with the key its error names
+    @pytest.mark.parametrize("keys, named", [
+        ({"feature": "mfcc", "n_coeffs": -1}, "n_coeffs"),
+        ({"feature": "mfcc", "n_coeffs": -200}, "n_coeffs"),
+        ({"feature": "mfcc", "n_coeffs": 129}, "n_coeffs"),  # above n_mels = 128
+        ({"feature": "amplitude", "reshape_rows": 0}, "reshape_rows"),
+        ({"feature": "amplitude", "reshape_cols": 0}, "reshape_cols"),
+        ({"window_samples": 1}, "window_samples"),
+        ({"feature": "amplitude", "reshape_rows": 100, "reshape_cols": 1000}, "window_samples"),
+    ])
+    @pytest.mark.parametrize("command", ["featurize", "count"])
+    def test_unrunnable_pipeline_is_two_and_names_its_key(self, tmp_path, capsys, command,
+                                                          keys, named):
+        wav, out = tmp_path / "x.wav", tmp_path / "x.tsfm"
+        audio_io.write_wav(wav, AudioClip(sine(440, 1.0), SR))
+        cfg = write_cfg(tmp_path / "c.cfg", **{**TINY_KEYS, "window_samples": 44100, **keys})
+        args = ["featurize", str(wav), "--out", str(out)] if command == "featurize" else [command]
+        assert cli.main([*args, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and named in errors[0], captured.err
+        assert "parameters" not in captured.out and not out.exists()
 
 
 class TestAugmentPreview:

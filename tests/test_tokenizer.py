@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -26,8 +27,13 @@ def vocab_ids(vocab) -> dict[tuple[int, ...], int]:
 
 
 def coverage(vocab, corpus) -> tok.CoverageStats:
-    """Both coverage fractions of ``vocab`` over a corpus."""
-    return tok._coverage(vocab, corpus, *tok._count_curves(corpus, vocab.spec))
+    """Both coverage fractions of ``vocab`` over a corpus: of its stride-1
+    curves, and of the tokens ``tokenize`` emits."""
+    keys = np.concatenate([tok._curve_keys(clip, vocab.spec, 1) for clip in corpus])
+    ids = np.concatenate([tok.tokenize(clip, vocab)[1:] for clip in corpus])
+    known = lambda a: int(np.count_nonzero(a != tok.UNK_ID))
+    return tok.CoverageStats(known(vocab._lookup_keys(keys)) / keys.size,
+                             known(ids) / ids.size if ids.size else 0.0, np.unique(keys).size)
 
 
 def relative_shift(span) -> tuple[int, ...]:
@@ -82,6 +88,28 @@ class TestRelativeShift:
 
 
 class TestBuildVocab:
+    @pytest.mark.parametrize("mode", [tok.ABSOLUTE, tok.RELATIVE])
+    def test_generator_read_once_and_no_clip_kept(self, mode):
+        waves = [clip.samples for clip in walk_corpus(6, 1500)]
+        spec = tok.CurveSpec(curve_len=4, top_k=300, mode=mode)
+        refs, first_dead_at_last = [], []
+
+        def corpus():
+            for samples in waves:
+                if len(refs) == len(waves) - 1:
+                    first_dead_at_last.append(refs[0]() is None)
+                clip = AudioClip(samples, SR)
+                refs.append(weakref.ref(clip))
+                yield clip
+                del clip
+
+        clips = corpus()
+        vocab, stats = tok.build_curve_vocab(clips, spec)
+        want_vocab, want_stats = tok.build_curve_vocab([AudioClip(w, SR) for w in waves], spec)
+        assert vocab.curves == want_vocab.curves and stats == want_stats
+        assert len(refs) == len(waves) and next(clips, None) is None
+        assert first_dead_at_last == [True]
+
     def test_constant_clip_single_curve(self):
         clip = AudioClip(np.zeros(100), SR)
         spec = tok.CurveSpec(curve_len=8, top_k=10)

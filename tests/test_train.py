@@ -571,10 +571,22 @@ class TestFeatureCache:
     def test_cached_features_are_read_only(self, small_dataset):
         manifest, _, tcfg = self._config(small_dataset, SR)
         store = train.ClipStore()
-        feats = store.features(manifest.entries[0], 0, tcfg)
-        assert store.features(manifest.entries[0], 0, tcfg) is feats
+        feats = store.features(manifest.entries[0], tcfg)
+        assert store.features(manifest.entries[0], tcfg) is feats
         with pytest.raises(ValueError, match="read-only"):
             feats[0, 0] = 0.0
+
+    @pytest.mark.parametrize("window_samples", [8192, 2 * SR])  # cut, and zero-padded
+    def test_evaluate_decodes_each_clip_once_and_keeps_none(self, small_dataset, monkeypatch,
+                                                            window_samples):
+        manifest, mcfg, tcfg = self._config(small_dataset, window_samples)
+        load_audio, decoded = audio_io.load_audio, []
+        monkeypatch.setattr(audio_io, "load_audio", lambda p: decoded.append(p) or load_audio(p))
+        store = train.ClipStore()
+        train.evaluate(model.init_model(mcfg, np.random.default_rng(0)), manifest.entries,
+                       tcfg, store=store)
+        assert sorted(decoded) == sorted(e.path for e in manifest.entries)
+        assert store._cache == {}
 
 
 def use_cpus(monkeypatch, n: int) -> None:
@@ -691,7 +703,7 @@ class TestParallelPreparation:
                 for _ in range(40):
                     for e in order:
                         store.load(e)
-                        feats = store.features(e, 0, train.TrainConfig(window_samples=SR))
+                        feats = store.features(e, train.TrainConfig(window_samples=SR))
                         assert feats.shape == (86, 128)
             except Exception as exc:  # reported by the main thread
                 errors.append(repr(exc))
@@ -717,6 +729,13 @@ class TestParallelPreparation:
         store = train.ClipStore()
         assert store.load(entry).samples is store.load(entry).samples
 
+    def test_features_cut_a_cached_empty_clip(self, tmp_path, monkeypatch):
+        audio_io.write_wav(tmp_path / "empty.wav", audio_io.AudioClip(np.zeros(0), SR))
+        entry, store = audio_io.ManifestEntry(tmp_path / "empty.wav", 0), train.ClipStore()
+        assert len(store.load(entry)) == 0  # so the clip is falsy
+        monkeypatch.setattr(audio_io, "load_audio", lambda path: pytest.fail("decoded again"))
+        assert store.features(entry, train.TrainConfig(window_samples=SR)).shape == (86, 128)
+
 
 @pytest.mark.parametrize("feature, extra", [
     (train.MEL, {}), (train.MEL, {"downsample": 3}), (train.MFCC, {}),
@@ -740,6 +759,30 @@ def test_model_config_takes_the_extracted_shape(feature, extra):
     else:
         assert (mcfg.input_mode, mcfg.seq_len, mcfg.input_dim) == (
             model.CONTINUOUS, *example.shape)
+
+
+def test_normalized_pipeline_scales_features_to_unit_range():
+    clip = audio_io.AudioClip(sine(440, 0.25), SR)
+    feats = train.PipelineConfig(normalize=True).extract(clip)
+    np.testing.assert_array_equal(feats, dsp.normalize01(train.PipelineConfig().extract(clip)))
+    assert (feats.min(), feats.max()) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("feature, extra, shortest", [
+    (train.MEL, {}, 512), (train.MFCC, {"n_coeffs": 13}, 512),
+    (train.AMPLITUDE, {"reshape_rows": 16, "reshape_cols": 64}, 1024),
+])
+def test_shortest_window_holds_one_input(feature, extra, shortest):
+    pipeline = train.PipelineConfig(feature=feature, spectrogram=dsp.SpectrogramConfig(
+        n_fft=1024, hop_length=512, win_length=1024, n_mels=32), **extra)
+    tcfg = train.TrainConfig(window_samples=shortest, pipeline=pipeline)
+    window = audio_io.center_slice(audio_io.AudioClip(sine(440, 0.25), SR), shortest)
+    mcfg = pipeline.model_config(shortest, classes=3)
+    assert pipeline.extract(window).shape == (mcfg.seq_len, mcfg.input_dim)
+    for build in (lambda: replace(tcfg, window_samples=shortest - 1),
+                  lambda: pipeline.model_config(shortest - 1, classes=3)):
+        with pytest.raises(ConfigError, match=f"window_samples must be >= {shortest}"):
+            build()
 
 
 class TestFinetune:
