@@ -209,29 +209,25 @@ def _linear(w, name: str, x: np.ndarray):
     def back(dy, grads):
         dy2 = dy.reshape(-1, out_dim)
         grads[name + "_w"] += dy2.T @ x.reshape(-1, in_dim)
-        grads[name + "_b"] += dy2.sum(axis=0)
+        grads[name + "_b"] += np.einsum("nh->h", dy2)
         return (dy2 @ weight).reshape(x.shape)
     return x @ weight.T + w[name + "_b"], back
 
 
 def _layer_norm(w, name: str, x: np.ndarray):
-    """Normalize over the last axis; scale ``name_g`` and shift ``name_b``."""
-    g = w[name + "_g"]
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mean) * inv_std
+    """Normalize (B, L, H) over H; scale ``name_g`` and shift ``name_b``."""
+    g, h = w[name + "_g"], x.shape[-1]
+    xhat = x - np.einsum("blh->bl", x)[..., None] / h
+    inv_std = 1.0 / np.sqrt(np.einsum("blh,blh->bl", xhat, xhat)[..., None] / h + _LN_EPS)
+    xhat *= inv_std
 
     def back(dy, grads):
-        sum_axes = tuple(range(dy.ndim - 1))
-        grads[name + "_g"] += (dy * xhat).sum(axis=sum_axes)
-        grads[name + "_b"] += dy.sum(axis=sum_axes)
+        grads[name + "_g"] += np.einsum("blh,blh->h", dy, xhat)
+        grads[name + "_b"] += np.einsum("blh->h", dy)
         dxhat = dy * g
-        return inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = dxhat - xhat * (np.einsum("blh,blh->bl", dxhat, xhat)[..., None] / h)
+        dx -= np.einsum("blh->bl", dxhat)[..., None] / h
+        return np.multiply(dx, inv_std, out=dx)
     return g * xhat + w[name + "_b"], back
 
 
@@ -239,8 +235,8 @@ def _dropout(x: np.ndarray, rate: float, rng):
     """Inverted dropout; the identity at rate 0."""
     if rate == 0.0:
         return x, lambda dy, grads: dy
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, lambda dy, grads: dy * mask
+    keep, scale = rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)  # a bool mask: 1/8 the bytes
+    return x * keep * scale, lambda dy, grads: dy * keep * scale
 
 
 def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
@@ -250,11 +246,12 @@ def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
     when ``update_stats``, else with the running stats. With s = gamma /
     sqrt(var + eps) and t = beta - s * mean per position, the output is
     s * (x @ W.T) + t * rowsum(W) + b: no direction builds the (B, L, F) xhat.
+    Its backward carries the float64 (mean, var) it normalized with as ``back.moments``.
     """
-    if update_stats:
-        mean = batch.mean(axis=(0, 2))
-        var = batch.var(axis=(0, 2))
+    if update_stats:  # two passes, centered one example at a time: no (B, L, F) temporary
         n = batch.shape[0] * batch.shape[2]
+        mean = np.einsum("blf->bl", batch).sum(axis=0) / n
+        var = sum(np.einsum("lf,lf->l", c, c) for c in (x - mean[:, None] for x in batch)) / n
         run_var = var * n / (n - 1) if n > 1 else var  # unbiased, for the running estimate
         rm = params.tensors["bn_running_mean"]
         rv = params.tensors["bn_running_var"]
@@ -269,14 +266,16 @@ def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
     xw = batch @ weight.T
 
     def back(dy, grads):
-        d_beta = (dy @ row_sum).sum(axis=0)
+        dy_l = dy.sum(axis=0)
+        d_beta = np.einsum("lh,h->l", dy_l, row_sum)
         grads["bn_beta"] += d_beta
-        grads["bn_gamma"] += inv_std * ((dy * xw).sum(axis=(0, 2)) - mean * d_beta)
+        grads["bn_gamma"] += inv_std * (np.einsum("blh,blh->l", dy, xw) - mean * d_beta)
         h, f = weight.shape
         grads["map_w"] += (scale[:, None] * dy).reshape(-1, h).T @ batch.reshape(-1, f)
-        grads["map_w"] += (shift @ dy.sum(axis=0))[:, None]
-        grads["map_b"] += dy.sum(axis=(0, 1))
-    return scale[:, None] * xw + shift[:, None] * row_sum + w["map_b"], back
+        grads["map_w"] += np.einsum("l,lh->h", shift, dy_l)[:, None]
+        grads["map_b"] += np.einsum("lh->h", dy_l)
+    back.moments = mean, var
+    return scale[:, None] * xw + (shift[:, None] * row_sum + w["map_b"]), back
 
 
 def _token_embedding(w, ids: np.ndarray, positional: bool):
@@ -295,7 +294,7 @@ def _token_embedding(w, ids: np.ndarray, positional: bool):
 def _segment_row(w, x: np.ndarray):
     """Adds segment row 0; every input is one segment, so row 1 stays unused."""
     def back(dy, grads):
-        grads["seg_emb"][0] += dy.sum(axis=(0, 1))
+        grads["seg_emb"][0] += np.einsum("blh->h", dy)
         return dy
     return x + w["seg_emb"][0], back
 
@@ -328,13 +327,12 @@ def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries
         dxq = ln_back(dy, grads)
         d_ctx = split(o_back(drop_back(dxq, grads), grads))
         d_probs = d_ctx @ v.swapaxes(-1, -2)
-        d_v = probs.swapaxes(-1, -2) @ d_ctx
         d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
         d_scores = d_scores / np.sqrt(dh)
-        d_qkv = (d_scores @ k, d_scores.swapaxes(-1, -2) @ q, d_v)
-        dq, dk, dv = (proj_back(merge(d), grads) for (_, proj_back), d in zip(projections, d_qkv))
-        dx = dk + dv
-        dx[:, :n_queries] += dxq + dq
+        (_, q_back), (_, k_back), (_, v_back) = projections  # one (B, L, H) gradient at a time
+        dx = k_back(merge(d_scores.swapaxes(-1, -2) @ q), grads)
+        dx += v_back(merge(probs.swapaxes(-1, -2) @ d_ctx), grads)
+        dx[:, :n_queries] += dxq + q_back(merge(d_scores @ k), grads)
         return dx
     back.probs = probs
     return y, back

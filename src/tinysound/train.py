@@ -84,34 +84,35 @@ def lr_at(step: int, cfg: "TrainConfig") -> float:
     return cfg.lr_peak * min(1.0, step / cfg.warmup_steps)
 
 
+def _flat(tensors) -> np.ndarray:
+    """``tensors`` raveled into one float64 vector, in order."""
+    return np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
+
+
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               moments: dict[str, np.ndarray], step: int, lr: float) -> int:
-    """One bias-corrected Adam update, in place; returns ``step + 1``.
+    """One bias-corrected Adam update, in place, over one flat vector; returns ``step + 1``.
 
     Raises ``DivergenceError``, with nothing written, when a new weight or
     moment is not finite in float32.
     """
-    t = step + 1
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    new = {}
+    t, names = step + 1, learnable_names(params.cfg)
+    targets = [params.tensors[n] for n in names]
+    targets += [moments[f"{kind}__{n}"] for kind in ("m", "v") for n in names]
+    p, m, v = (_flat(targets[k * len(names):(k + 1) * len(names)]) for k in range(3))
+    g = _flat(grads[n] for n in names)
     with np.errstate(over="ignore"):  # overflow is reported below
-        for tname in learnable_names(params.cfg):
-            g = np.asarray(grads[tname], dtype=np.float64)
-            m = moments[f"m__{tname}"].astype(np.float64)
-            v = moments[f"v__{tname}"].astype(np.float64)
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            new_p = params.tensors[tname].astype(np.float64) - update
-            new[tname] = [a.astype(np.float32) for a in (new_p, m, v)]
-    bad = [n for n, arrays in new.items() if not all(np.isfinite(a).all() for a in arrays)]
-    if bad:
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+        new = np.concatenate([p, m, v]).astype(np.float32)
+    parts = np.split(new, np.cumsum([a.size for a in targets])[:-1])
+    if not np.isfinite(new).all():
+        bad = [n for k, n in enumerate(names)  # its weight, m and v parts
+               if not all(np.isfinite(a).all() for a in parts[k::len(names)])]
         raise DivergenceError(f"Adam step {t} overflows float32 in {', '.join(bad[:3])}")
-    for tname, (new_p, m, v) in new.items():
-        params.tensors[tname][...] = new_p
-        moments[f"m__{tname}"][...] = m
-        moments[f"v__{tname}"][...] = v
+    for target, part in zip(targets, parts):
+        target[...] = part.reshape(target.shape)
     return t
 
 
@@ -237,8 +238,8 @@ class TrainConfig:
 
 class ClipStore:
     """Caches dataset clips by path, decoded at 44.1 kHz (a hit returns the cached
-    clip itself), and read-only features of each clip's one fixed window, by path,
-    window length and pipeline. One lock guards both; clips decode under it."""
+    clip itself) until their one fixed window is featurized, and read-only features
+    of that window, by path, window length and pipeline. One lock guards both."""
 
     def __init__(self, max_cached: int = 4096):
         self._cache: dict = {}
@@ -262,12 +263,12 @@ class ClipStore:
 
     def features(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray:
         """``cfg.pipeline`` features of ``entry``'s center window. A miss cuts
-        the cached clip, else decodes the clip without keeping it."""
+        the cached clip, taking it out of the store, else decodes the clip."""
         key = (str(entry.path), cfg.window_samples, cfg.pipeline)
         with self._lock:
             feats = self._features.get(key)
             if feats is None:
-                clip = self._cache.get(key[0])
+                clip = self._cache.pop(key[0], None)
                 if clip is None:  # an empty AudioClip is falsy
                     clip = audio_io.load_audio(entry.path)
         if feats is None:
@@ -276,6 +277,10 @@ class ClipStore:
             with self._lock:
                 self._put(self._features, key, feats)
         return feats
+
+    def cached(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray | None:
+        """``features(entry, cfg)`` if it is cached, else None."""
+        return self._features.get((str(entry.path), cfg.window_samples, cfg.pipeline))
 
 
 def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
@@ -325,13 +330,16 @@ def _helper_pool():
         yield pool, helpers
 
 
-def _prepare_batch(build, chunk, pool) -> np.ndarray:
-    """``build(item)`` for each item of ``chunk``, stacked: the one maker of
-    training and evaluation examples. This thread and the helpers of a
-    ``_helper_pool`` take positions from one iterator. After a failure no
-    example starts; then the lowest position's is raised with its own type."""
+def _prepare_batch(build, chunk, pool, cached) -> np.ndarray:
+    """``cached(item)``, else ``build(item)``, for each item of ``chunk``, stacked: the
+    one maker of training and evaluation examples. This thread and the helpers of a
+    ``_helper_pool`` take the items to build from one iterator, so an all-cached batch
+    meets no helper. After a failure no example starts; then the lowest position's
+    is raised with its own type."""
     executor, helpers = pool
-    examples, failures, positions = [None] * len(chunk), [], iter(enumerate(chunk))
+    examples, failures = [cached(item) for item in chunk], []
+    todo = [(pos, item) for pos, item in enumerate(chunk) if examples[pos] is None]
+    positions = iter(todo)
 
     def work():
         for pos, item in positions:
@@ -342,7 +350,7 @@ def _prepare_batch(build, chunk, pool) -> np.ndarray:
             except BaseException as exc:  # raised below, after every thread stops
                 failures.append((pos, exc))
 
-    running = [executor.submit(work) for _ in range(min(helpers, len(chunk) - 1))]
+    running = [executor.submit(work) for _ in range(min(helpers, len(todo) - 1))]
     work()
     for future in running:
         future.result()
@@ -398,7 +406,8 @@ def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) ->
 def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, step: int) -> None:
     """Stop a diverging run before the optimizer writes NaN or Inf."""
     bad = [] if np.isfinite(loss) else [f"loss {loss}"]
-    bad += [f"gradient of {n}" for n, g in grads.items() if not np.all(np.isfinite(g))]
+    if not np.isfinite(_flat(grads.values())).all():  # one check; the names only on failure
+        bad += [f"gradient of {n}" for n, g in grads.items() if not np.all(np.isfinite(g))]
     if bad:
         raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: "
                               f"{', '.join(bad[:3])} not finite")
@@ -444,7 +453,8 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             for step_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
                 chunk = order[lo : lo + cfg.batch_size].tolist()
                 batch = _prepare_batch(lambda i: _prepare_example(
-                    train_entries[i], store, cfg, epoch, i), chunk, pool)
+                    train_entries[i], store, cfg, epoch, i), chunk, pool,
+                    lambda i: store.cached(train_entries[i], cfg))  # fixed windows only
                 labels = np.array([train_entries[i].label for i in chunk])
                 drop_rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, epoch, step_idx, 1]))
@@ -485,7 +495,8 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
     with _helper_pool() if pool is None else contextlib.nullcontext(pool) as pool:
         for lo in range(0, len(entries), cfg.batch_size):
             chunk = entries[lo : lo + cfg.batch_size]
-            batch = _prepare_batch(lambda e: store.features(e, cfg), chunk, pool)
+            batch = _prepare_batch(lambda e: store.features(e, cfg), chunk, pool,
+                                   lambda e: store.cached(e, cfg))
             logits = forward(params, batch, training=False)
             correct += int((logits.argmax(axis=1) == np.array([e.label for e in chunk])).sum())
     return correct / len(entries)

@@ -1,5 +1,7 @@
 """Encoder forward pass, parameter accounting, and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -216,6 +218,49 @@ class TestForward:
                                       (0.9 * rm + 0.1 * mean).astype(np.float32))
         np.testing.assert_array_equal(params.tensors["bn_running_var"],
                                       (0.9 * rv + 0.1 * (var * n / (n - 1))).astype(np.float32))
+
+    @staticmethod
+    def _db_like_step(seed):
+        """A default-config model and a B=16 batch like log-mel features in dB."""
+        params = model.init_model(model.ModelConfig(), np.random.default_rng(seed))
+        batch = -50.0 + 30.0 * np.random.default_rng(seed + 1).standard_normal((16, 430, 128))
+        return params, batch
+
+    def test_batch_moments_keep_their_digits_on_db_like_data(self):
+        params, batch = self._db_like_step(40)
+        _, trace = model.forward(params, batch, training=True, rng=np.random.default_rng(42))
+        mean, var = trace[0].moments
+        want_mean, want_var = batch.mean(axis=(0, 2)), batch.var(axis=(0, 2))
+        rel = lambda got, want: np.max(np.abs(got - want) / np.abs(want))
+        assert rel(mean, want_mean) <= 2e-15
+        assert rel(var, want_var) <= 2e-15
+        # a one-pass E[x^2] - E[x]^2 cancels away digits at a mean of -50
+        one_pass = np.einsum("blf,blf->l", batch, batch) / (16 * 128) - want_mean**2
+        assert rel(one_pass, want_var) > 2e-15
+
+    def test_training_step_builds_no_batch_sized_temporary(self):
+        params, batch = self._db_like_step(43)
+        labels = np.arange(16) % params.cfg.classes
+
+        def step():
+            logits, trace = model.forward(params, batch, training=True,
+                                          rng=np.random.default_rng(44))
+            kept = tracemalloc.get_traced_memory()[0]
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            model.backward(params, trace, train.cross_entropy(logits, labels)[1])
+            return forward_peak, tracemalloc.get_traced_memory()[1] - kept
+
+        step()  # caches and allocator state outside the measurement
+        tracemalloc.start()
+        try:
+            forward_peak, backward_rise = step()
+        finally:
+            tracemalloc.stop()
+        # batch-norm moments run first, with nothing kept yet: a (B, L, F)
+        # temporary there, or anywhere in the backward, passes the batch's size
+        assert forward_peak < batch.nbytes
+        assert backward_rise < batch.nbytes
 
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
     def test_two_layer_gradients_match_finite_differences(self, dropout_rate):

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -192,6 +193,23 @@ class TestAdam:
             np.testing.assert_array_equal(params_a.tensors[name], params_b.tensors[name])
         for name in moments_a:
             np.testing.assert_array_equal(moments_a[name], moments_b[name])
+
+    def test_flat_update_equals_the_per_tensor_update(self):
+        cfg, params, moments = self._setup(seed=52)
+        rng = np.random.default_rng(14)
+        for name, t in moments.items():  # a later step: nonzero m, positive v
+            t[...] = rng.uniform(0.0 if name.startswith("v__") else -1e-2, 1e-2, t.shape)
+        grads = {n: rng.normal(size=params.tensors[n].shape) for n in model.learnable_names(cfg)}
+        want, t, b1, b2 = {}, 4, train.ADAM_BETA1, train.ADAM_BETA2
+        for n in model.learnable_names(cfg):  # the update one tensor at a time, in float64
+            m = b1 * moments[f"m__{n}"].astype(np.float64) + (1.0 - b1) * grads[n]
+            v = b2 * moments[f"v__{n}"].astype(np.float64) + (1.0 - b2) * grads[n] * grads[n]
+            update = 1e-3 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + train.ADAM_EPS)
+            want.update({n: params.tensors[n] - update, f"m__{n}": m, f"v__{n}": v})
+        assert train.adam_step(params, grads, moments, t - 1, lr=1e-3) == t
+        for name, table in [(n, params.tensors) for n in model.learnable_names(cfg)] + [
+                (k, moments) for k in moments]:
+            np.testing.assert_array_equal(table[name], want[name].astype(np.float32))
 
     def test_float32_overflow_raises_before_writing(self):
         cfg, params, moments = self._setup()
@@ -491,8 +509,8 @@ def seeded_run_digest(root, augmented: bool) -> str:
 # call, so the features do not depend on the BLAS thread count; the whole
 # run must give these bytes at 1 and at 2 BLAS threads.
 GOLDEN_RUN_SHA256 = {
-    False: "011842d43fdcadb13815e9e371c7cd2da4f9d9841c615d14a379d169c878f5ed",
-    True: "9e3a7b15f5182fb538d0cfebeea9a26e3f7210290519c99919599b2ab58bc7a5",
+    False: "d84e2f85852c9a205aa3fd95f4669b3ef19106832eb1c1494f2a44f2a0c408db",
+    True: "ed784e1d7cae3ad3bcaf6b319ef52f45b57547dd256d87a5e5c2617bc6fc9f82",
 }
 
 
@@ -587,6 +605,16 @@ class TestFeatureCache:
                        tcfg, store=store)
         assert sorted(decoded) == sorted(e.path for e in manifest.entries)
         assert store._cache == {}
+
+    def test_unaugmented_run_decodes_each_clip_once_and_keeps_none(self, small_dataset,
+                                                                   monkeypatch):
+        manifest, mcfg, tcfg = self._config(small_dataset, SR)  # every 1 s clip fits
+        load_audio, decoded, stores, store_type = audio_io.load_audio, [], [], train.ClipStore
+        monkeypatch.setattr(audio_io, "load_audio", lambda p: decoded.append(p) or load_audio(p))
+        monkeypatch.setattr(train, "ClipStore", lambda: stores.append(store_type()) or stores[-1])
+        train.train_loop(manifest, mcfg, tcfg)  # three epochs
+        assert sorted(decoded) == sorted(e.path for e in manifest.entries)
+        assert stores[0]._cache == {}
 
 
 def use_cpus(monkeypatch, n: int) -> None:
@@ -723,6 +751,18 @@ class TestParallelPreparation:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert set(decodes) == {str(e.path) for e in entries}
+
+    @pytest.mark.parametrize("n_build, n_submitted", [(0, 0), (1, 0), (2, 1), (6, 3)])
+    def test_only_examples_to_build_reach_the_pool(self, n_build, n_submitted):
+        example = lambda i: np.full(2, float(i))
+        submitted = []
+        with ThreadPoolExecutor(3) as executor:
+            submit = executor.submit
+            executor.submit = lambda fn: submitted.append(fn) or submit(fn)
+            batch = train._prepare_batch(example, range(6), (executor, 3),
+                                         lambda i: None if i < n_build else example(i))
+        assert len(submitted) == n_submitted
+        np.testing.assert_array_equal(batch, [example(i) for i in range(6)])
 
     def test_store_hit_returns_the_cached_clip(self, small_dataset):
         entry = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[0]
