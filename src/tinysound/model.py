@@ -239,6 +239,13 @@ def _dropout(x: np.ndarray, rate: float, rng):
     return x * keep * scale, lambda dy, grads: dy * keep * scale
 
 
+def _batch_moments(batch: np.ndarray):
+    """Per-position (B, F) mean and variance: two passes, no (B, L, F) temporary."""
+    n = batch.shape[0] * batch.shape[2]
+    mean = np.einsum("blf->bl", batch).sum(axis=0) / n
+    return mean, sum(np.einsum("lf,lf->l", c, c) for c in (x - mean[:, None] for x in batch)) / n
+
+
 def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
     """Per-position batch norm folded into the linear map from F to the hidden size.
 
@@ -246,15 +253,11 @@ def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
     when ``update_stats``, else with the running stats. With s = gamma /
     sqrt(var + eps) and t = beta - s * mean per position, the output is
     s * (x @ W.T) + t * rowsum(W) + b: no direction builds the (B, L, F) xhat.
-    Its backward carries the float64 (mean, var) it normalized with as ``back.moments``.
     """
-    if update_stats:  # two passes, centered one example at a time: no (B, L, F) temporary
-        n = batch.shape[0] * batch.shape[2]
-        mean = np.einsum("blf->bl", batch).sum(axis=0) / n
-        var = sum(np.einsum("lf,lf->l", c, c) for c in (x - mean[:, None] for x in batch)) / n
+    if update_stats:
+        (mean, var), n = _batch_moments(batch), batch.shape[0] * batch.shape[2]
         run_var = var * n / (n - 1) if n > 1 else var  # unbiased, for the running estimate
-        rm = params.tensors["bn_running_mean"]
-        rv = params.tensors["bn_running_var"]
+        rm, rv = params.tensors["bn_running_mean"], params.tensors["bn_running_var"]
         rm[...] = ((1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mean).astype(np.float32)
         rv[...] = ((1 - _BN_MOMENTUM) * rv + _BN_MOMENTUM * run_var).astype(np.float32)
     else:
@@ -274,7 +277,6 @@ def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
         grads["map_w"] += (scale[:, None] * dy).reshape(-1, h).T @ batch.reshape(-1, f)
         grads["map_w"] += np.einsum("l,lh->h", shift, dy_l)[:, None]
         grads["map_b"] += np.einsum("lh->h", dy_l)
-    back.moments = mean, var
     return scale[:, None] * xw + (shift[:, None] * row_sum + w["map_b"]), back
 
 

@@ -97,19 +97,18 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     moment is not finite in float32.
     """
     t, names = step + 1, learnable_names(params.cfg)
-    targets = [params.tensors[n] for n in names]
-    targets += [moments[f"{kind}__{n}"] for kind in ("m", "v") for n in names]
-    p, m, v = (_flat(targets[k * len(names):(k + 1) * len(names)]) for k in range(3))
-    g = _flat(grads[n] for n in names)
+    weights = [params.tensors[n] for n in names]
+    ms, vs = ([moments[f"{kind}__{n}"] for n in names] for kind in ("m", "v"))
+    p, m, v, g = (_flat(ts) for ts in (weights, ms, vs, [grads[n] for n in names]))
     with np.errstate(over="ignore"):  # overflow is reported below
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         p -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
         new = np.concatenate([p, m, v]).astype(np.float32)
+    targets = weights + ms + vs
     parts = np.split(new, np.cumsum([a.size for a in targets])[:-1])
-    if not np.isfinite(new).all():
-        bad = [n for k, n in enumerate(names)  # its weight, m and v parts
-               if not all(np.isfinite(a).all() for a in parts[k::len(names)])]
+    if not np.isfinite(new).all():  # one check; the names only on failure
+        bad = list(dict.fromkeys(n for n, a in zip(names * 3, parts) if not np.isfinite(a).all()))
         raise DivergenceError(f"Adam step {t} overflows float32 in {', '.join(bad[:3])}")
     for target, part in zip(targets, parts):
         target[...] = part.reshape(target.shape)

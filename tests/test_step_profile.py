@@ -2,13 +2,14 @@
 
 from pathlib import Path
 
+from tinysound import model
+
 
 def test_two_layer_step_times_each_op_forward_and_back(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     import step_profile
 
-    assert step_profile.main(["--batch", "2", "--repeats", "3", "--seq-len", "6",
-                              "--input-dim", "5", "--layers", "2"]) == 0
+    step_profile.report(model.ModelConfig(seq_len=6, input_dim=5, layers=2), 2, 3)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("B=2, L=6, F=5, H=16, layers=2:")
     rows = [line.rsplit(None, 3) for line in lines[1:]]  # label, median, [q1, q3]

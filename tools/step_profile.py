@@ -1,13 +1,13 @@
 """Time one training step op by op and print each op's median [q1, q3].
 
-    PYTHONPATH=src python3 tools/step_profile.py --batch 16 --repeats 30
+    PYTHONPATH=src python3 tools/step_profile.py --batch 16
 
 The step is the one ``train.train_loop`` takes: a new batch stacked from
 the examples, a training forward (dropout on, batch statistics),
 ``cross_entropy``, ``backward``, ``_check_finite`` and ``adam_step``. The
 examples are fixed, drawn with mean -50 and std 30 like log-mel features in
 dB. The model is the default ``ModelConfig`` (430 x 128 input, hidden 16,
-one layer, two heads, six classes) unless the flags change it. Each forward
+one layer, two heads, six classes), timed over 30 steps. Each forward
 op is timed as ``forward`` calls it, ops nested in another op counted in
 their caller, and each backward as ``backward`` walks it in reverse;
 ``forward`` and ``backward`` are also timed whole, so what lies outside the
@@ -122,21 +122,21 @@ def profile(cfg: model.ModelConfig, batch_size: int, repeats: int) -> dict:
     return dict(timer.times)  # in the order the step first recorded them
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--batch", type=int, default=16)
-    parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument("--seq-len", type=int, default=model.ModelConfig.seq_len)
-    parser.add_argument("--input-dim", type=int, default=model.ModelConfig.input_dim)
-    parser.add_argument("--layers", type=int, default=model.ModelConfig.layers)
-    args = parser.parse_args(argv)
-    cfg = model.ModelConfig(seq_len=args.seq_len, input_dim=args.input_dim, layers=args.layers)
-    times = profile(cfg, args.batch, args.repeats)
-    print(f"B={args.batch}, L={cfg.seq_len}, F={cfg.input_dim}, H={cfg.hidden}, "
-          f"layers={cfg.layers}: ms per call, median [q1, q3] of {args.repeats} steps")
+def report(cfg: model.ModelConfig, batch_size: int, repeats: int) -> None:
+    """Profile ``repeats`` steps and print each op's median [q1, q3]."""
+    times = profile(cfg, batch_size, repeats)
+    print(f"B={batch_size}, L={cfg.seq_len}, F={cfg.input_dim}, H={cfg.hidden}, "
+          f"layers={cfg.layers}: ms per call, median [q1, q3] of {repeats} steps")
     for label, values in times.items():
         q1, median, q3 = quartiles(values)
         print(f"{label:<40} {median:8.3f} [{q1:.3f}, {q3:.3f}]")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--batch", type=int, default=16)
+    args = parser.parse_args(argv)
+    report(model.ModelConfig(), args.batch, 30)
     return 0
 
 
