@@ -2,15 +2,17 @@
 
 ``Reader`` parses one ``bytes`` object and raises the format's error class
 for any malformed input; every size is checked against the bytes that
-remain before anything is allocated. The functions below it build bytes.
+remain before anything is allocated. The functions below it build and write bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -97,3 +99,13 @@ def name_block(name: str) -> bytes:
 
 def shape_block(shape: tuple[int, ...]) -> bytes:
     return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
+def write_file(path, data: bytes) -> None:
+    """Every save: ``data`` to ``<path>.tmp``, then one ``os.replace`` onto ``path``."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import i0
 
+from . import _binio
 from .errors import DecodeError, ManifestError, UnsupportedFormatError
 
 #: Ingestion sampling rate. All dataset audio is brought to this rate.
@@ -210,7 +211,7 @@ def load_audio(path: str | Path) -> AudioClip:
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
-    Path(path).write_bytes(encode_wav(clip))
+    _binio.write_file(path, encode_wav(clip))
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,10 @@ def load_dataset(cfg: Config) -> audio_io.DatasetManifest:
 def cmd_featurize(args, cfg: Config) -> int:
     tcfg = train_config(cfg, args.seed)
     pipeline = tcfg.pipeline
-    clip = audio_io.load_audio(args.input)
-    window = audio_io.center_slice(clip, tcfg.window_samples)
     if pipeline.feature == train.CURVE:
         raise ConfigError("featurize writes feature matrices; curve tokens have no TSFM form")
-    feats = pipeline.extract(window)
+    feats = pipeline.extract(audio_io.center_slice(audio_io.load_audio(args.input),
+                                                   tcfg.window_samples))
     out = args.out or (Path(args.input).stem + ".tsfm")
     dsp.save_features(out, feats, pipeline.feature)
     print(f"wrote {feats.shape[0]}x{feats.shape[1]} {pipeline.feature} features to {out}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model as model_mod
+from . import _binio, model as model_mod
 from .audio_io import TARGET_RATE, AudioClip
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, count_params, encode_checkpoint, forward
@@ -111,7 +111,7 @@ def encode_quantized(qparams: QuantizedParams) -> bytes:
 
 
 def save_quantized(path, qparams: QuantizedParams) -> None:
-    Path(path).write_bytes(encode_quantized(qparams))
+    _binio.write_file(path, encode_quantized(qparams))
 
 
 def load_quantized(path) -> QuantizedParams:

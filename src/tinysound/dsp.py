@@ -267,7 +267,7 @@ def save_features(path, features: np.ndarray, kind: str) -> None:
     """Write an L x F matrix of one of ``FEATURE_KINDS`` as a TSFM file."""
     rows, cols = features.shape
     header = struct.pack("<IIB", rows, cols, FEATURE_KINDS.index(kind))
-    Path(path).write_bytes(_FEATURE_MAGIC + header + features.astype("<f4").tobytes())
+    _binio.write_file(path, _FEATURE_MAGIC + header + features.astype("<f4").tobytes())
 
 
 def load_features(path) -> tuple[np.ndarray, str]:

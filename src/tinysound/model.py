@@ -574,7 +574,7 @@ def encode_checkpoint(params: ModelParams,
 def save_checkpoint(path, params: ModelParams,
                     opt_tensors: dict[str, np.ndarray] | None = None,
                     step: int = 0, metadata: dict | None = None) -> None:
-    Path(path).write_bytes(encode_checkpoint(params, opt_tensors, step, metadata))
+    _binio.write_file(path, encode_checkpoint(params, opt_tensors, step, metadata))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -180,7 +180,7 @@ def save_vocab(path, vocab: CurveVocab) -> None:
         raise ConfigError("vocab file stores one byte per level; resolution must be <= 256")
     header = struct.pack("<IIIBI", spec.curve_len, spec.resolution, spec.top_k,
                          _MODES.index(spec.mode), len(vocab))
-    Path(path).write_bytes(_VOCAB_MAGIC + header + vocab.levels.astype(np.uint8).tobytes())
+    _binio.write_file(path, _VOCAB_MAGIC + header + vocab.levels.astype(np.uint8).tobytes())
 
 
 def load_vocab(path) -> CurveVocab:

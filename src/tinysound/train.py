@@ -12,7 +12,6 @@ optimizer step whose results overflow float32 raises it before writing.
 from __future__ import annotations
 
 import contextlib
-import csv
 import logging
 import os
 import threading
@@ -21,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import audio_io, dsp, tokenizer as tokenizer_mod
+from . import _binio, audio_io, dsp, tokenizer as tokenizer_mod
 from .audio_io import AudioClip, DatasetManifest, ManifestEntry
 from .augment import AugmentSpec, apply_pipeline
 from .dsp import AMPLITUDE, FEATURE_KINDS, MEL, MFCC
@@ -235,46 +234,34 @@ class TrainConfig:
 # Data plumbing
 # ---------------------------------------------------------------------------
 
-class ClipStore:
-    """Caches dataset clips by path, decoded at 44.1 kHz (a hit returns the cached
-    clip itself) until their one fixed window is featurized, and read-only features
-    of that window, by path, window length and pipeline. One lock guards both."""
+MAX_CACHED = 4096  # fixed-window feature matrices a ClipStore keeps, oldest out first
 
-    def __init__(self, max_cached: int = 4096):
-        self._cache: dict = {}
+
+class ClipStore:
+    """Read-only features of dataset clips' fixed windows, by path, window length
+    and pipeline; it keeps no decoded clip. One lock guards the table."""
+
+    def __init__(self):
         self._features: dict = {}
-        self._max = max_cached
         self._lock = threading.Lock()
 
-    def _put(self, cache: dict, key, value):
-        if len(cache) >= self._max:
-            cache.pop(next(iter(cache)))
-        cache[key] = value
-        return value
-
     def load(self, entry: ManifestEntry) -> AudioClip:
-        key = str(entry.path)
-        with self._lock:
-            clip = self._cache.get(key)
-            if clip is None:
-                clip = self._put(self._cache, key, audio_io.load_audio(entry.path))
-        return clip
+        """``entry``'s clip, decoded at 44.1 kHz: every decode of a dataset clip."""
+        return audio_io.load_audio(entry.path)
 
-    def features(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray:
-        """``cfg.pipeline`` features of ``entry``'s center window. A miss cuts
-        the cached clip, taking it out of the store, else decodes the clip."""
-        key = (str(entry.path), cfg.window_samples, cfg.pipeline)
-        with self._lock:
-            feats = self._features.get(key)
-            if feats is None:
-                clip = self._cache.pop(key[0], None)
-                if clip is None:  # an empty AudioClip is falsy
-                    clip = audio_io.load_audio(entry.path)
+    def features(self, entry: ManifestEntry, cfg: TrainConfig,
+                 clip: AudioClip | None = None) -> np.ndarray:
+        """``cfg.pipeline`` features of the center window of ``clip``, ``entry``'s
+        decoded clip; on a miss without ``clip`` it is decoded through ``load``."""
+        feats = self.cached(entry, cfg)
         if feats is None:
+            clip = self.load(entry) if clip is None else clip
             feats = cfg.pipeline.extract(audio_io.center_slice(clip, cfg.window_samples))
             feats.setflags(write=False)
             with self._lock:
-                self._put(self._features, key, feats)
+                if len(self._features) >= MAX_CACHED:
+                    self._features.pop(next(iter(self._features)))
+                self._features[(str(entry.path), cfg.window_samples, cfg.pipeline)] = feats
         return feats
 
     def cached(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray | None:
@@ -313,7 +300,7 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
                      epoch: int, index: int) -> np.ndarray:
     clip = store.load(entry)
     if not cfg.augments and len(clip) <= cfg.window_samples:
-        return store.features(entry, cfg)  # random_slice starts it at 0 too
+        return store.features(entry, cfg, clip)  # random_slice starts it at 0 too
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, index]))
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
@@ -523,8 +510,7 @@ def finetune(base: Checkpoint, manifest: DatasetManifest, cfg: TrainConfig,
 
 
 def write_metrics_csv(path, metrics: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_acc"])
-        for row in metrics:
-            writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["val_acc"])])
+    rows = [("epoch", "train_loss", "val_acc")]
+    rows += [(m["epoch"], repr(m["train_loss"]), repr(m["val_acc"])) for m in metrics]
+    _binio.write_file(path, "".join(f"{epoch},{loss},{acc}\r\n"
+                                    for epoch, loss, acc in rows).encode())

@@ -33,7 +33,22 @@ def test_medians_quartiles_and_wins():
     assert p90["parent"] == (60, 64, 66)
     assert p90["change"] == (28, 29, 30)
     assert p90["wins"] == 4  # lower is better; 61 > 59 loses
+    assert not throughput["unresolved"] and not p90["unresolved"]
     assert summary["failed_share"] == {"parent": 0.0, "change": 0.0}
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_sides_part():
+    # change p90 quartiles (29, 30, 45.5): q3 - q1 = 16.5 > 0.25 x 30
+    pairs = [(result(10, 60), result(11, 28)), (result(10, 60), result(11, 30)),
+             (result(10, 60), result(11, 61))]
+    _, p90 = bench_pairs.summarize(pairs, END_TO_END)["metrics"]
+    assert p90["wins"] == 2 and p90["unresolved"]
+    assert bench_pairs.format_summary(bench_pairs.summarize(pairs, END_TO_END))[2].endswith(
+        "wins 2/3, unresolved: q3 - q1 above bound x median")
+    pairs[2] = (result(10, 60), result(11, 59))  # every change run beats every parent run
+    _, p90 = bench_pairs.summarize(pairs, END_TO_END)["metrics"]
+    assert p90["change"][2] - p90["change"][0] > 0.25 * p90["change"][1]
+    assert not p90["unresolved"]
 
 
 def test_failed_share_pools_every_run_of_a_side():

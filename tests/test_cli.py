@@ -304,6 +304,17 @@ class TestFeaturize:
         want = dsp.normalize01(replace(pipeline, normalize=False).extract(window))
         np.testing.assert_array_equal(dsp.load_features(out)[0], want.astype(np.float32))
 
+    def test_curve_config_is_rejected_before_the_input_is_decoded(self, tmp_path, capsys):
+        wav, vocab, out = tmp_path / "bad.wav", tmp_path / "v.tscv", tmp_path / "x.tsfm"
+        wav.write_bytes(b"RIFF\x24\x00\x00\x00WAVEjunk" + bytes(64))  # no decodable audio
+        spec = tokenizer.CurveSpec(curve_len=4, resolution=16, top_k=10)
+        tokenizer.save_vocab(vocab, tokenizer.CurveVocab(spec, [(0, 1, 2, 3)]))
+        cfg = write_cfg(tmp_path / "c.cfg", feature="curve", vocab_path=vocab,
+                        window_samples=8192)
+        assert cli.main(["featurize", str(wav), "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "curve tokens have no TSFM form" in err and not out.exists(), err
+
     # configs whose pipeline cannot run, each with the key its error names
     @pytest.mark.parametrize("keys, named", [
         ({"feature": "mfcc", "n_coeffs": -1}, "n_coeffs"),

@@ -3,6 +3,7 @@ typed failures on malformed files."""
 
 import hashlib
 import json
+import os
 import struct
 import warnings
 from dataclasses import asdict
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, cli, deploy, dsp, model, tokenizer as tok
+from tinysound import audio_io, cli, deploy, dsp, model, tokenizer as tok, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import CheckpointError, DecodeError
 
@@ -50,6 +51,28 @@ GOLDEN_SHA256 = {
 def test_encodings_byte_identical_to_pinned_digests(tmp_path, suffix):
     data = golden_files(tmp_path)[suffix].read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[suffix]
+
+
+def test_saves_leave_no_tmp_file(tmp_path):
+    golden_files(tmp_path)
+    audio_io.write_wav(tmp_path / "g.wav", AudioClip(sine(440, 0.1), SR))
+    train.write_metrics_csv(tmp_path / "g.csv", [{"epoch": 0, "train_loss": 1.0, "val_acc": 0.5}])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g.csv", "g.tsck", "g.tscq", "g.tscv", "g.tsfm", "g.wav"]
+
+
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    path = golden_files(tmp_path)[".tsck"]
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        model.save_checkpoint(path, model.init_model(CFG, np.random.default_rng(9)))
+    assert path.read_bytes() == old
+    assert not path.with_name(path.name + ".tmp").exists()
 
 
 # ---------------------------------------------------------------------------

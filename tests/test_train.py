@@ -600,21 +600,29 @@ class TestFeatureCache:
         manifest, mcfg, tcfg = self._config(small_dataset, window_samples)
         load_audio, decoded = audio_io.load_audio, []
         monkeypatch.setattr(audio_io, "load_audio", lambda p: decoded.append(p) or load_audio(p))
-        store = train.ClipStore()
         train.evaluate(model.init_model(mcfg, np.random.default_rng(0)), manifest.entries,
-                       tcfg, store=store)
+                       tcfg, store=train.ClipStore())
         assert sorted(decoded) == sorted(e.path for e in manifest.entries)
-        assert store._cache == {}
 
     def test_unaugmented_run_decodes_each_clip_once_and_keeps_none(self, small_dataset,
                                                                    monkeypatch):
         manifest, mcfg, tcfg = self._config(small_dataset, SR)  # every 1 s clip fits
-        load_audio, decoded, stores, store_type = audio_io.load_audio, [], [], train.ClipStore
+        load_audio, decoded = audio_io.load_audio, []
         monkeypatch.setattr(audio_io, "load_audio", lambda p: decoded.append(p) or load_audio(p))
-        monkeypatch.setattr(train, "ClipStore", lambda: stores.append(store_type()) or stores[-1])
         train.train_loop(manifest, mcfg, tcfg)  # three epochs
         assert sorted(decoded) == sorted(e.path for e in manifest.entries)
-        assert stores[0]._cache == {}
+
+    def test_augmented_run_decodes_train_clips_each_epoch_and_val_clips_once(
+            self, small_dataset, monkeypatch):
+        manifest, mcfg, tcfg = self._config(small_dataset, SR)
+        tcfg = replace(tcfg, augments=(augment.AugmentSpec("amplify", 1.0),))
+        load, loads = train.ClipStore.load, []
+        monkeypatch.setattr(train.ClipStore, "load",
+                            lambda store, e: loads.append(e.path) or load(store, e))
+        train.train_loop(manifest, mcfg, tcfg)
+        fit, val = train.split_manifest(manifest, tcfg)
+        want = [e.path for e in fit] * tcfg.epochs + [e.path for e in val]
+        assert sorted(loads) == sorted(want)
 
 
 def use_cpus(monkeypatch, n: int) -> None:
@@ -714,29 +722,24 @@ class TestParallelPreparation:
         assert threading.active_count() == before
         assert standalone.type is per_epoch.type is DecodeError
 
-    def test_store_shared_by_threads_decodes_a_cached_path_once(self, small_dataset,
-                                                               monkeypatch):
+    def test_store_shared_by_threads_keeps_its_bound(self, small_dataset, monkeypatch):
         entries = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[:3]
-        store, load_audio = train.ClipStore(max_cached=2), audio_io.load_audio
-        decodes, errors = [], []
-
-        def counted_load_audio(path):  # runs under the store's lock
-            if str(path) in store._cache:
-                errors.append(f"{path} decoded while cached")
-            decodes.append(str(path))
-            return load_audio(path)
+        tcfg = train.TrainConfig(window_samples=SR)
+        want = {str(e.path): train.ClipStore().features(e, tcfg) for e in entries}
+        monkeypatch.setattr(train, "MAX_CACHED", 2)  # three paths evict each other
+        store, errors = train.ClipStore(), []
 
         def hammer(order):
             try:
                 for _ in range(40):
                     for e in order:
-                        store.load(e)
-                        feats = store.features(e, train.TrainConfig(window_samples=SR))
-                        assert feats.shape == (86, 128)
+                        feats = store.features(e, tcfg)
+                        np.testing.assert_array_equal(feats, want[str(e.path)])
+                        assert not feats.flags.writeable
+                        assert len(store._features) <= 2
             except Exception as exc:  # reported by the main thread
                 errors.append(repr(exc))
 
-        monkeypatch.setattr(audio_io, "load_audio", counted_load_audio)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -750,7 +753,7 @@ class TestParallelPreparation:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert set(decodes) == {str(e.path) for e in entries}
+        assert len(store._features) == 2
 
     @pytest.mark.parametrize("n_build, n_submitted", [(0, 0), (1, 0), (2, 1), (6, 3)])
     def test_only_examples_to_build_reach_the_pool(self, n_build, n_submitted):
@@ -764,17 +767,14 @@ class TestParallelPreparation:
         assert len(submitted) == n_submitted
         np.testing.assert_array_equal(batch, [example(i) for i in range(6)])
 
-    def test_store_hit_returns_the_cached_clip(self, small_dataset):
-        entry = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[0]
-        store = train.ClipStore()
-        assert store.load(entry).samples is store.load(entry).samples
-
-    def test_features_cut_a_cached_empty_clip(self, tmp_path, monkeypatch):
-        audio_io.write_wav(tmp_path / "empty.wav", audio_io.AudioClip(np.zeros(0), SR))
-        entry, store = audio_io.ManifestEntry(tmp_path / "empty.wav", 0), train.ClipStore()
-        assert len(store.load(entry)) == 0  # so the clip is falsy
-        monkeypatch.setattr(audio_io, "load_audio", lambda path: pytest.fail("decoded again"))
-        assert store.features(entry, train.TrainConfig(window_samples=SR)).shape == (86, 128)
+    def test_features_use_the_given_clip_and_decode_nothing(self, tmp_path, monkeypatch):
+        entry = audio_io.ManifestEntry(tmp_path / "absent.wav", 0)
+        clip, store = audio_io.AudioClip(np.zeros(0), SR), train.ClipStore()
+        monkeypatch.setattr(audio_io, "load_audio", lambda path: pytest.fail("decoded"))
+        cfg = train.TrainConfig(window_samples=SR)
+        feats = store.features(entry, cfg, clip)  # an empty clip is given, not None
+        np.testing.assert_array_equal(feats, cfg.pipeline.extract(audio_io.center_slice(clip, SR)))
+        assert store.features(entry, cfg) is feats
 
 
 @pytest.mark.parametrize("feature, extra", [

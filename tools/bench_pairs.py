@@ -8,7 +8,10 @@ checkout: the parent first in even pairs and the change first in odd ones,
 so a slow drift of the machine falls on both sides alike. Each run's result line is printed as it arrives. At the end,
 for every end-to-end metric that the change's BENCHMARK.json lists, the
 median [q1, q3] of each side and the number of pairs the change won are
-printed, with each side's share of failed operations. Standard library only.
+printed, with each side's share of failed operations. A metric is marked
+unresolved when either side's q3 - q1 exceeds its ``bound`` times that side's
+median, unless every change run beats every parent run: its runs spread too
+widely to tell a difference. Standard library only.
 """
 
 from __future__ import annotations
@@ -47,17 +50,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """The comparison of ``pairs`` of (parent, change) result objects, as the
     last line of perfbench/run.py prints them, on the ``end_to_end`` metrics
-    of BENCHMARK.json: per metric, each side's (q1, median, q3) and the pairs
-    in which the change is strictly better; per side, the failed share."""
+    of BENCHMARK.json: per metric, each side's (q1, median, q3), the pairs
+    in which the change is strictly better and whether it is unresolved; per
+    side, the failed share."""
     metrics = []
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        sides = quartiles(parent), quartiles(change)
+        wide = any(q3 - q1 > metric["bound"] * median for q1, median, q3 in sides)
+        apart = min(change) > max(parent) if higher else max(change) < min(parent)
         metrics.append({"name": name, "unit": metric["unit"], "better": metric["better"],
-                        "parent": quartiles(parent), "change": quartiles(change),
-                        "wins": wins})
+                        "parent": sides[0], "change": sides[1], "wins": wins,
+                        "unresolved": wide and not apart})
     failed = {side: sum(pair[k]["failed"] for pair in pairs)
               / max(1, sum(pair[k]["attempted"] for pair in pairs))
               for k, side in enumerate(("parent", "change"))}
@@ -72,7 +79,8 @@ def format_summary(summary: dict) -> list[str]:
     for m in summary["metrics"]:
         lines.append(f"{m['name']} ({m['unit']}, {m['better']} is better): "
                      f"parent {side(m['parent'])} -> change {side(m['change'])}, "
-                     f"wins {m['wins']}/{summary['pairs']}")
+                     f"wins {m['wins']}/{summary['pairs']}"
+                     + (", unresolved: q3 - q1 above bound x median" if m["unresolved"] else ""))
     failed = summary["failed_share"]
     lines.append(f"failed share: parent {failed['parent']:.4g} -> change {failed['change']:.4g}")
     return lines
