@@ -12,7 +12,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ TARGET_RATE = 44100
 
 #: Header sampling rates a WAV may declare. Below the range, resampling to
 #: TARGET_RATE would multiply the sample count by more than 44; above it,
-#: the decimating resampler's kernel table would outgrow memory.
+#: each output of the decimating resampler would take more than 558 taps.
 MIN_WAV_RATE = 1000
 MAX_WAV_RATE = 768_000
 
@@ -34,12 +33,9 @@ MAX_WAV_RATE = 768_000
 # ~-60 dB stopband without an external dependency.
 _RESAMPLE_TAPS = 32
 _KAISER_BETA = 8.6
-# Kernel table rows per input sample; linear interpolation between rows
-# keeps outputs within 1e-6 of direct evaluation.
-_PHASES = 4096
-# Outputs per chunk of the table path, which serves only ratios that are not
-# small fractions; it bounds the gathered (chunk x 2 x taps) workspace.
-_RESAMPLE_CHUNK = 16384
+# Kernel phases evaluated at once, which bounds the kernel's memory: a block
+# at 768 kHz is 256 x 558 taps (1.1 MB).
+_KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -218,47 +214,30 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _table_offsets(half: int) -> np.ndarray:
-    """Kernel table offsets: row p, column j is p/_PHASES - (j - half + 1)."""
-    return np.arange(_PHASES + 1)[:, None] / _PHASES - np.arange(-half + 1, half + 1)
-
-
-def _kaiser(u: np.ndarray) -> np.ndarray:
-    """The Kaiser window at ``u`` half-widths from its centre; 0 outside."""
+def _kaiser_sinc(offsets: np.ndarray, cutoff: float, half: int) -> np.ndarray:
+    """The Kaiser-windowed sinc at ``offsets`` input samples from its centre,
+    with ``half`` taps on either side; 0 outside the window."""
+    u = offsets / half
     window = np.zeros_like(u)
     inside = np.abs(u) <= 1.0
     window[inside] = i0(_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)) / i0(_KAISER_BETA)
-    return window
-
-
-@lru_cache(maxsize=8)
-def _kaiser_window(half: int) -> np.ndarray:
-    """The Kaiser window at every table offset, once per half-width; read-only."""
-    window = _kaiser(_table_offsets(half) / half)
-    window.flags.writeable = False
-    return window
-
-
-def _kaiser_sinc(offsets: np.ndarray, cutoff: float, window: np.ndarray) -> np.ndarray:
-    """The kernel at ``offsets``, given the Kaiser window there."""
     return cutoff * np.sinc(cutoff * offsets) * window
 
 
-def sinc_resample(x: np.ndarray, ratio: float) -> np.ndarray:
-    """Resample by an arbitrary positive ratio (output rate / input rate).
+def sinc_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Resample by ``up/down`` (output rate / input rate), positive integers.
 
-    Output ``i`` is centred at input position ``i / ratio``. A ratio p/q with
-    p, q <= 512 is resampled by exact polyphase filtering: output ``r + p*m``
-    takes kernel phase ``r``, one directly evaluated row of taps, at input
-    ``floor(r*q/p) + q*m``. Other ratios (pitch_shift's 2^(s/12); p > 512,
-    too many short phases) tabulate the kernel at ``_PHASES`` positions per
-    input sample and interpolate between neighbouring rows (bandlimited
-    interpolation after J. O. Smith). Against the directly evaluated kernel,
-    outputs of a unit-range input differ by under 1e-6 on either path.
+    Output ``i`` is centred at input position ``i * down / up``. With
+    p/q = up/down in lowest terms, this is exact polyphase filtering: output
+    ``r + p*m`` takes kernel phase ``r``, one directly evaluated row of taps,
+    at input ``floor(r*q/p) + q*m``. Kernel rows are evaluated
+    ``_KERNEL_BLOCK`` phases at a time, so a ratio with many phases (44100 /
+    767999 has 44,100) costs time but not a p-row kernel in memory.
     """
-    ratio = float(ratio)
-    if not np.isfinite(ratio) or ratio <= 0:
-        raise ValueError(f"resample ratio must be positive and finite, got {ratio}")
+    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in (up, down)):
+        raise ValueError(f"resample ratio must be positive integers up/down, got {up!r}/{down!r}")
+    p, q = Fraction(int(up), int(down)).as_integer_ratio()
+    ratio = p / q
     x = np.asarray(x, dtype=np.float64)
     n_out = int(round(x.size * ratio))
     if n_out == 0:
@@ -267,31 +246,19 @@ def sinc_resample(x: np.ndarray, ratio: float) -> np.ndarray:
     half = int(np.ceil((_RESAMPLE_TAPS // 2) / cutoff))
     # zeros stand for the samples before and after the clip; window b of the
     # padded input holds x[b - half + 1 : b + half + 1], the taps of every
-    # output centred in [b, b + 1), plus a spare for an exact polyphase base
-    last_base = int((n_out - 1) / ratio) + 1
+    # output centred in [b, b + 1)
+    last_base = (n_out - 1) * q // p
     padded = np.concatenate([np.zeros(half - 1), x,
                              np.zeros(max(0, last_base + half + 1 - x.size))])
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half)
     out = np.empty(n_out, dtype=np.float64)
-    p, q = Fraction(ratio).limit_denominator(512).as_integer_ratio()
-    if p <= 512 and p / q == ratio:
-        offsets = (np.arange(min(p, n_out)) * q % p / p)[:, None] - np.arange(-half + 1, half + 1)
-        kernel = _kaiser_sinc(offsets, cutoff, _kaiser(offsets / half))
-        for r, taps in enumerate(kernel):  # no BLAS call, as in the table path
+    n_phases = min(p, n_out)
+    for lo in range(0, n_phases, _KERNEL_BLOCK):
+        phases = np.arange(lo, min(lo + _KERNEL_BLOCK, n_phases))
+        offsets = (phases * q % p / p)[:, None] - np.arange(-half + 1, half + 1)
+        for r, taps in enumerate(_kaiser_sinc(offsets, cutoff, half), lo):
+            # einsum, not BLAS: OpenBLAS's worker threads spin after each call
             out[r::p] = np.einsum("mj,j->m", windows[r * q // p :: q][: out[r::p].size], taps)
-        return out
-    # row p holds the kernel at offsets p/_PHASES - taps; each row is stored
-    # with its step to the next row, so one einsum gives both terms
-    table = _kaiser_sinc(_table_offsets(half), cutoff, _kaiser_window(half))
-    rows = np.stack([table[:-1], np.diff(table, axis=0)], axis=1)
-    for lo in range(0, n_out, _RESAMPLE_CHUNK):
-        hi = min(lo + _RESAMPLE_CHUNK, n_out)
-        centers = np.arange(lo, hi) / ratio
-        base = np.floor(centers).astype(np.int64)
-        phase = (centers - base) * _PHASES
-        row = phase.astype(np.int64)
-        both = np.einsum("ikj,ij->ik", rows[row], windows[base])
-        out[lo:hi] = both[:, 0] + (phase - row) * both[:, 1]
     return out
 
 
@@ -305,9 +272,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == clip.sample_rate:
         return clip
-    ratio = target_rate / clip.sample_rate
-    out = sinc_resample(clip.samples, ratio)
-    return AudioClip(out, target_rate)
+    return AudioClip(sinc_resample(clip.samples, target_rate, clip.sample_rate), target_rate)
 
 
 # ---------------------------------------------------------------------------

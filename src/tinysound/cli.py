@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio_io, augment, deploy, dsp, model as model_mod, tokenizer, train
+from . import _binio, audio_io, augment, deploy, dsp, model as model_mod, tokenizer, train
 from .errors import ConfigError, TinySoundError
 
 log = logging.getLogger(__name__)
@@ -319,10 +319,8 @@ def cmd_sweep(args, cfg: Config) -> int:
         print(f"{label}: best_val_acc={best:.4f}")
 
     out = args.out or "sweep.csv"
-    with open(out, "w") as fh:
-        fh.write("point,best_val_acc\n")
-        for label, best in rows:
-            fh.write(f"{label},{best}\n")
+    _binio.write_file(out, "".join(f"{label},{best}\n" for label, best in
+                                   [("point", "best_val_acc"), *rows]).encode())
     print(f"wrote {out}")
     return 0
 

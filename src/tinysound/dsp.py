@@ -198,7 +198,11 @@ def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
 
     STFT, power and mel product run 64 frames at a time into the output, so
     no whole-clip spectrum is built; the bytes are the whole-clip product's.
+    The filterbank is built for ``TARGET_RATE``, so any other rate raises.
     """
+    if clip.sample_rate != TARGET_RATE:
+        raise ValueError(f"mel_spectrogram needs {TARGET_RATE} Hz audio, got "
+                         f"{clip.sample_rate} Hz: resample the clip first")
     frames, window = _frames(clip.samples, cfg), _padded_window(cfg)
     mel = np.empty((frames.shape[0], cfg.n_mels))
     for lo in range(0, frames.shape[0], 64):

@@ -114,6 +114,26 @@ class TestPitchShift:
         for s in (0.5, 2.3, 4.0):
             assert augment.pitch_shift(x, rng(), semitones=s).size == x.size
 
+    def test_resamples_by_a_small_fraction_near_the_shift(self, monkeypatch):
+        # 12*log2(1 + 1/512) lies midway between 1 and 257/256, the widest
+        # gap between fractions with denominator <= 256 in [1, 2^(4/12)]
+        calls = []
+
+        def fake_resample(x, up, down):
+            calls.append((up, down))
+            return np.zeros(round(x.size * up / down))
+
+        monkeypatch.setattr(augment, "time_stretch", lambda x, rate: np.zeros(round(x.size / rate)))
+        monkeypatch.setattr(augment, "sinc_resample", fake_resample)
+        grid = np.append(np.linspace(0.0, 4.0, 801)[1:], 12 * np.log2(1 + 1 / 512))
+        for s in grid:
+            calls.clear()
+            augment.pitch_shift(np.zeros(4410), rng(), semitones=s)
+            (up, down), = calls or [(1, 1)]  # a factor of 1 returns a copy
+            assert isinstance(up, int) and isinstance(down, int)
+            assert 0 < up <= 256
+            assert abs(1200 * np.log2(up / down) + 100 * s) <= 3.4
+
 
 class TestPartialErase:
     def test_zero_fraction_identity(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -496,6 +497,24 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "point,best_val_acc"
         assert len(lines) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "sweep.csv"]
+
+    def test_failed_replace_keeps_the_old_csv(self, small_dataset, tmp_path, monkeypatch,
+                                              capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", sweep_n_mels="32",
+                        **self._base_keys(small_dataset))
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"point,best_val_acc\nold,0.5\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "best_val_acc=" in captured.out and "disk full" in captured.err
+        assert out.read_bytes() == b"point,best_val_acc\nold,0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "sweep.csv"]
 
     def test_two_by_two_grid(self, small_dataset, tmp_path):
         keys = self._base_keys(small_dataset)

@@ -144,6 +144,22 @@ class TestBench:
         line = report.to_json_line()
         assert '"runs": 4' in line
 
+    def test_serialized_bytes_of_a_trained_tsck_and_a_tscq(self, tmp_path):
+        # a TSCK is re-encoded from its weights alone, without the Adam
+        # moments, step and metadata of the file; a TSCQ counts whole
+        params, meta = tiny_params(22), {"epoch": 3, "val_acc": 0.5}
+        tsck = tmp_path / "best.tsck"
+        model.save_checkpoint(tsck, params, train.zero_moments(params), step=40, metadata=meta)
+        report = deploy.bench(model.load_checkpoint(tsck).params, self._pipeline(), 220500,
+                              n_runs=1, warmup=0)
+        assert report.serialized_bytes == len(model.encode_checkpoint(params))
+        assert report.serialized_bytes < tsck.stat().st_size / 2
+        tscq = tmp_path / "best.tscq"
+        deploy.save_quantized(tscq, deploy.quantize_dynamic(params, meta))
+        report = deploy.bench(deploy.load_quantized(tscq), self._pipeline(), 220500,
+                              n_runs=1, warmup=0)
+        assert report.serialized_bytes == tscq.stat().st_size
+
     def test_order_statistics_and_first_call(self):
         report = deploy.bench(tiny_params(21), self._pipeline(), 220500, n_runs=5, warmup=2)
         assert report.min_ms <= report.median_ms <= report.p90_ms <= report.max_ms

@@ -200,6 +200,14 @@ class TestMelSpectrogram:
             interior = feats[5:-5]
             assert np.all(interior.argmax(axis=1) == band), f"band {band}"
 
+    @pytest.mark.parametrize("featurize", [dsp.mel_spectrogram, dsp.mfcc])
+    def test_rejects_clip_at_another_rate(self, featurize):
+        # the filterbank is built for 44.1 kHz: read against it, a 1 kHz
+        # tone at 16 kHz would peak in mel band 63 instead of 31
+        clip = AudioClip(sine(1000.0, 0.5, sr=16000), 16000)
+        with pytest.raises(ValueError, match="44100 Hz.*16000 Hz"):
+            featurize(clip, CFG)
+
 
     @pytest.mark.parametrize("cfg, n_empty", [
         (dsp.SpectrogramConfig(log_scale=False), 0),
