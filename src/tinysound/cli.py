@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import logging
@@ -94,6 +95,18 @@ def _fields(cfg: Config, owner) -> dict:
             for key, (key_owner, field) in _FIELD_KEYS.items() if key_owner is owner}
 
 
+@contextlib.contextmanager
+def _naming_keys():
+    """A ``ConfigError`` led by a field that a key of another name sets names that key."""
+    try:
+        yield
+    except ConfigError as exc:
+        key = {f: k for k, (_, f) in _FIELD_KEYS.items()}.get(str(exc).split(" ", 1)[0])
+        if key is None or str(exc).startswith(key + " "):
+            raise
+        raise ConfigError(f"config key {key}: {exc}") from exc
+
+
 def pipeline_config(cfg: Config) -> train.PipelineConfig:
     fields = _fields(cfg, train.PipelineConfig)
     vocab = None
@@ -126,6 +139,7 @@ def train_config(cfg: Config, seed: int) -> train.TrainConfig:
         val_fold=val_fold if val_fold >= 0 else None, **_fields(cfg, train.TrainConfig))
 
 
+@_naming_keys()
 def model_config(cfg: Config, pipeline: train.PipelineConfig,
                  window_samples: int, classes: int) -> model_mod.ModelConfig:
     return pipeline.model_config(window_samples, classes, **_fields(cfg, model_mod.ModelConfig))
@@ -155,6 +169,7 @@ def cmd_featurize(args, cfg: Config) -> int:
     return 0
 
 
+@_naming_keys()
 def cmd_build_vocab(args, cfg: Config) -> int:
     manifest = load_dataset(cfg)
     spec = tokenizer.CurveSpec(**_fields(cfg, tokenizer.CurveSpec))
@@ -251,7 +266,7 @@ def cmd_count(args, cfg: Config) -> int:
     print(f"parameters: {params:,}")
     print(f"mult-adds (per-position convention): {model_mod.count_mult_adds(mcfg, model_mod.PER_POSITION):,}")
     print(f"mult-adds (total forward pass): {model_mod.count_mult_adds(mcfg, model_mod.TOTAL):,}")
-    print(f"mult-adds (executed, last layer at position 0): "
+    print(f"mult-adds (executed, last layer one query with no keys or values): "
           f"{model_mod.count_mult_adds(mcfg, model_mod.EXECUTED):,}")
     return 0
 

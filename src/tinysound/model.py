@@ -9,7 +9,8 @@ tables instead. Encoder layers use post-LayerNorm residuals, GELU, and a
 feed-forward width fixed at 4x hidden. Classification reads the first
 sequence position through a tanh pooler, so the last layer runs at
 position 0 only: its query, residual, LayerNorms and feed-forward cover
-that one row, while its keys and values still cover every position.
+that one row, and it builds no keys or values, as its key and value weights
+act on the query and on the attention-weighted sum of positions instead.
 Earlier layers run at every position.
 
 The encoder is a short sequence of ops, each returning its output and its
@@ -225,10 +226,13 @@ def _layer_norm(w, name: str, x: np.ndarray):
         grads[name + "_g"] += np.einsum("blh,blh->h", dy, xhat)
         grads[name + "_b"] += np.einsum("blh->h", dy)
         dxhat = dy * g
-        dx = dxhat - xhat * (np.einsum("blh,blh->bl", dxhat, xhat)[..., None] / h)
+        dx = xhat * (np.einsum("blh,blh->bl", dxhat, xhat)[..., None] / h)
+        np.subtract(dxhat, dx, out=dx)
         dx -= np.einsum("blh->bl", dxhat)[..., None] / h
         return np.multiply(dx, inv_std, out=dx)
-    return g * xhat + w[name + "_b"], back
+    y = g * xhat
+    y += w[name + "_b"]
+    return y, back
 
 
 def _dropout(x: np.ndarray, rate: float, rng):
@@ -239,23 +243,44 @@ def _dropout(x: np.ndarray, rate: float, rng):
     return x * keep * scale, lambda dy, grads: dy * keep * scale
 
 
-def _batch_moments(batch: np.ndarray):
-    """Per-position (B, F) mean and variance: two passes, no (B, L, F) temporary."""
-    n = batch.shape[0] * batch.shape[2]
-    mean = np.einsum("blf->bl", batch).sum(axis=0) / n
-    return mean, sum(np.einsum("lf,lf->l", c, c) for c in (x - mean[:, None] for x in batch)) / n
+class Example(np.ndarray):
+    """(L, F) features, float64, carrying ``moments``: their per-position mean and
+    centered sum of squares over F, taken in two passes. An array derived from an
+    ``Example`` carries none."""
+
+    def __new__(cls, features):
+        x = np.asarray(features, dtype=np.float64)
+        mean = np.einsum("lf->l", x) / x.shape[1]
+        c = x - mean[:, None]
+        self = x.view(cls)
+        self.moments = mean, np.einsum("lf,lf->l", c, c)
+        return self
 
 
-def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
+def _batch_moments(batch):
+    """Per-position mean and variance of a sequence of (L, F) examples, from each one's
+    ``moments`` (an ``Example``'s for one that carries none) combined as Chan, Golub and
+    LeVeque (1979) combine centered sums: no (B, L, F) temporary."""
+    means, sums = map(np.array, zip(*(getattr(x, "moments", None) or Example(x).moments
+                                      for x in batch)))
+    n, f = len(batch), np.shape(batch[0])[1]
+    mean = np.einsum("bl->l", means) / n
+    d = means - mean
+    return mean, (np.einsum("bl->l", sums) + f * np.einsum("bl,bl->l", d, d)) / (n * f)
+
+
+def _bn_mapping(params: ModelParams, w, batch, update_stats: bool):
     """Per-position batch norm folded into the linear map from F to the hidden size.
 
-    Normalizes with batch statistics, folded into the float32 running stats,
-    when ``update_stats``, else with the running stats. With s = gamma /
+    Reads ``batch``, a sequence of (L, F) examples, one at a time. Normalizes
+    with batch statistics, folded into the float32 running stats, when
+    ``update_stats``, else with the running stats. With s = gamma /
     sqrt(var + eps) and t = beta - s * mean per position, the output is
     s * (x @ W.T) + t * rowsum(W) + b: no direction builds the (B, L, F) xhat.
     """
+    weight, row_sum = w["map_w"], w["map_w"].sum(axis=1)
     if update_stats:
-        (mean, var), n = _batch_moments(batch), batch.shape[0] * batch.shape[2]
+        (mean, var), n = _batch_moments(batch), len(batch) * weight.shape[1]
         run_var = var * n / (n - 1) if n > 1 else var  # unbiased, for the running estimate
         rm, rv = params.tensors["bn_running_mean"], params.tensors["bn_running_var"]
         rm[...] = ((1 - _BN_MOMENTUM) * rm + _BN_MOMENTUM * mean).astype(np.float32)
@@ -265,19 +290,22 @@ def _bn_mapping(params: ModelParams, w, batch: np.ndarray, update_stats: bool):
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     scale = w["bn_gamma"] * inv_std
     shift = w["bn_beta"] - scale * mean
-    weight, row_sum = w["map_w"], w["map_w"].sum(axis=1)
-    xw = batch @ weight.T
+    xw = np.empty((len(batch), len(scale), len(row_sum)))
+    for x, out in zip(batch, xw):
+        np.matmul(x, weight.T, out=out)
 
     def back(dy, grads):
         dy_l = dy.sum(axis=0)
         d_beta = np.einsum("lh,h->l", dy_l, row_sum)
         grads["bn_beta"] += d_beta
         grads["bn_gamma"] += inv_std * (np.einsum("blh,blh->l", dy, xw) - mean * d_beta)
-        h, f = weight.shape
-        grads["map_w"] += (scale[:, None] * dy).reshape(-1, h).T @ batch.reshape(-1, f)
+        for d, x in zip(scale[:, None] * dy, batch):
+            grads["map_w"] += d.T @ x
         grads["map_w"] += np.einsum("l,lh->h", shift, dy_l)[:, None]
         grads["map_b"] += np.einsum("lh->h", dy_l)
-    return scale[:, None] * xw + (shift[:, None] * row_sum + w["map_b"]), back
+    y = scale[:, None] * xw
+    y += shift[:, None] * row_sum + w["map_b"]
+    return y, back
 
 
 def _token_embedding(w, ids: np.ndarray, positional: bool):
@@ -305,8 +333,11 @@ def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries
     """Post-LN self-attention, LN(xq + dropout(attention(xq, x))), with weights ``p*``.
 
     Queries, residual and output cover the first ``n_queries`` positions,
-    xq = x[:, :n_queries]; keys and values cover every position. Its backward
-    also carries the attention probabilities as ``back.probs``.
+    xq = x[:, :n_queries]; the attention covers every position. One query
+    builds no keys or values: scores are x·(W_k,hᵀ q_h) per head h, as softmax
+    drops the constant q_h·b_k,h (so ``k_b`` gets no gradient here), and the
+    context is (probs·x)·W_v,hᵀ + b_v,h. Its backward also carries the
+    (B, heads, n_queries, L) attention probabilities as ``back.probs``.
     """
     b, _, h = x.shape
     dh = h // heads
@@ -318,23 +349,41 @@ def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries
     def merge(y):
         return y.transpose(0, 2, 1, 3).reshape(b, y.shape[2], h)
 
-    projections = [_linear(w, p + name, z) for name, z in (("q", xq), ("k", x), ("v", x))]
-    q, k, v = (split(y) for y, _ in projections)
-    probs = softmax(q @ k.swapaxes(-1, -2) / np.sqrt(dh))
-    out, o_back = _linear(w, p + "o", merge(probs @ v))
+    q_out, q_back = _linear(w, p + "q", xq)
+    q = split(q_out)
+    # scores a·keysᵀ and context probs·values; one query's keys and values are x itself
+    if n_queries == 1:
+        wk, wv = (w[p + name].reshape(heads, dh, h) for name in ("k_w", "v_w"))
+        a, keys, values = q @ wk, x[:, None], x[:, None]
+    else:
+        (k, k_back), (v, v_back) = (_linear(w, p + name, x) for name in "kv")
+        a, keys, values = q, split(k), split(v)
+    probs = softmax(a @ keys.swapaxes(-1, -2) / np.sqrt(dh))
+    ctx = px = probs @ values
+    if n_queries == 1:
+        ctx = px @ wv.swapaxes(-1, -2) + w[p + "v_b"].reshape(heads, 1, dh)
+    out, o_back = _linear(w, p + "o", merge(ctx))
     out, drop_back = dropout(out)
     y, ln_back = _layer_norm(w, p + "attn_ln", xq + out)
 
     def back(dy, grads):
         dxq = ln_back(dy, grads)
         d_ctx = split(o_back(drop_back(dxq, grads), grads))
-        d_probs = d_ctx @ v.swapaxes(-1, -2)
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        d_scores = d_scores / np.sqrt(dh)
-        (_, q_back), (_, k_back), (_, v_back) = projections  # one (B, L, H) gradient at a time
-        dx = k_back(merge(d_scores.swapaxes(-1, -2) @ q), grads)
-        dx += v_back(merge(probs.swapaxes(-1, -2) @ d_ctx), grads)
-        dx[:, :n_queries] += dxq + q_back(merge(d_scores @ k), grads)
+        d_px = d_ctx @ wv if n_queries == 1 else d_ctx
+        d_probs = d_px @ values.swapaxes(-1, -2)
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+        d_a = d_scores @ keys
+        if n_queries == 1:  # one product over 2 * heads columns
+            dx = (np.concatenate((d_scores, probs), axis=1)[:, :, 0].swapaxes(1, 2)
+                  @ np.concatenate((a, d_px), axis=1)[:, :, 0])
+            grads[p + "k_w"] += np.einsum("bnqd,bnqh->ndh", q, d_a).reshape(h, h)
+            grads[p + "v_w"] += np.einsum("bnqd,bnqh->ndh", d_ctx, px).reshape(h, h)
+            grads[p + "v_b"] += np.einsum("bnqd->nd", d_ctx).reshape(h)
+            d_a = d_a @ wk.swapaxes(-1, -2)
+        else:  # one (B, L, H) gradient at a time
+            dx = k_back(merge(d_scores.swapaxes(-1, -2) @ q), grads)
+            dx += v_back(merge(probs.swapaxes(-1, -2) @ d_ctx), grads)
+        dx[:, :n_queries] += dxq + q_back(merge(d_a), grads)
         return dx
     back.probs = probs
     return y, back
@@ -367,24 +416,25 @@ def _pooler_classifier(w, x: np.ndarray, dropout):
     return logits, back
 
 
-def forward(params: ModelParams, batch: np.ndarray, training: bool = False,
+def forward(params: ModelParams, batch, training: bool = False,
             rng: np.random.Generator | None = None, freeze_stats: bool = False):
-    """Run the encoder; returns logits, or ``(logits, backwards)`` when
-    training: each op's backward, in forward order, for ``backward``.
+    """Run the encoder on ``batch``, a sequence of examples, each (L, F) features
+    (an ``Example`` brings its batch-norm moments) or L token ids; a (B, L, F) or
+    (B, L) array is one such sequence. Returns logits, or ``(logits, backwards)``
+    when training: each op's backward, in forward order, for ``backward``.
 
     Training mode normalizes with batch statistics (and updates the running
     stats unless ``freeze_stats``) and applies dropout, which requires
     ``rng`` when the configured rate is nonzero.
     """
     cfg = params.cfg
-    batch = np.asarray(batch)
     if cfg.input_mode == CONTINUOUS:
-        if batch.ndim != 3 or batch.shape[1:] != (cfg.seq_len, cfg.input_dim):
-            raise ValueError(
-                f"expected batch of shape (B, {cfg.seq_len}, {cfg.input_dim}), got {batch.shape}"
-            )
-        batch = np.asarray(batch, dtype=np.float64)
+        shapes = sorted({np.shape(x) for x in batch})
+        if shapes != [(cfg.seq_len, cfg.input_dim)]:
+            raise ValueError(f"expected batch of shape (B, {cfg.seq_len}, {cfg.input_dim}), "
+                             f"got examples of shapes {shapes}")
     else:
+        batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != cfg.seq_len:
             raise ValueError(f"expected token batch of shape (B, {cfg.seq_len}), got {batch.shape}")
         if batch.min() < 0 or batch.max() >= cfg.input_dim:
@@ -453,10 +503,11 @@ def mult_add_breakdown(cfg: ModelConfig, convention: str = TOTAL) -> dict[str, i
     ``total`` is the architectural MAC count of one forward pass, every
     layer at every position, including the L^2 * H attention score/value
     products. ``executed`` is what ``forward`` runs for one clip: the last
-    layer computes its queries, output projection and feed-forward at
-    position 0 only (keys and values at every position), and the batch
-    norm folded into the mapping costs 2 * L * H. ``per_position`` counts
-    each weight matrix once plus L for the batch norm, approximating
+    layer runs one query and builds no keys or values (Q, O, W_k,hᵀ q_h and
+    (probs·x)·W_v,hᵀ cost 4 * H^2, its scores and weighted sums
+    2 * heads * L * H, its feed-forward one row), and the batch norm folded
+    into the mapping costs 2 * L * H. ``per_position`` counts each weight
+    matrix once plus L for the batch norm, approximating
     parameter-count-style accounting tools.
     """
     h, c, seq, layers = cfg.hidden, cfg.classes, cfg.seq_len, cfg.layers
@@ -473,15 +524,15 @@ def mult_add_breakdown(cfg: ModelConfig, convention: str = TOTAL) -> dict[str, i
         }
     if convention not in (TOTAL, EXECUTED):
         raise ValueError(f"unknown convention {convention!r}")
-    # query rows per layer: every position, except in the executed last layer
-    rows = [seq] * layers if convention == TOTAL else [seq] * (layers - 1) + [1]
+    full = layers if convention == TOTAL else layers - 1  # layers run at every position
+    one = layers - full  # the executed last layer: one query
     return {
         "batch_norm": (seq * f if convention == TOTAL else 2 * seq * h) if continuous else 0,
         "mapping": seq * f * h,
-        "attention_proj": sum(2 * seq * h * h + 2 * n * h * h for n in rows),
-        "attention_scores": sum(n * seq * h for n in rows),
-        "attention_values": sum(n * seq * h for n in rows),
-        "ffn": sum(8 * n * h * h for n in rows),
+        "attention_proj": (full * seq + one) * 4 * h * h,
+        "attention_scores": (full * seq + one * cfg.heads) * seq * h,
+        "attention_values": (full * seq + one * cfg.heads) * seq * h,
+        "ffn": (full * seq + one) * 8 * h * h,
         "pooler": h * h,
         "classifier": h * c,
     }

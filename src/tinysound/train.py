@@ -29,6 +29,7 @@ from .model import (
     CONTINUOUS,
     TOKENS,
     Checkpoint,
+    Example,
     ModelConfig,
     ModelParams,
     backward,
@@ -166,11 +167,12 @@ class PipelineConfig:
     def check_window(self, window_samples: int) -> None:
         """Raise ``ConfigError`` unless a window of ``window_samples`` holds one
         input: a spectrogram's hop, or an amplitude matrix's rows x cols samples."""
-        need = {MEL: self.spectrogram.hop_length, MFCC: self.spectrogram.hop_length,
-                AMPLITUDE: self.reshape_rows * self.reshape_cols}.get(self.feature, 1)
-        if window_samples < need:
-            raise ConfigError(f"window_samples must be >= {need} for {self.feature} "
-                              f"features, got {window_samples}")
+        hop = self.spectrogram.hop_length, "hop_length"
+        cells = self.reshape_rows * self.reshape_cols, "reshape_rows x reshape_cols"
+        need, keys = {MEL: hop, MFCC: hop, AMPLITUDE: cells}.get(self.feature, (1, "none"))
+        if window_samples < need:  # the message names every config key read here
+            raise ConfigError(f"window_samples must be >= {need} ({keys}) for feature "
+                              f"{self.feature}, got {window_samples}")
 
     def model_config(self, window_samples: int, classes: int, **arch) -> ModelConfig:
         """The config of a model that takes this pipeline's inputs of
@@ -237,9 +239,15 @@ class TrainConfig:
 MAX_CACHED = 4096  # fixed-window feature matrices a ClipStore keeps, oldest out first
 
 
+def _model_input(pipeline: PipelineConfig, window: AudioClip) -> np.ndarray:
+    """``pipeline.extract(window)``: token ids, or features as a ``model.Example``."""
+    feats = pipeline.extract(window)
+    return feats if pipeline.feature == CURVE else Example(feats)
+
+
 class ClipStore:
-    """Read-only features of dataset clips' fixed windows, by path, window length
-    and pipeline; it keeps no decoded clip. One lock guards the table."""
+    """Read-only ``_model_input``s of dataset clips' fixed windows, by path, window
+    length and pipeline; it keeps no decoded clip. One lock guards the table."""
 
     def __init__(self):
         self._features: dict = {}
@@ -256,12 +264,13 @@ class ClipStore:
         feats = self.cached(entry, cfg)
         if feats is None:
             clip = self.load(entry) if clip is None else clip
-            feats = cfg.pipeline.extract(audio_io.center_slice(clip, cfg.window_samples))
+            feats = _model_input(cfg.pipeline, audio_io.center_slice(clip, cfg.window_samples))
             feats.setflags(write=False)
-            with self._lock:
-                if len(self._features) >= MAX_CACHED:
+            key = (str(entry.path), cfg.window_samples, cfg.pipeline)
+            with self._lock:  # another thread may have stored this key since the miss
+                if key not in self._features and len(self._features) >= MAX_CACHED:
                     self._features.pop(next(iter(self._features)))
-                self._features[(str(entry.path), cfg.window_samples, cfg.pipeline)] = feats
+                feats = self._features.setdefault(key, feats)
         return feats
 
     def cached(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray | None:
@@ -305,7 +314,7 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
         window = window.with_samples(apply_pipeline(window.samples, cfg.augments, rng))
-    return cfg.pipeline.extract(window)
+    return _model_input(cfg.pipeline, window)
 
 
 @contextlib.contextmanager
@@ -316,12 +325,12 @@ def _helper_pool():
         yield pool, helpers
 
 
-def _prepare_batch(build, chunk, pool, cached) -> np.ndarray:
-    """``cached(item)``, else ``build(item)``, for each item of ``chunk``, stacked: the
-    one maker of training and evaluation examples. This thread and the helpers of a
-    ``_helper_pool`` take the items to build from one iterator, so an all-cached batch
-    meets no helper. After a failure no example starts; then the lowest position's
-    is raised with its own type."""
+def _prepare_batch(build, chunk, pool, cached) -> list:
+    """``cached(item)``, else ``build(item)``, for each item of ``chunk``, in a list,
+    not stacked: the one maker of training and evaluation examples. This thread and
+    the helpers of a ``_helper_pool`` take the items to build from one iterator, so an
+    all-cached batch meets no helper. After a failure no example starts; then the
+    lowest position's is raised with its own type."""
     executor, helpers = pool
     examples, failures = [cached(item) for item in chunk], []
     todo = [(pos, item) for pos, item in enumerate(chunk) if examples[pos] is None]
@@ -342,7 +351,7 @@ def _prepare_batch(build, chunk, pool, cached) -> np.ndarray:
         future.result()
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return np.stack(examples)
+    return examples
 
 
 @dataclass
@@ -483,7 +492,7 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
             chunk = entries[lo : lo + cfg.batch_size]
             batch = _prepare_batch(lambda e: store.features(e, cfg), chunk, pool,
                                    lambda e: store.cached(e, cfg))
-            logits = forward(params, batch, training=False)
+            logits = forward(params, np.stack(batch), training=False)
             correct += int((logits.argmax(axis=1) == np.array([e.label for e in chunk])).sum())
     return correct / len(entries)
 

@@ -264,7 +264,7 @@ class TestCount:
         out = capsys.readouterr().out
         assert "6,642" in out
         assert "(total forward pass): 8,173,792" in out
-        assert "(executed, last layer at position 0): 1,131,232" in out
+        assert "(executed, last layer one query with no keys or values): 925,344" in out
 
     def test_one_second_variant(self, tmp_path, capsys):
         keys = dict(TINY_KEYS, window_samples=44100)
@@ -593,5 +593,6 @@ def test_known_keys_give_configs_or_config_error(values):
     try:
         tcfg = cli.train_config(cfg, 0)
         cli.model_config(cfg, tcfg.pipeline, tcfg.window_samples, classes=3)
-    except ConfigError:
-        pass
+    except ConfigError as exc:
+        if len(values) == 1:  # the error names the one key that was set
+            assert re.search(rf"\b{re.escape(next(iter(values)))}\b", str(exc)), str(exc)

@@ -18,7 +18,7 @@ def test_two_layer_step_times_each_op_forward_and_back(capsys, monkeypatch):
            "pooler_classifier"]
     numbered = [f"{k} {op}" for k, op in enumerate(ops)]
     assert [" ".join(label.split()) for label, *_ in rows] == (
-        ["data stack"] + [f"forward {n}" for n in numbered]
+        [f"forward {n}" for n in numbered]
         + ["forward total", "loss cross_entropy"]
         + [f"backward {n}" for n in reversed(numbered)]
         + ["backward total", "check _check_finite", "adam adam_step", "step total"])

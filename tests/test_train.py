@@ -510,8 +510,8 @@ def seeded_run_digest(root, augmented: bool) -> str:
 # run must give these bytes at 1 and at 2 BLAS threads. pitch_shift fires in
 # the augmented run, so its digest depends on pitch_shift's fraction grid.
 GOLDEN_RUN_SHA256 = {
-    False: "d84e2f85852c9a205aa3fd95f4669b3ef19106832eb1c1494f2a44f2a0c408db",
-    True: "482b02d8ee241982bbfa74eeaf6bae625a201216d11a5d5f343cc59db0b2fc7a",
+    False: "df8939531fad840582b2aa5ca8f86f0e389f20cc22dd1fbb23c1a993cbe42a5c",
+    True: "bc40ac6b9e846d8ae68af0764b4fd3498337a7466dfec1492ef1fc4d79775337",
 }
 
 
@@ -754,6 +754,18 @@ class TestParallelPreparation:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+        assert len(store._features) == 2
+
+    def test_a_key_stored_twice_evicts_nothing(self, small_dataset, monkeypatch):
+        # two threads that miss the same clip both store it; the second store
+        # must neither evict another entry nor replace the first one's features
+        entries = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[:2]
+        tcfg = train.TrainConfig(window_samples=SR)
+        monkeypatch.setattr(train, "MAX_CACHED", 2)
+        store = train.ClipStore()
+        first = [store.features(e, tcfg) for e in entries]
+        monkeypatch.setattr(store, "cached", lambda entry, cfg: None)  # a miss that raced
+        assert store.features(entries[1], tcfg) is first[1]
         assert len(store._features) == 2
 
     @pytest.mark.parametrize("n_build, n_submitted", [(0, 0), (1, 0), (2, 1), (6, 3)])

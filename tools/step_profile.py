@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 tools/step_profile.py --batch 16
 
-The step is the one ``train.train_loop`` takes: a new batch stacked from
-the examples, a training forward (dropout on, batch statistics),
+The step is the one ``train.train_loop`` takes: a training forward
+(dropout on, batch statistics) on a list of ``model.Example``s, as a
+``train.ClipStore`` keeps them with their batch-norm moments,
 ``cross_entropy``, ``backward``, ``_check_finite`` and ``adam_step``. The
 examples are fixed, drawn with mean -50 and std 30 like log-mel features in
 dB. The model is the default ``ModelConfig`` (430 x 128 input, hidden 16,
@@ -109,16 +110,15 @@ def profile(cfg: model.ModelConfig, batch_size: int, repeats: int) -> dict:
     rng = np.random.default_rng(0)
     params = model.init_model(cfg, rng)
     moments = train.zero_moments(params)
-    examples = list(-50.0 + 30.0 * rng.standard_normal((batch_size, cfg.seq_len, cfg.input_dim)))
+    examples = [model.Example(x) for x in
+                -50.0 + 30.0 * rng.standard_normal((batch_size, cfg.seq_len, cfg.input_dim))]
     labels = rng.integers(0, cfg.classes, batch_size)
     timer, step = StepTimer(), 0
     with timer:
         for k in range(repeats + 1):
             if k == 1:
                 timer.times.clear()  # the first step warms caches and is not reported
-            # a new batch each step, stacked from the examples as train_loop stacks them
-            batch = timer.timed("data", "stack", np.stack, examples)
-            step = timer.step(params, moments, step, batch, labels, rng, 1e-4)
+            step = timer.step(params, moments, step, examples, labels, rng, 1e-4)
     return dict(timer.times)  # in the order the step first recorded them
 
 
