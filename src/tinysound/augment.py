@@ -72,7 +72,8 @@ def lowpass(x, rng: np.random.Generator, *, cutoff: float | None = None):
     if cutoff is None:
         cutoff = rng.uniform(0.05, 0.20)
     b, a = scipy.signal.butter(5, cutoff)
-    return scipy.signal.lfilter(b, a, x)
+    y = scipy.signal.lfilter(b, a, x)
+    return np.where(np.abs(y) < np.finfo(float).tiny, 0.0, y)  # subnormals slow later transforms
 
 
 def _linear_stft_config(n_fft: int, hop: int) -> dsp.SpectrogramConfig:
@@ -83,41 +84,47 @@ def _linear_stft_config(n_fft: int, hop: int) -> dsp.SpectrogramConfig:
 def time_stretch(x, rate: float) -> np.ndarray:
     """Phase-vocoder time stretch; rate > 1 is faster (output ~ len/rate).
 
-    Pitch is preserved. Output length is exactly round(len / rate).
+    Pitch is preserved. Output length is exactly round(len / rate). Phase is carried
+    as unit phasors (Laroche and Dolson 1999), so no angle is taken.
     """
+    return _stretch(x, rate, None)
+
+
+def _stretch(x, rate: float, max_steps: int | None) -> np.ndarray:
+    """``time_stretch`` from at most ``max_steps`` synthesis frames (None: all)."""
     if rate <= 0:
         raise ValueError(f"stretch rate must be positive, got {rate}")
     x = _as_wave(x)
     n_target = int(round(x.size / rate))
-    if x.size == 0 or n_target == 0:
-        return np.zeros(n_target)
-    cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP)
-    spec = dsp.stft(x, cfg)
-    if spec.shape[0] == 0:
+    if x.size < _VOCODER_HOP:  # no analysis frame
         return _fit_length(x, n_target)
+    cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP)
+    units = dsp.stft(x, cfg)
 
-    n, bins = spec.shape
-    steps = np.arange(0.0, n, rate)
-    magnitudes, phases = np.zeros((n + 2, bins)), np.zeros((n + 2, bins))
-    np.abs(spec, out=magnitudes[:n])
-    np.arctan2(spec.imag, spec.real, out=phases[:n])  # what np.angle computes
-    del spec
-    # expected phase advance per hop for each bin
-    advance = 2.0 * np.pi * _VOCODER_HOP * np.arange(bins) / _VOCODER_FFT
-
-    out = np.empty((steps.size, bins), dtype=np.complex128)
-    accumulator = phases[0].copy()
-    for i, step in enumerate(steps):
-        k = int(step)
-        frac = step - k
-        mag = (1.0 - frac) * magnitudes[k] + frac * magnitudes[k + 1]
-        out[i] = mag * np.exp(1j * accumulator)
-        delta = phases[k + 1] - phases[k] - advance
-        delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
-        accumulator += advance + delta
-
-    stretched = dsp.istft(out, cfg, steps.size * _VOCODER_HOP)
-    return _fit_length(stretched, n_target)
+    n, bins = units.shape
+    # e^{i phi} = X/|X| by two real divides (a complex one overflows on a subnormal |X|),
+    # renormalized where |X| is subnormal; 1 where X = 0, as np.angle(0) is 0
+    units = np.vstack([units, np.zeros((1, bins))])  # row n: the zero frame past the end
+    magnitudes = np.abs(units)
+    for part in (units.real, units.imag):
+        np.divide(part, magnitudes, out=part, where=magnitudes > 0)
+    units[magnitudes == 0] = 1.0
+    small = magnitudes < np.finfo(float).tiny
+    units[small] /= np.abs(units[small])
+    for lo in reversed(range(0, n, 64)):  # row k + 1 becomes frame k's turn; row 0 stays
+        hi = min(lo + 64, n)
+        np.multiply(units[lo + 1 : hi + 1], units[lo:hi].conj(), out=units[lo + 1 : hi + 1])
+    steps = np.arange(0.0, n, rate)[:max_steps]
+    k, frac = steps.astype(np.intp), (steps % 1.0)[:, None]
+    out = np.take(units, np.r_[0, k[:-1] + 1], axis=0)  # step 0's phasor, then step i-1's turn
+    del units, part, small
+    for lo in range(0, steps.size, 63):  # blocks of 64 steps, each carrying in the last one's end
+        np.multiply.accumulate(out[lo : lo + 64], axis=0, out=out[lo : lo + 64])
+    for lo in range(0, steps.size, 64):
+        ks, f = k[lo : lo + 64], frac[lo : lo + 64]
+        out[lo : lo + 64] *= (1.0 - f) * magnitudes[ks] + f * magnitudes[ks + 1]
+    del magnitudes
+    return _fit_length(dsp.istft(out, cfg, steps.size * _VOCODER_HOP), n_target)
 
 
 def pitch_shift(x, rng: np.random.Generator, *, semitones: float | None = None):
@@ -169,7 +176,8 @@ def speed_adjust(x, rng: np.random.Generator, *, rate: float | None = None):
         rate = rng.uniform(0.5, 1.5)
     if rate == 1.0:
         return x.copy()
-    return _fit_length(time_stretch(x, rate), x.size)
+    steps = x.size // _VOCODER_HOP + _VOCODER_FFT // _VOCODER_HOP + 1  # frames its samples reach
+    return _fit_length(_stretch(x, rate, steps), x.size)
 
 
 def add_noise(x, rng: np.random.Generator, *, sigma: float | None = None):

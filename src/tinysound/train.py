@@ -492,7 +492,7 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
             chunk = entries[lo : lo + cfg.batch_size]
             batch = _prepare_batch(lambda e: store.features(e, cfg), chunk, pool,
                                    lambda e: store.cached(e, cfg))
-            logits = forward(params, np.stack(batch), training=False)
+            logits = forward(params, batch, training=False)
             correct += int((logits.argmax(axis=1) == np.array([e.label for e in chunk])).sum())
     return correct / len(entries)
 

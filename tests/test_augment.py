@@ -1,5 +1,7 @@
 """The eleven waveform augmentations and the pipeline applicator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -96,6 +98,13 @@ class TestLowpass:
         atten = 20 * np.log10(np.sqrt(np.mean(out[2 * SR:] ** 2) / np.mean(tone[2 * SR:] ** 2)))
         assert atten < -30.0
 
+    def test_click_tail_has_no_subnormal_sample(self):
+        # the IIR tail decays into subnormals over silence, which slow every later transform
+        click = np.zeros(SR)
+        click[0] = 1.0
+        out = augment.lowpass(click, rng(), cutoff=0.05)
+        assert not np.any((out != 0) & (np.abs(out) < np.finfo(float).tiny))
+
 
 class TestPitchShift:
     def test_zero_shift_near_identity(self):
@@ -170,10 +179,18 @@ class TestSpeedAdjust:
             content = out[: int(x.size / max(1.0, r)) - 4096]
             assert abs(dominant_freq(content) - 440.0) / 440.0 < 0.02, f"rate {r}"
 
+    @pytest.mark.parametrize("rate", [0.5, 0.55, 0.87])
+    def test_trimmed_synthesis_equals_the_whole_stretch(self, rate):
+        # a rate below 1 stretches past the input length; speed_adjust synthesizes only
+        # the frames its kept samples need
+        x = rng(21).uniform(-1.0, 1.0, 50_001)
+        whole = augment._fit_length(augment.time_stretch(x, rate), x.size)
+        assert augment.speed_adjust(x, rng(), rate=rate).tobytes() == whole.tobytes()
+
 
 def loop_time_stretch(x, rate):
-    """The phase vocoder as first written, stacked spectrum and all: the oracle
-    for the preallocated one."""
+    """The phase vocoder as first written, with angles, a wrapped phase advance and
+    a complex exp per step: the oracle for the phasor one."""
     n_target = int(round(x.size / rate))
     cfg = augment._linear_stft_config(2048, 512)
     spec = dsp.stft(x, cfg)
@@ -196,13 +213,62 @@ def loop_time_stretch(x, rate):
     return augment._fit_length(stretched, n_target)
 
 
+def assert_near_the_loop_oracle(x, rate):
+    # the oracle's accumulated angle reaches about 1e6 rad, where one ulp is about
+    # 1e-10: the phasor form cannot match it bit for bit
+    got, want = augment.time_stretch(x, rate), loop_time_stretch(x, rate)
+    assert got.shape == want.shape and np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-8 * np.max(np.abs(want), initial=0.0)
+
+
+def subnormal_tail(n=SR):
+    x = rng(22).uniform(-1.0, 1.0, n)
+    x[n // 2 :] *= 1e-310  # about 41,000 STFT bins of a 1 s clip get a subnormal magnitude
+    return x
+
+
 class TestTimeStretch:
     @pytest.mark.parametrize("rate", [0.5, 0.87, 1 / 1.26, 1.5])
     @pytest.mark.parametrize("n", [513, 2048, 30_001, 220_500])
     def test_bytes_equal_the_loop_oracle(self, rate, n):
-        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        got = augment.time_stretch(x, rate)
-        assert got.tobytes() == loop_time_stretch(x, rate).tobytes()
+        assert_near_the_loop_oracle(np.random.default_rng(n).uniform(-1.0, 1.0, n), rate)
+
+    @pytest.mark.parametrize("rate", [0.55, 1.3])
+    @pytest.mark.parametrize("kind", ["partly_zero", "subnormal_tail", "deep_subnormal_tail",
+                                      "scaled_1e300"])
+    def test_extreme_inputs_stay_finite_near_the_oracle(self, kind, rate):
+        x = rng(23).uniform(-1.0, 1.0, SR)
+        if kind == "partly_zero":
+            x[SR // 4 : SR // 2] = 0.0
+        elif kind == "subnormal_tail":
+            x = subnormal_tail()
+        elif kind == "deep_subnormal_tail":
+            x[SR // 8 :] *= 1e-323  # a few ulps: X/|X| is far from unit length here
+        else:
+            x *= 1e300
+        assert_near_the_loop_oracle(x, rate)
+
+    @pytest.mark.parametrize("kind, arg, bound_mb", [
+        ("time_stretch", 0.55, 33.5), ("time_stretch", 0.8, 25.5), ("time_stretch", 1.45, 17.8),
+        ("pitch_shift", 2.5, 24.5),
+    ])
+    def test_peak_on_a_five_second_clip(self, kind, arg, bound_mb):
+        # the angle form's peaks; the phasor form keeps one unit array and frees it,
+        # with the magnitudes, before the inverse STFT
+        def call(x):
+            if kind == "time_stretch":
+                return augment.time_stretch(x, arg)
+            return augment.pitch_shift(x, rng(), semitones=arg)
+
+        x = rng(24).uniform(-0.9, 0.9, 5 * SR)
+        call(x)  # builds any cached window outside the measurement
+        tracemalloc.start()
+        try:
+            call(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 class TestAddNoise:
@@ -339,9 +405,9 @@ class TestInvariants:
 
     @pytest.mark.parametrize("kind", list(augment.AUGMENTATIONS))
     def test_finite_output(self, kind):
-        x = np.clip(rng(19).normal(size=8191), -1, 1)
-        out = augment.AUGMENTATIONS[kind](x, rng(2))
-        assert np.all(np.isfinite(out))
+        for x in (np.clip(rng(19).normal(size=8191), -1, 1), subnormal_tail(8191)):
+            out = augment.AUGMENTATIONS[kind](x, rng(2))
+            assert np.all(np.isfinite(out))
 
 
 class TestPipeline:
