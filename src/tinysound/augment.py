@@ -24,7 +24,8 @@ _VOCODER_HOP = 512
 # HPSS configuration.
 _HPSS_FFT = 1024
 _HPSS_HOP = 512
-_HPSS_KERNEL = 17
+_HPSS_KERNEL = 17  # the median network below is built for 17 taps
+_MEDIAN_BLOCK = 32  # lines per block of the median network
 
 ECHO_DELAY_RANGE = (882, 17640)  # 2% .. 40% of one second at 44.1 kHz
 
@@ -190,19 +191,48 @@ def add_noise(x, rng: np.random.Generator, *, sigma: float | None = None):
     return x + rng.normal(0.0, sigma, size=x.size)
 
 
-def _median_filter(x: np.ndarray, axis: int, rows: int = 32) -> np.ndarray:
-    """Exact ``_HPSS_KERNEL``-tap running median along ``axis``, edges mirrored
-    as scipy's "reflect", by selection on contiguous blocks of ``rows`` rows."""
+def _merge(a: list, b: list) -> list:
+    """Batcher's odd-even merge of two sorted runs of arrays, of one power-of-two length."""
+    if len(a) == 1:
+        return [np.minimum(a[0], b[0]), np.maximum(a[0], b[0])]
+    even, odd = _merge(a[::2], b[::2]), _merge(a[1::2], b[1::2])
+    pairs = zip(odd, even[1:])
+    return [even[0], *(f(o, e) for o, e in pairs for f in (np.minimum, np.maximum)), odd[-1]]
+
+
+def _rank(a: list, b: list, k: int) -> np.ndarray:
+    """Output ``k`` (from 0) of ``_merge(a, b)``, from only the comparators that reach it."""
+    if len(a) == 1:
+        return (np.maximum if k else np.minimum)(a[0], b[0])
+    if k in (0, 2 * len(a) - 1):  # the first even or the last odd, unexchanged
+        return _rank(a[k % 2 :: 2], b[k % 2 :: 2], k // 2)
+    odd, even = _rank(a[1::2], b[1::2], (k - 1) // 2), _rank(a[::2], b[::2], (k + 1) // 2)
+    return (np.minimum if k % 2 else np.maximum)(odd, even)
+
+
+def _median_filter(x: np.ndarray, axis: int) -> np.ndarray:
+    """Exact 17-tap running median along ``axis``, edges mirrored as scipy's "reflect".
+
+    A min/max network on blocks of ``_MEDIAN_BLOCK`` lines, each a flat array p whose
+    window i's median overwrites p[i] (windows that cross a line end are dropped). Windows
+    2m and 2m + 1 share p[2m + 1 : 2m + 17]; with c8, c9 the 8th and 9th smallest of those
+    16, their medians are max(c8, min(p[2m], c9)) and max(c8, min(p[2m + 17], c9)). Exact
+    on every 0/1 window, hence on all (the zero-one principle); each output is an input.
+    """
     half = _HPSS_KERNEL // 2
-    pad = [(half, half) if a == axis else (0, 0) for a in range(2)]
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(x, pad, mode="symmetric"), _HPSS_KERNEL, axis=axis)
-    out = np.empty_like(x)
-    for lo in range(0, len(x), rows):
-        block = windows[lo : lo + rows].copy()  # about 2 MB at 513 columns
-        block.partition(half)
-        out[lo : lo + rows] = block[..., half]
-    return out
+    lines = np.ascontiguousarray(np.pad(x if axis else x.T, [(0, 0), (half, half)], "symmetric"))
+    for lo in range(0, len(lines), _MEDIAN_BLOCK):
+        flat = lines[lo : lo + _MEDIAN_BLOCK].reshape(-1)
+        n = flat.size - 2 * half
+        run = _merge([flat[1:-1:2]], [flat[2::2]])  # sorted pairs at the odd positions
+        for s in (1, 2):
+            run = _merge([r[:-s] for r in run], [r[s:] for r in run])
+        a, b = [r[: (n + 1) // 2] for r in run], [r[4 : 4 + (n + 1) // 2] for r in run]
+        odd, even = _rank(a[1::2], b[1::2], 3), _rank(a[::2], b[::2], 4)  # merge outputs 7, 8
+        c8, c9 = np.minimum(odd, even), np.maximum(odd, even)  # are their exchange
+        np.maximum(c8, np.minimum(flat[:n:2], c9), out=flat[:n:2])
+        np.maximum(c8[: n // 2], np.minimum(flat[2 * half + 1 :: 2], c9[: n // 2]), out=flat[1:n:2])
+    return lines[:, : -2 * half] if axis else lines[:, : -2 * half].T
 
 
 def hpss_masks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +254,10 @@ def hpss(x, rng: np.random.Generator, *, branch: str | None = None):
         branch = "harmonic" if rng.integers(0, 2) == 0 else "percussive"
     if branch not in ("harmonic", "percussive"):
         raise ValueError(f"branch must be harmonic or percussive, got {branch!r}")
+    if x.size < _HPSS_HOP:  # no analysis frame
+        return x.copy()
     cfg = _linear_stft_config(_HPSS_FFT, _HPSS_HOP)
     spec = dsp.stft(x, cfg)
-    if spec.shape[0] == 0:
-        return x.copy()
     mask_h, mask_p = hpss_masks(np.abs(spec))
     mask = mask_h if branch == "harmonic" else mask_p
     return dsp.istft(spec * mask, cfg, x.size)

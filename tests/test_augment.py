@@ -250,14 +250,17 @@ class TestTimeStretch:
 
     @pytest.mark.parametrize("kind, arg, bound_mb", [
         ("time_stretch", 0.55, 33.5), ("time_stretch", 0.8, 25.5), ("time_stretch", 1.45, 17.8),
-        ("pitch_shift", 2.5, 24.5),
+        ("pitch_shift", 2.5, 24.5), ("hpss", "harmonic", 18.5),
     ])
     def test_peak_on_a_five_second_clip(self, kind, arg, bound_mb):
         # the angle form's peaks; the phasor form keeps one unit array and frees it,
-        # with the magnitudes, before the inverse STFT
+        # with the magnitudes, before the inverse STFT. hpss: the partition form's
+        # peak, which a median network holds only if its workspace stays blocked
         def call(x):
             if kind == "time_stretch":
                 return augment.time_stretch(x, arg)
+            if kind == "hpss":
+                return augment.hpss(x, rng(), branch=arg)
             return augment.pitch_shift(x, rng(), semitones=arg)
 
         x = rng(24).uniform(-0.9, 0.9, 5 * SR)
@@ -346,6 +349,24 @@ class TestHpss:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
+    def test_median_network_is_exact_on_every_zero_one_window(self):
+        # the zero-one principle: a min/max network that selects the 9th of 17
+        # on every 0/1 window selects it on every real one
+        rows = (np.arange(2**17)[:, None] >> np.arange(17) & 1).astype(np.float64)
+        want = rows.sum(1) >= 9
+        np.testing.assert_array_equal(augment._median_filter(rows, 1)[:, 8], want)
+        np.testing.assert_array_equal(augment._median_filter(rows.T, 0)[8], want)
+
+    @pytest.mark.parametrize("frames", [1, 3, 17, 430])
+    def test_median_network_keeps_ties(self, frames):
+        quantized = np.round(np.abs(rng(frames).normal(size=(frames, 513)))).clip(0, 2)
+        assert (quantized == 0).any()
+        for mags in (quantized, np.full((frames, 513), 0.25)):
+            for axis, size in ((0, (17, 1)), (1, (1, 17))):
+                np.testing.assert_array_equal(
+                    augment._median_filter(mags, axis),
+                    scipy.ndimage.median_filter(mags, size=size, mode="reflect"))
+
 
 class TestBitwiseDownsample:
     def test_exact_grid_point_fixed(self):
@@ -395,6 +416,11 @@ class TestInvariants:
         x = rng(17).normal(size=30011) * 0.4
         out = augment.AUGMENTATIONS[kind](x, rng(1))
         assert out.size == x.size
+
+    @pytest.mark.parametrize("kind", list(augment.AUGMENTATIONS))
+    def test_empty_signal_stays_empty(self, kind):
+        out = augment.AUGMENTATIONS[kind](np.zeros(0), rng(1))
+        assert out.dtype == np.float64 and out.shape == (0,)
 
     @pytest.mark.parametrize("kind", list(augment.AUGMENTATIONS))
     def test_deterministic_given_seed(self, kind):

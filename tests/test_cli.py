@@ -351,6 +351,13 @@ class TestAugmentPreview:
         assert len(preview) == len(audio_io.read_wav(wav))
         assert np.max(np.abs(preview.samples)) <= 1.0
 
+    def test_empty_wav_writes_an_empty_wav(self, tmp_path):
+        # every transform of the default pipeline, hpss too, keeps a 0-frame clip
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        audio_io.write_wav(wav, AudioClip(np.zeros(0), SR))
+        assert cli.main(["augment-preview", str(wav), "--out", str(out)]) == 0
+        assert len(audio_io.read_wav(out)) == 0
+
 
 class TestBuildVocab:
     def test_writes_vocab(self, small_dataset, tmp_path, capsys):
