@@ -96,12 +96,12 @@ def _fields(cfg: Config, owner) -> dict:
 
 
 @contextlib.contextmanager
-def _naming_keys():
-    """A ``ConfigError`` led by a field that a key of another name sets names that key."""
+def _naming_keys(key: str | None = None):
+    """A ``ConfigError`` names ``key``, else the key of another name that sets its first word."""
     try:
         yield
     except ConfigError as exc:
-        key = {f: k for k, (_, f) in _FIELD_KEYS.items()}.get(str(exc).split(" ", 1)[0])
+        key = key or {f: k for k, (_, f) in _FIELD_KEYS.items()}.get(str(exc).split(" ", 1)[0])
         if key is None or str(exc).startswith(key + " "):
             raise
         raise ConfigError(f"config key {key}: {exc}") from exc
@@ -128,8 +128,12 @@ def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
     if not cfg.get("augment", False):
         return []
     default_p = cfg.get("augment_probability", augment.AugmentSpec.probability)
-    return [augment.AugmentSpec(kind, cfg.get(f"aug_{kind}_p", default_p))
-            for kind in augment.AUGMENTATIONS if cfg.get(f"aug_{kind}", True)]
+    specs = []
+    for kind in (kind for kind in augment.AUGMENTATIONS if cfg.get(f"aug_{kind}", True)):
+        key = f"aug_{kind}_p" if f"aug_{kind}_p" in cfg.values else "augment_probability"
+        with _naming_keys(key):
+            specs.append(augment.AugmentSpec(kind, cfg.get(key, default_p)))
+    return specs
 
 
 def train_config(cfg: Config, seed: int) -> train.TrainConfig:
@@ -305,6 +309,8 @@ KNOWN_KEYS = frozenset((
 
 
 def cmd_sweep(args, cfg: Config) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise ConfigError(f"sweep --budget must be at least 1, got {args.budget}")
     manifest = load_dataset(cfg)
     axes = []
     for key in _SWEEP_KEYS:
@@ -405,6 +411,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if args.seed is None:
             args.seed = config.get("seed", train.TrainConfig.seed)
+        if args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return args.handler(args, config)
     except (TinySoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

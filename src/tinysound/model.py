@@ -111,7 +111,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["tok_emb"] = (cfg.input_dim, cfg.hidden)
         if cfg.use_positional:
             shapes["pos_emb"] = (cfg.seq_len, cfg.hidden)
-    shapes["seg_emb"] = (2, cfg.hidden)
+    shapes["seg_emb"] = (2, cfg.hidden)  # every input is one segment, so row 1 never learns
     shapes["emb_ln_g"] = (cfg.hidden,)
     shapes["emb_ln_b"] = (cfg.hidden,)
     for i in range(cfg.n_layer_blocks):
@@ -276,7 +276,7 @@ def _bn_mapping(params: ModelParams, w, batch, update_stats: bool):
     with batch statistics, folded into the float32 running stats, when
     ``update_stats``, else with the running stats. With s = gamma /
     sqrt(var + eps) and t = beta - s * mean per position, the output is
-    s * (x @ W.T) + t * rowsum(W) + b: no direction builds the (B, L, F) xhat.
+    s * (x @ W.T) + t * rowsum(W) + b + seg_emb[0]: no (B, L, F) xhat in either direction.
     """
     weight, row_sum = w["map_w"], w["map_w"].sum(axis=1)
     if update_stats:
@@ -303,30 +303,26 @@ def _bn_mapping(params: ModelParams, w, batch, update_stats: bool):
             grads["map_w"] += d.T @ x
         grads["map_w"] += np.einsum("l,lh->h", shift, dy_l)[:, None]
         grads["map_b"] += np.einsum("lh->h", dy_l)
+        grads["seg_emb"][0] += np.einsum("blh->h", dy)
     y = scale[:, None] * xw
     y += shift[:, None] * row_sum + w["map_b"]
+    y += w["seg_emb"][0]
     return y, back
 
 
 def _token_embedding(w, ids: np.ndarray, positional: bool):
-    """Token table rows, plus the positional table when ``positional``."""
+    """Token table rows, plus the positional table when ``positional``, plus segment row 0."""
     out = w["tok_emb"][ids]
     if positional:
-        out = out + w["pos_emb"][None, :, :]
+        out += w["pos_emb"]
+    out += w["seg_emb"][0]
 
     def back(dy, grads):
         np.add.at(grads["tok_emb"], ids.reshape(-1), dy.reshape(-1, dy.shape[-1]))
         if positional:
             grads["pos_emb"] += dy.sum(axis=0)
-    return out, back
-
-
-def _segment_row(w, x: np.ndarray):
-    """Adds segment row 0; every input is one segment, so row 1 stays unused."""
-    def back(dy, grads):
         grads["seg_emb"][0] += np.einsum("blh->h", dy)
-        return dy
-    return x + w["seg_emb"][0], back
+    return out, back
 
 
 def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries: int):
@@ -460,7 +456,6 @@ def forward(params: ModelParams, batch, training: bool = False,
         x = run(_bn_mapping, params, w, batch, training and not freeze_stats)
     else:
         x = run(_token_embedding, w, batch, cfg.use_positional)
-    x = run(_segment_row, w, x)
     x = run(_layer_norm, w, "emb_ln", x)
     x = run(dropout, x)
     for layer in range(cfg.layers):

@@ -320,7 +320,7 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
 @contextlib.contextmanager
 def _helper_pool():
     """``(pool, helpers)``: one pool thread per usable CPU besides the caller's."""
-    helpers = len(os.sched_getaffinity(0)) - 1
+    helpers = len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)) - 1
     with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
         yield pool, helpers
 

@@ -78,6 +78,13 @@ class TestConfigFile:
         assert kinds["add_noise"].probability == 0.9
         assert len(specs) == 10
 
+    @pytest.mark.parametrize("values, key", [
+        ({"aug_pitch_shift_p": "2"}, "aug_pitch_shift_p"),
+        ({"augment_probability": "1.5", "aug_echo_p": "0.5"}, "augment_probability")])
+    def test_bad_augment_probability_names_its_key(self, values, key):
+        with pytest.raises(ConfigError, match=rf"^config key {key}: probability must be in"):
+            cli.augment_specs(cli.Config({"augment": "true", **values}))
+
 
 # Every key the command line accepted before the key-to-field table existed.
 _KEYS_BEFORE_TABLE = frozenset({
@@ -210,6 +217,25 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "c.cfg", **dict(TINY_KEYS, seed="abc"))
         assert cli.main(["count", "--config", cfg]) == 2
         assert "config key seed is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "augment-preview"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_negative_seed_names_seed(self, small_dataset, tmp_path, capsys, monkeypatch,
+                                      command, flag):
+        wav = tmp_path / "in.wav"
+        audio_io.write_wav(wav, AudioClip(sine(500, 0.3), SR))
+        keys = dict(FAST_KEYS, data_root=str(small_dataset), layout="folder_per_class",
+                    sweep_n_mels="32", augment="true")
+        cfg = write_cfg(tmp_path / "c.cfg", **keys, **({} if flag else {"seed": -1}))
+        monkeypatch.setattr(train, "train_loop", lambda *a: pytest.fail("trained"))
+        out = tmp_path / "out"
+        argv = [command, *([str(wav)] if command == "augment-preview" else []),
+                "--config", cfg, "--out", str(out), *(["--seed", "-1"] if flag else [])]
+        assert cli.main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: seed must be non-negative, got -1"]
+        assert not out.exists()
 
     def test_known_keys_are_the_keys_read(self):
         source = Path(cli.__file__).read_text()
@@ -543,6 +569,18 @@ class TestSweep:
         lines = out1.read_text().strip().splitlines()
         assert len(lines) == 4
         assert out1.read_text() == out2.read_text()
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_two_before_training(self, small_dataset, tmp_path, capsys,
+                                                     monkeypatch, budget):
+        cfg = write_cfg(tmp_path / "c.cfg", sweep_n_mels="16,32",
+                        **self._base_keys(small_dataset))
+        monkeypatch.setattr(train, "train_loop", lambda *a: pytest.fail("trained"))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--budget", budget, "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "--budget" in errors[0] and not out.exists()
 
     def test_empty_grid_rejected(self, small_dataset, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", **self._base_keys(small_dataset))

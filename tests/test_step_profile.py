@@ -13,7 +13,7 @@ def test_two_layer_step_times_each_op_forward_and_back(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("B=2, L=6, F=5, H=16, layers=2:")
     rows = [line.rsplit(None, 3) for line in lines[1:]]  # label, median, [q1, q3]
-    ops = ["bn_mapping", "segment_row", "layer_norm emb_ln", "dropout",
+    ops = ["bn_mapping", "layer_norm emb_ln", "dropout",
            "attention layer0_q=6", "ffn layer0_", "attention layer1_q=1", "ffn layer1_",
            "pooler_classifier"]
     numbered = [f"{k} {op}" for k, op in enumerate(ops)]

@@ -113,10 +113,16 @@ class TestBackward:
         for name, g in grads.items():
             np.testing.assert_array_equal(g, 0.0, err_msg=name)
 
-    def test_unused_segment_row_gradient_exactly_zero(self):
-        cfg = grad_cfg()
+    @pytest.mark.parametrize("overrides", [
+        {}, {"input_mode": "tokens", "input_dim": 20},
+        {"input_mode": "tokens", "input_dim": 20, "use_positional": False}],
+        ids=["continuous", "tokens", "tokens-unpositioned"])
+    def test_unused_segment_row_gradient_exactly_zero(self, overrides):
+        cfg = grad_cfg(**overrides)
         params = model.init_model(cfg, np.random.default_rng(46))
-        batch = np.random.default_rng(11).normal(size=(2, 4, 6))
+        rng = np.random.default_rng(11)
+        batch = (rng.normal(size=(2, 4, 6)) if cfg.input_mode == model.CONTINUOUS
+                 else rng.integers(0, 20, size=(2, 4)))
         logits, trace = model.forward(params, batch, training=True)
         _, dlogits = train.cross_entropy(logits, np.array([0, 1]))
         grads = train.backward(params, trace, dlogits)
@@ -698,6 +704,18 @@ class TestParallelPreparation:
             batches.clear()
         assert len(runs[0][1]) == 5  # 24 clips in batches of 5
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_evaluate_without_sched_getaffinity(self, small_dataset, monkeypatch):
+        # os.sched_getaffinity is missing where the OS cannot set affinity (macOS, Windows)
+        manifest, mcfg, tcfg = TestTrainLoop()._config(1, small_dataset, batch_size=5)
+        params = model.init_model(mcfg, np.random.default_rng(5))
+        use_cpus(monkeypatch, 2)
+        want = train.evaluate(params, manifest.entries, tcfg)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with train._helper_pool() as (_, helpers):
+            assert helpers == 1
+        assert train.evaluate(params, manifest.entries, tcfg) == want
 
     @staticmethod
     def _corrupt_validation_clip(dataset, tmp_path):

@@ -32,7 +32,6 @@ from tinysound import model, train
 #: call from its arguments
 OPS = {
     "_bn_mapping": lambda a: "bn_mapping",
-    "_segment_row": lambda a: "segment_row",
     "_layer_norm": lambda a: f"layer_norm {a[1]}",
     "_dropout": lambda a: "dropout",
     "_attention_sublayer": lambda a: f"attention {a[1]}q={a[5]}",
