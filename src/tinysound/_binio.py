@@ -1,4 +1,4 @@
-"""Little-endian framing for the TSCK, TSCQ, TSFM and TSCV file formats.
+"""Little-endian framing for the TSCK, TSCQ and TSCV file formats.
 
 ``Reader`` parses one ``bytes`` object and raises the format's error class
 for any malformed input; every size is checked against the bytes that

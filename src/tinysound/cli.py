@@ -160,19 +160,6 @@ def load_dataset(cfg: Config) -> audio_io.DatasetManifest:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_featurize(args, cfg: Config) -> int:
-    tcfg = train_config(cfg, args.seed)
-    pipeline = tcfg.pipeline
-    if pipeline.feature == train.CURVE:
-        raise ConfigError("featurize writes feature matrices; curve tokens have no TSFM form")
-    feats = pipeline.extract(audio_io.center_slice(audio_io.load_audio(args.input),
-                                                   tcfg.window_samples))
-    out = args.out or (Path(args.input).stem + ".tsfm")
-    dsp.save_features(out, feats, pipeline.feature)
-    print(f"wrote {feats.shape[0]}x{feats.shape[1]} {pipeline.feature} features to {out}")
-    return 0
-
-
 @_naming_keys()
 def cmd_build_vocab(args, cfg: Config) -> int:
     manifest = load_dataset(cfg)
@@ -191,7 +178,7 @@ def cmd_build_vocab(args, cfg: Config) -> int:
 
 def cmd_augment_preview(args, cfg: Config) -> int:
     clip = audio_io.load_audio(args.input)
-    specs = augment_specs(cfg) or augment.default_pipeline(1.0)
+    specs = augment_specs(cfg) if cfg.get("augment", False) else augment.default_pipeline(1.0)
     rng = np.random.default_rng(args.seed)
     out_samples = augment.apply_pipeline(clip.samples, specs, rng)
     peak = np.max(np.abs(out_samples), initial=0.0)
@@ -373,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--base", required=True, help="base checkpoint to finetune")
         return p
 
-    add("featurize", cmd_featurize, needs_input=True)
     add("build-vocab", cmd_build_vocab)
     add("augment-preview", cmd_augment_preview, needs_input=True)
     add("train", cmd_train)

@@ -142,6 +142,9 @@ def weight_payload_bytes(params_or_q) -> int:
 # Benchmarks
 # ---------------------------------------------------------------------------
 
+_WARMUP = 3
+
+
 @dataclass
 class BenchReport:
     """Forward-pass latency over the measured runs, plus the first call.
@@ -166,11 +169,10 @@ class BenchReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
-          warmup: int = 3) -> BenchReport:
+def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10) -> BenchReport:
     """Wall-clock latency of feature extraction and one forward pass.
 
-    Runs in this process on a deterministic input; the first ``warmup``
+    Runs in this process on a deterministic input; the first ``_WARMUP`` (3)
     measurements are discarded from every statistic but ``first_call_ms``.
     Model and feature time are reported separately. For ``QuantizedParams``
     the timed pass is float64 inference on the weights dequantized once up
@@ -193,7 +195,7 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
     clip = AudioClip(wave, TARGET_RATE)
 
     feature_times, model_times = [], []
-    for _ in range(warmup + n_runs):
+    for _ in range(_WARMUP + n_runs):
         t0 = time.perf_counter()
         example = pipeline.extract(clip)
         t1 = time.perf_counter()
@@ -202,7 +204,7 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10,
         feature_times.append((t1 - t0) * 1e3)
         model_times.append((t2 - t1) * 1e3)
     first_call_ms = model_times[0]
-    feature_times, model_times = feature_times[warmup:], model_times[warmup:]
+    feature_times, model_times = feature_times[_WARMUP:], model_times[_WARMUP:]
     return BenchReport(
         mean_ms=float(np.mean(model_times)),
         min_ms=float(np.min(model_times)),

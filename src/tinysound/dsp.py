@@ -7,17 +7,14 @@ A 5 s clip at 44.1 kHz with hop 512 therefore yields exactly 430 frames.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 
-from . import _binio
 from .audio_io import TARGET_RATE, AudioClip
-from .errors import ConfigError, DecodeError
+from .errors import ConfigError
 
 _DB_FLOOR_POWER = 1e-10
 _DB_RANGE = 80.0
@@ -25,7 +22,7 @@ _DB_RANGE = 80.0
 MEL = "mel"
 MFCC = "mfcc"
 AMPLITUDE = "amplitude"
-#: Kinds of feature matrix; a kind's index is its TSFM kind code.
+#: Kinds of feature matrix.
 FEATURE_KINDS = (MEL, MFCC, AMPLITUDE)
 
 
@@ -259,30 +256,3 @@ def normalize01(features: np.ndarray) -> np.ndarray:
         return np.zeros_like(features)
     return (features - lo) / (hi - lo)
 
-
-# ---------------------------------------------------------------------------
-# Feature file format: magic "TSFM", u32 L, u32 F, u8 kind, row-major f32
-# ---------------------------------------------------------------------------
-
-_FEATURE_MAGIC = b"TSFM"
-
-
-def save_features(path, features: np.ndarray, kind: str) -> None:
-    """Write an L x F matrix of one of ``FEATURE_KINDS`` as a TSFM file."""
-    rows, cols = features.shape
-    header = struct.pack("<IIB", rows, cols, FEATURE_KINDS.index(kind))
-    _binio.write_file(path, _FEATURE_MAGIC + header + features.astype("<f4").tobytes())
-
-
-def load_features(path) -> tuple[np.ndarray, str]:
-    """Read a TSFM file as its float64 matrix and kind; any malformed
-    content, a NaN or Inf value included, raises DecodeError."""
-    r = _binio.Reader(Path(path).read_bytes(), _FEATURE_MAGIC, DecodeError, "feature file")
-    shape = r.unpack("<II", "header")
-    (kind_code,) = r.unpack("<B", "header")
-    if kind_code >= len(FEATURE_KINDS):
-        raise r.error(f"unknown feature kind code {kind_code}")
-    values = r.array("<f4", shape, "feature payload")
-    if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
-        raise r.error("feature payload contains NaN or Inf")
-    return values.astype(np.float64), FEATURE_KINDS[kind_code]

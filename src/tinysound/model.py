@@ -151,12 +151,12 @@ class ModelParams:
                 raise ConfigError(f"{name} contains NaN or Inf")
 
 
-def _truncated_normal(rng: np.random.Generator, shape, std=_INIT_STD) -> np.ndarray:
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > _INIT_BOUND * std
+def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    out = rng.normal(0.0, _INIT_STD, size=shape)
+    bad = np.abs(out) > _INIT_BOUND * _INIT_STD
     while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > _INIT_BOUND * std
+        out[bad] = rng.normal(0.0, _INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > _INIT_BOUND * _INIT_STD
     return out.astype(np.float32)
 
 
@@ -269,17 +269,17 @@ def _batch_moments(batch):
     return mean, (np.einsum("bl->l", sums) + f * np.einsum("bl,bl->l", d, d)) / (n * f)
 
 
-def _bn_mapping(params: ModelParams, w, batch, update_stats: bool):
+def _bn_mapping(params: ModelParams, w, batch, training: bool):
     """Per-position batch norm folded into the linear map from F to the hidden size.
 
     Reads ``batch``, a sequence of (L, F) examples, one at a time. Normalizes
     with batch statistics, folded into the float32 running stats, when
-    ``update_stats``, else with the running stats. With s = gamma /
+    ``training``, else with the running stats. With s = gamma /
     sqrt(var + eps) and t = beta - s * mean per position, the output is
     s * (x @ W.T) + t * rowsum(W) + b + seg_emb[0]: no (B, L, F) xhat in either direction.
     """
     weight, row_sum = w["map_w"], w["map_w"].sum(axis=1)
-    if update_stats:
+    if training:
         (mean, var), n = _batch_moments(batch), len(batch) * weight.shape[1]
         run_var = var * n / (n - 1) if n > 1 else var  # unbiased, for the running estimate
         rm, rv = params.tensors["bn_running_mean"], params.tensors["bn_running_var"]
@@ -413,15 +413,15 @@ def _pooler_classifier(w, x: np.ndarray, dropout):
 
 
 def forward(params: ModelParams, batch, training: bool = False,
-            rng: np.random.Generator | None = None, freeze_stats: bool = False):
+            rng: np.random.Generator | None = None):
     """Run the encoder on ``batch``, a sequence of examples, each (L, F) features
     (an ``Example`` brings its batch-norm moments) or L token ids; a (B, L, F) or
     (B, L) array is one such sequence. Returns logits, or ``(logits, backwards)``
     when training: each op's backward, in forward order, for ``backward``.
 
-    Training mode normalizes with batch statistics (and updates the running
-    stats unless ``freeze_stats``) and applies dropout, which requires
-    ``rng`` when the configured rate is nonzero.
+    Training mode normalizes with batch statistics, updates the running stats
+    in ``params`` and applies dropout, which requires ``rng`` when the
+    configured rate is nonzero.
     """
     cfg = params.cfg
     if cfg.input_mode == CONTINUOUS:
@@ -453,7 +453,7 @@ def forward(params: ModelParams, batch, training: bool = False,
         return _dropout(x, drop_rate, rng)
 
     if cfg.input_mode == CONTINUOUS:
-        x = run(_bn_mapping, params, w, batch, training and not freeze_stats)
+        x = run(_bn_mapping, params, w, batch, training)
     else:
         x = run(_token_embedding, w, batch, cfg.use_positional)
     x = run(_layer_norm, w, "emb_ln", x)
@@ -595,10 +595,14 @@ def _read_prefix(data: bytes, magic: bytes, version: int,
 
 
 def _read_entries(r: _binio.Reader, tagged: bool = False):
-    """Yield (name, tag, scale, array) for each entry of a tensor table."""
+    """Yield (name, tag, scale, array) for each entry of a tensor table; a repeated name raises."""
     (count,) = r.unpack("<I", "tensor count")
+    seen = set()
     for _ in range(count):
         name = r.text("<H", "tensor name")
+        if name in seen:
+            raise r.error(f"tensor {name} appears twice")
+        seen.add(name)
         tag, scale = r.unpack("<Bf", name) if tagged else (_F32, 0.0)
         if tag not in _DTYPE_TAGS:
             raise r.error(f"unknown dtype tag {tag} for tensor {name}")

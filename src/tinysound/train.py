@@ -224,6 +224,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.window_samples <= 0:
             raise ConfigError(f"window_samples must be positive, got {self.window_samples}")
         self.pipeline.check_window(self.window_samples)

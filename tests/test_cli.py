@@ -5,14 +5,13 @@ import json
 import os
 import re
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, cli, deploy, dsp, model, tokenizer, train
+from tinysound import audio_io, augment, cli, deploy, model, tokenizer, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import ConfigError
 
@@ -307,41 +306,6 @@ class TestCount:
 
 
 class TestFeaturize:
-    @pytest.mark.parametrize("feature", [dsp.MEL, dsp.MFCC, dsp.AMPLITUDE])
-    def test_writes_loadable_features(self, tmp_path, capsys, feature):
-        wav = tmp_path / "x.wav"
-        audio_io.write_wav(wav, AudioClip(sine(440, 0.5), SR))
-        cfg = write_cfg(tmp_path / "c.cfg", **dict(FAST_KEYS, feature=feature,
-                                                   reshape_rows=16, reshape_cols=32))
-        out = tmp_path / "x.tsfm"
-        assert cli.main(["featurize", str(wav), "--config", cfg, "--out", str(out)]) == 0
-        feats, kind = dsp.load_features(out)
-        assert feats.shape == (16, 32)  # 8192 / 512 frames, or 16 rows of 32 samples
-        assert kind == feature
-        assert out.read_bytes()[12] == dsp.FEATURE_KINDS.index(feature)  # after magic, L, F
-
-    def test_normalize01_writes_the_normalized_matrix(self, tmp_path):
-        wav, out = tmp_path / "x.wav", tmp_path / "x.tsfm"
-        audio_io.write_wav(wav, AudioClip(sine(440, 0.5), SR))
-        cfg = write_cfg(tmp_path / "c.cfg", **dict(FAST_KEYS, normalize01="true"))
-        assert cli.main(["featurize", str(wav), "--config", cfg, "--out", str(out)]) == 0
-        pipeline = cli.train_config(cli.Config(cli.parse_config_file(cfg)), 0).pipeline
-        assert pipeline.normalize
-        window = audio_io.center_slice(audio_io.load_audio(wav), 8192)
-        want = dsp.normalize01(replace(pipeline, normalize=False).extract(window))
-        np.testing.assert_array_equal(dsp.load_features(out)[0], want.astype(np.float32))
-
-    def test_curve_config_is_rejected_before_the_input_is_decoded(self, tmp_path, capsys):
-        wav, vocab, out = tmp_path / "bad.wav", tmp_path / "v.tscv", tmp_path / "x.tsfm"
-        wav.write_bytes(b"RIFF\x24\x00\x00\x00WAVEjunk" + bytes(64))  # no decodable audio
-        spec = tokenizer.CurveSpec(curve_len=4, resolution=16, top_k=10)
-        tokenizer.save_vocab(vocab, tokenizer.CurveVocab(spec, [(0, 1, 2, 3)]))
-        cfg = write_cfg(tmp_path / "c.cfg", feature="curve", vocab_path=vocab,
-                        window_samples=8192)
-        assert cli.main(["featurize", str(wav), "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "curve tokens have no TSFM form" in err and not out.exists(), err
-
     # configs whose pipeline cannot run, each with the key its error names
     @pytest.mark.parametrize("keys, named", [
         ({"feature": "mfcc", "n_coeffs": -1}, "n_coeffs"),
@@ -352,18 +316,15 @@ class TestFeaturize:
         ({"window_samples": 1}, "window_samples"),
         ({"feature": "amplitude", "reshape_rows": 100, "reshape_cols": 1000}, "window_samples"),
     ])
-    @pytest.mark.parametrize("command", ["featurize", "count"])
+    @pytest.mark.parametrize("command", ["count"])  # builds the pipeline from the config alone
     def test_unrunnable_pipeline_is_two_and_names_its_key(self, tmp_path, capsys, command,
                                                           keys, named):
-        wav, out = tmp_path / "x.wav", tmp_path / "x.tsfm"
-        audio_io.write_wav(wav, AudioClip(sine(440, 1.0), SR))
         cfg = write_cfg(tmp_path / "c.cfg", **{**TINY_KEYS, "window_samples": 44100, **keys})
-        args = ["featurize", str(wav), "--out", str(out)] if command == "featurize" else [command]
-        assert cli.main([*args, "--config", cfg]) == 2
+        assert cli.main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and named in errors[0], captured.err
-        assert "parameters" not in captured.out and not out.exists()
+        assert "parameters" not in captured.out
 
 
 class TestAugmentPreview:
@@ -383,6 +344,14 @@ class TestAugmentPreview:
         audio_io.write_wav(wav, AudioClip(np.zeros(0), SR))
         assert cli.main(["augment-preview", str(wav), "--out", str(out)]) == 0
         assert len(audio_io.read_wav(out)) == 0
+
+    def test_every_transform_disabled_keeps_the_input(self, tmp_path):
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        audio_io.write_wav(wav, AudioClip(sine(500, 0.3), SR))
+        keys = {"augment": "true", **{f"aug_{kind}": "false" for kind in augment.AUGMENTATIONS}}
+        cfg = write_cfg(tmp_path / "c.cfg", **keys)
+        assert cli.main(["augment-preview", str(wav), "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == wav.read_bytes()
 
 
 class TestBuildVocab:

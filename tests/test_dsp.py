@@ -1,11 +1,9 @@
 """Spectral features: STFT/iSTFT, mel filterbank, MFCC, reshaping."""
 
 import os
-import struct
 import subprocess
 import sys
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -16,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinysound import dsp
 from tinysound.audio_io import AudioClip
-from tinysound.errors import ConfigError, DecodeError
+from tinysound.errors import ConfigError
 
 from conftest import SR, sine
 
@@ -375,36 +373,3 @@ class TestNormalize01:
         assert out.min() == 0.0
         assert out.max() == 1.0
 
-
-class TestFeatureFile:
-    def test_roundtrip(self, tmp_path):
-        feats = dsp.mel_spectrogram(AudioClip(white_noise(22050), SR), CFG)
-        path = tmp_path / "x.tsfm"
-        dsp.save_features(path, feats, dsp.MEL)
-        loaded, kind = dsp.load_features(path)
-        assert kind == dsp.MEL
-        np.testing.assert_allclose(loaded, feats, atol=1e-4)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.tsfm"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(DecodeError):
-            dsp.load_features(path)
-
-    def test_truncated_payload(self, tmp_path):
-        feats = np.ones((4, 4))
-        path = tmp_path / "t.tsfm"
-        dsp.save_features(path, feats, dsp.MEL)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DecodeError):
-            dsp.load_features(path)
-
-    def test_signalling_nan_payload_raises_decode_error(self, tmp_path):
-        # 0x7fa00000 is a float32 signalling NaN; a float64 cast of it warns
-        path = tmp_path / "snan.tsfm"
-        path.write_bytes(b"TSFM" + struct.pack("<IIB", 1, 2, 0)
-                         + struct.pack("<2I", 0x3F800000, 0x7FA00000))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DecodeError, match="NaN"):
-                dsp.load_features(path)

@@ -1,4 +1,4 @@
-"""The four binary formats (TSCK, TSCQ, TSFM, TSCV): byte-exact encodings and
+"""The three binary formats (TSCK, TSCQ, TSCV): byte-exact encodings and
 typed failures on malformed files."""
 
 import hashlib
@@ -6,13 +6,13 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, cli, deploy, dsp, model, tokenizer as tok, train
+from tinysound import audio_io, cli, deploy, model, tokenizer as tok, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import CheckpointError, DecodeError
 
@@ -28,10 +28,9 @@ def golden_files(tmp_path) -> dict:
     rng = np.random.default_rng(8)
     opt = {f"{p}__{n}": rng.normal(size=params.tensors[n].shape).astype(np.float32)
            for p in ("m", "v") for n in ("cls_w", "cls_b")}
-    paths = {s: tmp_path / f"g{s}" for s in (".tsck", ".tscq", ".tsfm", ".tscv")}
+    paths = {s: tmp_path / f"g{s}" for s in (".tsck", ".tscq", ".tscv")}
     model.save_checkpoint(paths[".tsck"], params, opt, step=17, metadata=META)
     deploy.save_quantized(paths[".tscq"], deploy.quantize_dynamic(params, metadata=META))
-    dsp.save_features(paths[".tsfm"], rng.normal(size=(5, 7)), dsp.MFCC)
     vocab = tok.CurveVocab(tok.CurveSpec(curve_len=4, resolution=16, top_k=10, mode=tok.RELATIVE),
                            [(0, 1, 2, 3), (3, 2, 1, 0), (15, 0, 15, 0)])
     tok.save_vocab(paths[".tscv"], vocab)
@@ -42,7 +41,6 @@ def golden_files(tmp_path) -> dict:
 GOLDEN_SHA256 = {
     ".tsck": "f4b3dca3a618689e599acb215a9b48fcfe06a891dc2fad7e1208d30fc42a4653",
     ".tscq": "1cab7fc378676d75b3004f975b6181d1440611b31132e86e9d2b8aeeb16cdb6b",
-    ".tsfm": "d1f34ef2d7fecda0e1379891f169e3283114c14ff20012685a703f8e2bac88a2",
     ".tscv": "a21b979aea89692cb90c944263345779fd19720ecadd7904f85c5ad100fa2c08",
 }
 
@@ -58,7 +56,7 @@ def test_saves_leave_no_tmp_file(tmp_path):
     audio_io.write_wav(tmp_path / "g.wav", AudioClip(sine(440, 0.1), SR))
     train.write_metrics_csv(tmp_path / "g.csv", [{"epoch": 0, "train_loss": 1.0, "val_acc": 0.5}])
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "g.csv", "g.tsck", "g.tscq", "g.tscv", "g.tsfm", "g.wav"]
+        "g.csv", "g.tsck", "g.tscq", "g.tscv", "g.wav"]
 
 
 def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
@@ -134,16 +132,27 @@ class TestTypedFailures:
         with pytest.raises(CheckpointError, match="truncated"):
             load_tsck(tmp_path, tsck_bytes(entries=[entry]))
 
-    def test_u32_max_dims_in_feature_header(self, tmp_path):
-        path = tmp_path / "bad.tsfm"
-        path.write_bytes(b"TSFM" + struct.pack("<IIB", 0xFFFFFFFF, 0xFFFFFFFF, 0) + b"\x00" * 8)
-        with pytest.raises(DecodeError, match="truncated"):
-            dsp.load_features(path)
-
     def test_invalid_utf8_tensor_name(self, tmp_path):
         entry = name_block(b"\xff\xfe") + struct.pack("<BI", 1, 1) + b"\x00" * 4
         with pytest.raises(CheckpointError, match="utf-8"):
             load_tsck(tmp_path, tsck_bytes(entries=[entry]))
+
+    def test_tensor_named_twice_in_tsck(self, tmp_path):
+        params = model.init_model(CFG, np.random.default_rng(7))
+        entries = [model._entry_bytes(n, t) for n, t in [*params.tensors.items(),
+                                                          ("cls_b", params.tensors["cls_b"])]]
+        with pytest.raises(CheckpointError, match="tensor cls_b appears twice"):
+            load_tsck(tmp_path, tsck_bytes(entries=entries))
+
+    def test_tensor_named_twice_in_tscq(self, tmp_path):
+        # an int8 cls_w and a stale float32 copy of it, which encode_quantized writes back
+        params = model.init_model(CFG, np.random.default_rng(7))
+        q = deploy.quantize_dynamic(params)
+        path = tmp_path / "bad.tscq"
+        deploy.save_quantized(path, replace(q, float_tensors={**q.float_tensors,
+                                                              "cls_w": params.tensors["cls_w"]}))
+        with pytest.raises(CheckpointError, match="tensor cls_w appears twice"):
+            deploy.load_quantized(path)
 
     def test_metadata_block_must_be_an_object(self, tmp_path):
         with pytest.raises(CheckpointError, match="metadata"):
@@ -220,11 +229,6 @@ def _resave_quantized(path, q):
     deploy.load_quantized(path)
 
 
-def _check_features(path, loaded):
-    feats, _ = loaded
-    assert feats.ndim == 2 and np.all(np.isfinite(feats))
-
-
 def _resave_vocab(path, vocab):
     tok.save_vocab(path, vocab)
     tok.load_vocab(path)
@@ -233,7 +237,6 @@ def _resave_vocab(path, vocab):
 LOADERS = {
     ".tsck": (model.load_checkpoint, CheckpointError, _resave_checkpoint),
     ".tscq": (deploy.load_quantized, CheckpointError, _resave_quantized),
-    ".tsfm": (dsp.load_features, DecodeError, _check_features),
     ".tscv": (tok.load_vocab, DecodeError, _resave_vocab),
 }
 

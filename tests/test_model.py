@@ -121,7 +121,7 @@ class TestForward:
         cfg = small_cfg()
         params = model.init_model(cfg, np.random.default_rng(3))
         batch = np.random.default_rng(4).normal(size=(2, 5, 6))
-        _, trace = model.forward(params, batch, training=True, freeze_stats=True)
+        _, trace = model.forward(params, batch, training=True)
         assert len(attention_probs(trace)) == cfg.layers
         for probs in attention_probs(trace):
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -163,14 +163,6 @@ class TestForward:
         with pytest.raises(ValueError, match="rng"):
             model.forward(params, np.zeros((1, 5, 6)), training=True)
 
-    def test_train_equals_eval_with_frozen_stats_no_dropout(self):
-        cfg = small_cfg()
-        params = model.init_model(cfg, np.random.default_rng(12))
-        batch = np.random.default_rng(13).normal(size=(3, 5, 6))
-        eval_logits = model.forward(params, batch, training=False)
-        train_logits, _ = model.forward(params, batch, training=True, freeze_stats=True)
-        np.testing.assert_array_equal(train_logits, eval_logits)
-
     def test_tokens_mode_forward(self):
         cfg = small_cfg(input_mode="tokens", input_dim=20)
         params = model.init_model(cfg, np.random.default_rng(14))
@@ -201,7 +193,7 @@ class TestForward:
         cfg = small_cfg(layers=2)
         params = model.init_model(cfg, np.random.default_rng(32))
         batch = np.random.default_rng(33).normal(size=(3, 5, 6))
-        _, trace = model.forward(params, batch, training=True, freeze_stats=True)
+        _, trace = model.forward(params, batch, training=True)
         assert attention_probs(trace)[0].shape == (3, cfg.heads, 5, 5)
         assert attention_probs(trace)[-1].shape == (3, cfg.heads, 1, 5)
 
