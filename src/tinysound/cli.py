@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import logging
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _binio, audio_io, augment, deploy, dsp, model as model_mod, tokenizer, train
-from .errors import ConfigError, TinySoundError
+from .errors import CheckpointError, ConfigError, TinySoundError
 
 log = logging.getLogger(__name__)
 
@@ -220,9 +221,18 @@ def cmd_finetune(args, cfg: Config) -> int:
 
 
 def cmd_eval(args, cfg: Config) -> int:
+    """Accuracy on the split the run held out: the seed and window the checkpoint
+    records override the config's, and its class names must be the dataset's."""
     manifest = load_dataset(cfg)
     ckpt = model_mod.load_checkpoint(args.ckpt)
-    tcfg = train_config(cfg, args.seed)
+    names = ckpt.metadata.get("class_names")
+    if names is not None and names != list(manifest.class_names):
+        raise ConfigError(f"checkpoint classes {names} are not the dataset's "
+                          f"{list(manifest.class_names)}")
+    recorded = {k: ckpt.metadata[k] for k in ("seed", "window_samples") if k in ckpt.metadata}
+    if any(type(v) is not int for v in recorded.values()):
+        raise CheckpointError(f"{args.ckpt}: metadata {recorded} are not integers")
+    tcfg = dataclasses.replace(train_config(cfg, args.seed), **recorded)
     _, val_entries = train.split_manifest(manifest, tcfg)
     acc = train.evaluate(ckpt.params, val_entries, tcfg)
     print(f"accuracy {acc:.4f} over {len(val_entries)} held-out clips")
@@ -312,17 +322,22 @@ def cmd_sweep(args, cfg: Config) -> int:
         chosen = rng.choice(len(points), size=args.budget, replace=False)
         points = [points[i] for i in sorted(chosen)]
 
-    rows = []
+    runs = []  # every point's configs, built before any point trains
     for point in points:
-        overrides = dict(cfg.values)
-        overrides.update({key: value for (key, _), value in zip(axes, point)})
-        point_cfg = Config(overrides)
-        tcfg = train_config(point_cfg, args.seed)
-        mcfg = model_config(point_cfg, tcfg.pipeline, tcfg.window_samples,
-                            classes=len(manifest.class_names))
+        values = dict(zip((key for key, _ in axes), point))
+        label = ";".join(f"{key}={value}" for key, value in values.items())
+        point_cfg = Config({**cfg.values, **values})
+        try:
+            tcfg = train_config(point_cfg, args.seed)
+            mcfg = model_config(point_cfg, tcfg.pipeline, tcfg.window_samples,
+                                classes=len(manifest.class_names))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {label}: {exc}") from exc
+        runs.append((label, mcfg, tcfg))
+    rows = []
+    for label, mcfg, tcfg in runs:
         result = train.train_loop(manifest, mcfg, tcfg)
         best = max(m["val_acc"] for m in result.metrics)
-        label = ";".join(f"{key}={value}" for (key, _), value in zip(axes, point))
         rows.append((label, best))
         print(f"{label}: best_val_acc={best:.4f}")
 

@@ -412,6 +412,14 @@ def _pooler_classifier(w, x: np.ndarray, dropout):
     return logits, back
 
 
+def _run(backwards: list | None, op, *args):
+    """``forward``'s top-level op ``op(*args)``: its output; its backward goes on ``backwards``."""
+    y, back = op(*args)
+    if backwards is not None:
+        backwards.append(back)
+    return y
+
+
 def forward(params: ModelParams, batch, training: bool = False,
             rng: np.random.Generator | None = None):
     """Run the encoder on ``batch``, a sequence of examples, each (L, F) features
@@ -443,28 +451,22 @@ def forward(params: ModelParams, batch, training: bool = False,
     w = {k: v.astype(np.float64) for k, v in params.tensors.items()}
     backwards = [] if training else None  # eval keeps no backward, nor what it holds
 
-    def run(op, *args):
-        y, back = op(*args)
-        if training:
-            backwards.append(back)
-        return y
-
     def dropout(x):
         return _dropout(x, drop_rate, rng)
 
     if cfg.input_mode == CONTINUOUS:
-        x = run(_bn_mapping, params, w, batch, training)
+        x = _run(backwards, _bn_mapping, params, w, batch, training)
     else:
-        x = run(_token_embedding, w, batch, cfg.use_positional)
-    x = run(_layer_norm, w, "emb_ln", x)
-    x = run(dropout, x)
+        x = _run(backwards, _token_embedding, w, batch, cfg.use_positional)
+    x = _run(backwards, _layer_norm, w, "emb_ln", x)
+    x = _run(backwards, dropout, x)
     for layer in range(cfg.layers):
         p = f"layer{0 if cfg.share_layers else layer}_"
         # the classifier reads position 0 only, so the last layer computes only that row
         n_queries = 1 if layer == cfg.layers - 1 else cfg.seq_len
-        x = run(_attention_sublayer, w, p, x, cfg.heads, dropout, n_queries)
-        x = run(_ffn_sublayer, w, p, x, dropout)
-    logits = run(_pooler_classifier, w, x, dropout)
+        x = _run(backwards, _attention_sublayer, w, p, x, cfg.heads, dropout, n_queries)
+        x = _run(backwards, _ffn_sublayer, w, p, x, dropout)
+    logits = _run(backwards, _pooler_classifier, w, x, dropout)
     return (logits, backwards) if training else logits
 
 

@@ -400,14 +400,27 @@ def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) ->
     return done
 
 
-def _check_finite(loss: float, grads: dict[str, np.ndarray], epoch: int, step: int) -> None:
+def _check_finite(loss: float, grads: dict[str, np.ndarray]) -> None:
     """Stop a diverging run before the optimizer writes NaN or Inf."""
     bad = [] if np.isfinite(loss) else [f"loss {loss}"]
     if not np.isfinite(_flat(grads.values())).all():  # one check; the names only on failure
         bad += [f"gradient of {n}" for n, g in grads.items() if not np.all(np.isfinite(g))]
     if bad:
-        raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: "
-                              f"{', '.join(bad[:3])} not finite")
+        raise DivergenceError(f"{', '.join(bad[:3])} not finite")
+
+
+def train_step(params: ModelParams, moments: dict[str, np.ndarray], step: int, batch,
+               labels: np.ndarray, cfg: TrainConfig, epoch: int, index: int):
+    """Step ``index`` of ``epoch`` on ``batch``, dropout seeded by both: ``(step + 1, loss)``."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, index, 1]))
+    logits, backwards = forward(params, batch, training=True, rng=rng)
+    loss, dlogits = cross_entropy(logits, labels)
+    grads = backward(params, backwards, dlogits)
+    try:
+        _check_finite(loss, grads)
+        return adam_step(params, grads, moments, step, lr_at(step + 1, cfg)), loss
+    except DivergenceError as exc:
+        raise DivergenceError(f"training diverged at epoch {epoch}, step {index}: {exc}") from None
 
 
 def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConfig,
@@ -447,23 +460,13 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
             order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, epoch])).permutation(len(train_entries))
             losses = []
-            for step_idx, lo in enumerate(range(0, len(order), cfg.batch_size)):
+            for index, lo in enumerate(range(0, len(order), cfg.batch_size)):
                 chunk = order[lo : lo + cfg.batch_size].tolist()
                 batch = _prepare_batch(lambda i: _prepare_example(
                     train_entries[i], store, cfg, epoch, i), chunk, pool,
                     lambda i: store.cached(train_entries[i], cfg))  # fixed windows only
                 labels = np.array([train_entries[i].label for i in chunk])
-                drop_rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, epoch, step_idx, 1]))
-                logits, backwards = forward(params, batch, training=True, rng=drop_rng)
-                loss, dlogits = cross_entropy(logits, labels)
-                grads = backward(params, backwards, dlogits)
-                _check_finite(loss, grads, epoch, step_idx)
-                try:
-                    step = adam_step(params, grads, moments, step, lr_at(step + 1, cfg))
-                except DivergenceError as exc:
-                    raise DivergenceError(
-                        f"training diverged at epoch {epoch}, step {step_idx}: {exc}") from None
+                step, loss = train_step(params, moments, step, batch, labels, cfg, epoch, index)
                 losses.append(loss)
 
             train_loss = float(np.mean(losses))

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,41 @@ class TestTrainEvalPredict:
                          str(out / "best.tsck")]) == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_refuses_a_dataset_of_other_classes(self, run_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        _, cfg, out = run_dir  # a 3-class dataset
+        six = [f"class{k}" for k in range(6)]
+        mcfg = replace(model.load_checkpoint(out / "best.tsck").params.cfg, classes=6)
+        path = tmp_path / "six.tsck"
+        model.save_checkpoint(path, model.init_model(mcfg, np.random.default_rng(0)),
+                              metadata={"class_names": six})
+        decoded = []
+        monkeypatch.setattr(audio_io, "load_audio", lambda *a: decoded.append(a))
+        assert cli.main(["eval", "--config", cfg, "--ckpt", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(six) in err and "['clicks', 'noise', 'tone']" in err
+        assert decoded == []
+
+    def test_eval_holds_out_what_the_run_held_out(self, small_dataset, tmp_path, capsys,
+                                                  monkeypatch):
+        cfg = write_cfg(tmp_path / "c.cfg", data_root=str(small_dataset),
+                        layout="folder_per_class", **dict(FAST_KEYS, epochs=1))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", cfg, "--seed", "1", "--out", str(run)]) == 0
+        capsys.readouterr()
+        evaluate, scored = train.evaluate, []
+        monkeypatch.setattr(train, "evaluate", lambda *a: scored.append(a[1]) or evaluate(*a))
+        assert cli.main(["eval", "--config", cfg, "--ckpt", str(run / "best.tsck")]) == 0
+        config = cli.Config(cli.parse_config_file(cfg))
+        manifest, tcfg = cli.load_dataset(config), cli.train_config(config, seed=1)
+        held_out = train.split_manifest(manifest, tcfg)[1]
+        # the config's seed, 0, would score other clips
+        assert held_out != train.split_manifest(manifest, replace(tcfg, seed=0))[1]
+        assert scored == [held_out]
+        acc = train.evaluate(model.load_checkpoint(run / "best.tsck").params, held_out, tcfg)
+        want = f"accuracy {acc:.4f} over {len(held_out)} held-out clips\n"
+        assert capsys.readouterr().out == want
+
     def test_predict_names_class_and_probabilities(self, run_dir, tmp_path, capsys):
         _, cfg, out = run_dir
         wav = tmp_path / "probe.wav"
@@ -550,6 +586,17 @@ class TestSweep:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1 and "--budget" in errors[0] and not out.exists()
+
+    def test_bad_point_is_two_before_any_point_trains(self, small_dataset, tmp_path, capsys,
+                                                      monkeypatch):
+        cfg = write_cfg(tmp_path / "c.cfg", sweep_layers="1,0",
+                        **self._base_keys(small_dataset))
+        trained = []
+        monkeypatch.setattr(train, "train_loop", lambda *a: trained.append(a))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "sweep point layers=0: layers must be" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
 
     def test_empty_grid_rejected(self, small_dataset, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", **self._base_keys(small_dataset))

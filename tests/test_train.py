@@ -445,6 +445,29 @@ class TestTrainLoop:
         for name, tensor in calls[-1].tensors.items():
             assert np.all(np.isfinite(tensor)), name
 
+    def test_every_step_goes_through_train_step_in_order(self, small_dataset, monkeypatch):
+        manifest, mcfg, tcfg = self._config(2, small_dataset)
+        train_step, steps = train.train_step, []
+        monkeypatch.setattr(train, "train_step",
+                            lambda *args: steps.append(args[-2:]) or train_step(*args))
+        result = train.train_loop(manifest, mcfg, tcfg)
+        steps_per_epoch = -(-len(train.split_manifest(manifest, tcfg)[0]) // tcfg.batch_size)
+        assert steps == [(epoch, index) for epoch in range(2) for index in range(steps_per_epoch)]
+        assert result.last.step == len(steps)
+
+    def test_step_profile_times_train_step(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        import step_profile
+
+        train_step, steps = train.train_step, []
+        monkeypatch.setattr(train, "train_step",
+                            lambda *args: steps.append(args[-2:]) or train_step(*args))
+        patched = [(model, "_run"), *((train, name) for name in step_profile.STAGES)]
+        saved = [getattr(owner, name) for owner, name in patched]
+        step_profile.profile(model.ModelConfig(seq_len=6, input_dim=5), 2, 3)
+        assert steps == [(0, k) for k in range(4)]  # one untimed step, then 3 timed
+        assert [getattr(owner, name) for owner, name in patched] == saved
+
     def test_shape_mismatch_rejected_before_any_example(self, small_dataset, monkeypatch):
         manifest, mcfg, tcfg = self._config(1, small_dataset)
         prepared = []

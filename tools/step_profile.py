@@ -2,18 +2,16 @@
 
     PYTHONPATH=src python3 tools/step_profile.py --batch 16
 
-The step is the one ``train.train_loop`` takes: a training forward
-(dropout on, batch statistics) on a list of ``model.Example``s, as a
-``train.ClipStore`` keeps them with their batch-norm moments,
-``cross_entropy``, ``backward``, ``_check_finite`` and ``adam_step``. The
-examples are fixed, drawn with mean -50 and std 30 like log-mel features in
-dB. The model is the default ``ModelConfig`` (430 x 128 input, hidden 16,
-one layer, two heads, six classes), timed over 30 steps. Each forward
-op is timed as ``forward`` calls it, ops nested in another op counted in
-their caller, and each backward as ``backward`` walks it in reverse;
-``forward`` and ``backward`` are also timed whole, so what lies outside the
-ops shows as the difference. One untimed step runs first. Standard library,
-numpy, the package and ``tools/bench_pairs.py`` only.
+The step is ``train.train_step``, the one ``train.train_loop`` takes, on a
+list of ``model.Example``s as a ``train.ClipStore`` keeps them with their
+batch-norm moments, fixed, drawn with mean -50 and std 30 like log-mel
+features in dB. The model is the default ``ModelConfig`` (430 x 128 input,
+hidden 16, one layer, two heads, six classes), timed over 30 steps at a
+learning rate of 1e-4. A patched ``model._run`` times each top-level forward
+op (the ops it calls counted in it) and its backward; patches of the five
+``train`` names the step calls (``STAGES``) time those calls whole, so what
+lies outside the ops shows as the difference. One untimed step runs first.
+Standard library, numpy, the package and ``tools/bench_pairs.py`` only.
 """
 
 from __future__ import annotations
@@ -28,80 +26,57 @@ import numpy as np
 from bench_pairs import quartiles
 from tinysound import model, train
 
-#: the forward ops of a continuous-input ``model``, each with the label of one
-#: call from its arguments
+#: the label of one call of each top-level forward op, from its arguments
 OPS = {
     "_bn_mapping": lambda a: "bn_mapping",
     "_layer_norm": lambda a: f"layer_norm {a[1]}",
-    "_dropout": lambda a: "dropout",
+    "dropout": lambda a: "dropout",
     "_attention_sublayer": lambda a: f"attention {a[1]}q={a[5]}",
     "_ffn_sublayer": lambda a: f"ffn {a[1]}",
     "_pooler_classifier": lambda a: "pooler_classifier",
 }
 
+#: the ``train`` names ``train_step`` calls, each with its stage and label
+STAGES = {"forward": ("forward", "total"), "cross_entropy": ("loss", "cross_entropy"),
+          "backward": ("backward", "total"), "_check_finite": ("check", "_check_finite"),
+          "adam_step": ("adam", "adam_step")}
+
 
 class StepTimer:
-    """Wraps the forward ops of ``model`` and records one step's timings."""
+    """Patches ``model._run`` and the ``STAGES`` of ``train`` to record each step's timings."""
 
     def __init__(self):
         self.times: dict[str, list[float]] = defaultdict(list)
-        self.ops: list[str] = []  # labels of this step's top-level forward ops
-        self._depth = 0
-        self._saved = {name: getattr(model, name) for name in OPS}
+        self.ops = 0  # top-level forward ops of this step so far
+        self._saved = [(model, "_run", model._run),
+                       *((train, name, getattr(train, name)) for name in STAGES)]
 
     def __enter__(self):
-        for name, label in OPS.items():
-            setattr(model, name, self._wrap(self._saved[name], label))
+        model._run = self._run
+        for name, (stage, label) in STAGES.items():
+            setattr(train, name, self.timed(stage, label, getattr(train, name)))
         return self
 
     def __exit__(self, *exc):
-        for name, fn in self._saved.items():
-            setattr(model, name, fn)
+        for owner, name, fn in self._saved:
+            setattr(owner, name, fn)
 
-    def _wrap(self, fn, label):
-        def op(*args):
-            if self._depth:  # inside another op: counted there
-                return fn(*args)
-            self._depth += 1
+    def timed(self, stage: str, label: str, fn):
+        def timed_fn(*args, **kwargs):
             t0 = time.perf_counter()
-            try:
-                y, back = fn(*args)
-            finally:
-                self._depth -= 1
-            self._record("forward", f"{len(self.ops):2d} {label(args)}", t0)
-            self.ops.append(label(args))
-            return y, back
-        return op
+            out = fn(*args, **kwargs)
+            self.times[f"{stage:<8} {label}"].append((time.perf_counter() - t0) * 1e3)
+            return out
+        return timed_fn
 
-    def _record(self, stage: str, label: str, t0: float) -> None:
-        self.times[f"{stage:<8} {label}"].append((time.perf_counter() - t0) * 1e3)
-
-    def timed(self, stage, label, fn, *args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        self._record(stage, label, t0)
-        return out
-
-    def step(self, params, moments, step, batch, labels, rng, lr):
-        """One training step; returns the new step count."""
-        self.ops = []
-        t_step = time.perf_counter()
-        logits, backs = self.timed("forward", "total", model.forward, params, batch, True, rng)
-        loss, dlogits = self.timed("loss", "cross_entropy", train.cross_entropy, logits, labels)
-        if len(backs) != len(self.ops):
-            raise RuntimeError(f"{len(backs)} backwards for {len(self.ops)} forward ops")
-        timed_backs = [self._timed_back(b, k, label) for k, (b, label) in
-                       enumerate(zip(backs, self.ops))]
-        grads = self.timed("backward", "total", model.backward, params, timed_backs, dlogits)
-        self.timed("check", "_check_finite", train._check_finite, loss, grads, 0, 0)
-        step = self.timed("adam", "adam_step", train.adam_step, params, grads, moments, step, lr)
-        self._record("step", "total", t_step)
-        return step
-
-    def _timed_back(self, back, k, label):
-        def timed_back(dy, grads):
-            return self.timed("backward", f"{k:2d} {label}", back, dy, grads)
-        return timed_back
+    def _run(self, backwards, op, *args):
+        """``model._run`` with ``op`` and its backward timed under the op's label."""
+        label = f"{self.ops:2d} {OPS[op.__name__](args)}"
+        self.ops += 1
+        y, back = self.timed("forward", label, op)(*args)
+        if backwards is not None:
+            backwards.append(self.timed("backward", label, back))
+        return y
 
 
 def profile(cfg: model.ModelConfig, batch_size: int, repeats: int) -> dict:
@@ -112,12 +87,14 @@ def profile(cfg: model.ModelConfig, batch_size: int, repeats: int) -> dict:
     examples = [model.Example(x) for x in
                 -50.0 + 30.0 * rng.standard_normal((batch_size, cfg.seq_len, cfg.input_dim))]
     labels = rng.integers(0, cfg.classes, batch_size)
-    timer, step = StepTimer(), 0
+    train_cfg, timer, step = train.TrainConfig(warmup_steps=0), StepTimer(), 0
     with timer:
         for k in range(repeats + 1):
             if k == 1:
                 timer.times.clear()  # the first step warms caches and is not reported
-            step = timer.step(params, moments, step, examples, labels, rng, 1e-4)
+            timer.ops = 0
+            step, _ = timer.timed("step", "total", train.train_step)(
+                params, moments, step, examples, labels, train_cfg, 0, k)
     return dict(timer.times)  # in the order the step first recorded them
 
 
