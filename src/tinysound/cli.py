@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
 import logging
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _binio, audio_io, augment, deploy, dsp, model as model_mod, tokenizer, train
-from .errors import CheckpointError, ConfigError, TinySoundError
+from .errors import ConfigError, TinySoundError
 
 log = logging.getLogger(__name__)
 
@@ -221,18 +220,10 @@ def cmd_finetune(args, cfg: Config) -> int:
 
 
 def cmd_eval(args, cfg: Config) -> int:
-    """Accuracy on the split the run held out: the seed and window the checkpoint
-    records override the config's, and its class names must be the dataset's."""
+    """Accuracy on the split the run held out, as ``train.run_config`` reads it."""
     manifest = load_dataset(cfg)
     ckpt = model_mod.load_checkpoint(args.ckpt)
-    names = ckpt.metadata.get("class_names")
-    if names is not None and names != list(manifest.class_names):
-        raise ConfigError(f"checkpoint classes {names} are not the dataset's "
-                          f"{list(manifest.class_names)}")
-    recorded = {k: ckpt.metadata[k] for k in ("seed", "window_samples") if k in ckpt.metadata}
-    if any(type(v) is not int for v in recorded.values()):
-        raise CheckpointError(f"{args.ckpt}: metadata {recorded} are not integers")
-    tcfg = dataclasses.replace(train_config(cfg, args.seed), **recorded)
+    tcfg = train.run_config(ckpt.metadata, train_config(cfg, args.seed), manifest.class_names)
     _, val_entries = train.split_manifest(manifest, tcfg)
     acc = train.evaluate(ckpt.params, val_entries, tcfg)
     print(f"accuracy {acc:.4f} over {len(val_entries)} held-out clips")
@@ -240,10 +231,10 @@ def cmd_eval(args, cfg: Config) -> int:
 
 
 def cmd_predict(args, cfg: Config) -> int:
-    tcfg = train_config(cfg, args.seed)
     loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
-    model_cfg = loaded.cfg if args.quantized else loaded.params.cfg
-    tcfg.pipeline.check_model(model_cfg, tcfg.window_samples)
+    tcfg = train.run_config(loaded.metadata, train_config(cfg, args.seed))
+    tcfg.pipeline.check_model(loaded.cfg if args.quantized else loaded.params.cfg,
+                              tcfg.window_samples)
     clip = audio_io.load_audio(args.input)
     example = tcfg.pipeline.extract(audio_io.center_slice(clip, tcfg.window_samples))
     if args.quantized:
@@ -284,12 +275,10 @@ def cmd_quantize(args, cfg: Config) -> int:
 
 
 def cmd_bench(args, cfg: Config) -> int:
-    tcfg = train_config(cfg, args.seed)
-    if args.quantized:
-        target = deploy.load_quantized(args.ckpt)
-    else:
-        target = model_mod.load_checkpoint(args.ckpt).params
-    report = deploy.bench(target, tcfg.pipeline, tcfg.window_samples, n_runs=args.runs)
+    loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
+    tcfg = train.run_config(loaded.metadata, train_config(cfg, args.seed))
+    report = deploy.bench(loaded if args.quantized else loaded.params, tcfg.pipeline,
+                          tcfg.window_samples, n_runs=args.runs)
     print(report.to_json_line())
     return 0
 

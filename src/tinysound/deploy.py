@@ -181,7 +181,7 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10) -> Bench
     ``serialized_bytes`` re-encodes what it is given: for a TSCQ that is the
     whole file; for ``ModelParams`` it is the weights alone, with no Adam
     moments, step or metadata: a trained 6-class TSCK of the default config
-    is 85,146 bytes on disk and reports 30,773. A model whose input shape
+    is 85,295 bytes on disk and reports 30,773. A model whose input shape
     is not the pipeline's, or ``n_runs < 1``, raises ``ConfigError`` before
     anything is featurized.
     """

@@ -16,7 +16,7 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -224,12 +224,14 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.window_samples <= 0:
-            raise ConfigError(f"window_samples must be positive, got {self.window_samples}")
+        for name, low, word in (("seed", 0, "non-negative"), ("window_samples", 1, "positive")):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be {word}, got {value}")
         self.pipeline.check_window(self.window_samples)
-        if not 0.0 < self.val_fraction < 1.0:
+        if not (isinstance(self.val_fraction, (int, float)) and 0.0 < self.val_fraction < 1.0):
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         object.__setattr__(self, "augments", tuple(self.augments))
 
@@ -363,33 +365,50 @@ class TrainResult:
     metrics: list[dict]
 
 
+RUN_FIELDS = ("seed", "window_samples", "val_fold", "val_fraction")  # a checkpoint's run record
+
+
 def _snapshot(params: ModelParams, moments: dict[str, np.ndarray], step: int, epoch: int,
               val_acc: float, class_names, cfg: TrainConfig) -> Checkpoint:
     meta = {"epoch": epoch, "val_acc": float(val_acc), "class_names": list(class_names),
-            "seed": cfg.seed, "window_samples": cfg.window_samples}
+            **{k: getattr(cfg, k) for k in RUN_FIELDS}}
     params_copy = ModelParams(params.cfg, {k: v.copy() for k, v in params.tensors.items()})
     return Checkpoint(params_copy, {k: t.copy() for k, t in moments.items()}, step, meta)
 
 
-def _config_diffs(have: ModelConfig, want: ModelConfig) -> list[str]:
-    have, want = asdict(have), asdict(want)
-    return [f"{k}={have[k]!r}, requested {want[k]!r}" for k in have if have[k] != want[k]]
+def run_config(metadata: dict, cfg: TrainConfig, class_names=None) -> TrainConfig:
+    """``cfg`` with the ``RUN_FIELDS`` that a checkpoint's ``metadata`` records, the
+    rest kept. Recorded class names unlike ``class_names`` raise ``ConfigError``; a
+    recorded value that ``TrainConfig`` rejects raises ``CheckpointError``."""
+    names = metadata.get("class_names")
+    if class_names is not None and names is not None and list(names) != list(class_names):
+        raise ConfigError(f"checkpoint has class_names={names}, dataset has {list(class_names)}")
+    try:
+        return replace(cfg, **{k: metadata[k] for k in RUN_FIELDS if k in metadata})
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint metadata: {exc}") from None
 
 
-def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) -> int:
-    """The first epoch to train from ``ckpt``: ``ConfigError`` unless below
-    ``cfg.epochs``. A resumed run continues bit for bit only under the config it
-    was saved with; metadata keys the checkpoint lacks are not checked. A moment
-    table unlike ``zero_moments``' in names or shapes raises ``CheckpointError``."""
+def _config_diffs(have, want, names=None) -> list[str]:
+    names = names or [f.name for f in fields(have)]
+    return [f"{k}={getattr(have, k)!r}, requested {getattr(want, k)!r}"
+            for k in names if getattr(have, k) != getattr(want, k)]
+
+
+def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig, class_names) -> int:
+    """The first epoch to train from ``ckpt``: ``ConfigError`` unless below ``cfg.epochs``.
+    A resumed run continues bit for bit only under the model config, the ``RUN_FIELDS``
+    and the class names it was saved with. A recorded ``epoch`` other than an integer >= -1,
+    or a moment table unlike ``zero_moments``' in names or shapes, is a ``CheckpointError``."""
     diffs = _config_diffs(ckpt.params.cfg, model_cfg)
-    diffs += [f"{k}={ckpt.metadata[k]!r}, requested {getattr(cfg, k)!r}"
-              for k in ("seed", "window_samples")
-              if k in ckpt.metadata and ckpt.metadata[k] != getattr(cfg, k)]
+    diffs += _config_diffs(run_config(ckpt.metadata, cfg, class_names), cfg, RUN_FIELDS)
     if diffs:
         raise ConfigError("cannot resume: checkpoint has " + "; ".join(diffs))
-    done = int(ckpt.metadata.get("epoch", -1)) + 1
-    if done >= cfg.epochs:
-        raise ConfigError(f"cannot resume: checkpoint has trained {done} epochs, "
+    epoch = ckpt.metadata.get("epoch", -1)
+    if not isinstance(epoch, (int, np.integer)) or epoch < -1:
+        raise CheckpointError(f"cannot resume: checkpoint epoch {epoch!r} is not an integer >= -1")
+    if epoch + 1 >= cfg.epochs:
+        raise ConfigError(f"cannot resume: checkpoint has trained {epoch + 1} epochs, "
                           f"so epochs={cfg.epochs} leaves none to train")
     have = {k: t.shape for k, t in (ckpt.opt_tensors or {}).items()}
     want = {k: t.shape for k, t in zero_moments(ckpt.params).items()} if have else {}
@@ -397,7 +416,7 @@ def _check_resume(ckpt: Checkpoint, model_cfg: ModelConfig, cfg: TrainConfig) ->
         if have.get(k) != want.get(k):
             raise CheckpointError(f"cannot resume: optimizer moment {k}: checkpoint has "
                                   f"{have.get(k, 'no entry')}, model needs {want.get(k, 'none')}")
-    return done
+    return epoch + 1
 
 
 def _check_finite(loss: float, grads: dict[str, np.ndarray]) -> None:
@@ -445,7 +464,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
     if resume_from is None:
         resume_from = Checkpoint(init_model(model_cfg, np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 0x1417]))), None, 0, {})
-    start_epoch = _check_resume(resume_from, model_cfg, cfg)
+    start_epoch = _check_resume(resume_from, model_cfg, cfg, manifest.class_names)
     params = ModelParams(resume_from.params.cfg,
                          {k: v.copy() for k, v in resume_from.params.tensors.items()})
     zeros = zero_moments(params)

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from tinysound import audio_io, augment, cli, deploy, model, tokenizer, train
 from tinysound.audio_io import AudioClip
-from tinysound.errors import ConfigError
+from tinysound.errors import CheckpointError, ConfigError
 
-from conftest import SR, sine
+from conftest import SR, sine, write_synth_dataset
 
 
 def write_cfg(path, **keys):
@@ -434,6 +434,100 @@ class TestTrainEvalPredict:
         acc = train.evaluate(model.load_checkpoint(run / "best.tsck").params, held_out, tcfg)
         want = f"accuracy {acc:.4f} over {len(held_out)} held-out clips\n"
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("trained, evaluated", [
+        ({}, {"val_fraction": 0.5}), ({"val_fold": 1}, {"val_fold": 2})],
+        ids=["val_fraction", "val_fold"])
+    def test_eval_holds_out_the_runs_split(self, tmp_path, capsys, monkeypatch, trained,
+                                           evaluated):
+        audio = write_synth_dataset(tmp_path / "data" / "audio", per_class=4, seed=3)
+        rows = [f"{p.relative_to(audio).as_posix()},{1 + i % 3},0,{p.parent.name}"
+                for i, p in enumerate(sorted(audio.rglob("*.wav")))]
+        (tmp_path / "data" / "m.csv").write_text("filename,fold,target,category\n"
+                                                 + "\n".join(rows) + "\n")
+        keys = dict(FAST_KEYS, data_root=str(tmp_path / "data"), layout="csv_manifest", epochs=1)
+        cfg = write_cfg(tmp_path / "train.cfg", **keys, **trained)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        evaluate, scored = train.evaluate, []
+        monkeypatch.setattr(train, "evaluate", lambda *a: scored.append(a[1]) or evaluate(*a))
+        other = write_cfg(tmp_path / "eval.cfg", **keys, **evaluated)
+        ckpt = str(tmp_path / "run" / "best.tsck")
+        assert cli.main(["eval", "--config", other, "--ckpt", ckpt]) == 0
+        config = cli.Config(cli.parse_config_file(cfg))
+        manifest = cli.load_dataset(config)
+        held_out = train.split_manifest(manifest, cli.train_config(config, seed=0))[1]
+        asked = cli.train_config(cli.Config(cli.parse_config_file(other)), seed=0)
+        assert held_out != train.split_manifest(manifest, asked)[1]
+        assert scored == [held_out]
+        assert capsys.readouterr().out.endswith(f" over {len(held_out)} held-out clips\n")
+
+    def test_eval_of_a_checkpoint_without_a_run_record_takes_the_config(
+            self, run_dir, tmp_path, capsys, monkeypatch):
+        _, cfg, out = run_dir  # trained at seed 7
+        ckpt = model.load_checkpoint(out / "best.tsck")
+        bare = tmp_path / "bare.tsck"
+        model.save_checkpoint(bare, ckpt.params,
+                              metadata={"class_names": ckpt.metadata["class_names"]})
+        other = write_cfg(tmp_path / "o.cfg", **dict(cli.parse_config_file(cfg),
+                                                     seed=1, val_fraction=0.5))
+        evaluate, scored = train.evaluate, []
+        monkeypatch.setattr(train, "evaluate", lambda *a: scored.append(a[1]) or evaluate(*a))
+        assert cli.main(["eval", "--config", other, "--ckpt", str(bare)]) == 0
+        config = cli.Config(cli.parse_config_file(other))
+        assert scored == [train.split_manifest(cli.load_dataset(config),
+                                               cli.train_config(config, seed=1))[1]]
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["tsck", "tscq"])
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_window_comes_from_the_checkpoint(self, run_dir, tmp_path, capsys, command,
+                                              quantized):
+        _, cfg, out = run_dir  # trained at window_samples = 8192
+        ckpt = str(out / "best.tsck")
+        if quantized:
+            ckpt = str(tmp_path / "m.tscq")
+            assert cli.main(["quantize", "--ckpt", str(out / "best.tsck"), "--out", ckpt]) == 0
+        keys = cli.parse_config_file(cfg)
+        del keys["window_samples"]
+        bare = write_cfg(tmp_path / "bare.cfg", **keys)
+        wav = tmp_path / "probe.wav"
+        audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
+        printed = []
+        for config in (cfg, bare):
+            argv = [command, "--config", config, "--ckpt", ckpt] + ["--quantized"] * quantized
+            argv += [str(wav)] if command == "predict" else ["--runs", "2"]
+            capsys.readouterr()
+            assert cli.main(argv) == 0
+            text = capsys.readouterr().out
+            if command == "bench":  # the timings differ from run to run
+                record = json.loads(text)
+                text = {k: v for k, v in record.items() if not k.endswith("_ms")}
+            printed.append(text)
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("record", [{"seed": "x"}, {"window_samples": 2.5},
+                                        {"val_fraction": 2}], ids=lambda r: next(iter(r)))
+    @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
+    def test_bad_run_record_is_two(self, run_dir, tmp_path, capsys, monkeypatch, command,
+                                   record):
+        _, cfg, out = run_dir
+        ckpt = model.load_checkpoint(out / "best.tsck")
+        path = tmp_path / "bad.tsck"
+        model.save_checkpoint(path, ckpt.params, metadata={**ckpt.metadata, **record})
+        extracted = []
+        monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
+        argv = [command, "--config", cfg, "--ckpt", str(path)]
+        if command == "predict":
+            wav = tmp_path / "probe.wav"
+            audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
+            argv.insert(1, str(wav))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        name = next(iter(record))
+        assert err.startswith(f"error: checkpoint metadata: {name} must be ")
+        assert "Traceback" not in err and extracted == []
+        with pytest.raises(CheckpointError, match=name):
+            train.run_config(model.load_checkpoint(path).metadata, train.TrainConfig())
 
     def test_predict_names_class_and_probabilities(self, run_dir, tmp_path, capsys):
         _, cfg, out = run_dir

@@ -242,6 +242,12 @@ class TestSplit:
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
             train.TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("window_samples", 25000.0)])
+    def test_non_integer_seed_or_window_rejected(self, name, value):
+        # before split_manifest or center_slice meets it, whose TypeError names no field
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+            train.TrainConfig(**{name: value})
+
     def test_fold_split(self, tmp_path):
         root = tmp_path / "ds"
         (root / "meta").mkdir(parents=True)
@@ -336,7 +342,8 @@ class TestTrainLoop:
             np.testing.assert_array_equal(full.last.params.tensors[name],
                                           resumed.last.params.tensors[name])
 
-    @pytest.mark.parametrize("change", ["hidden", "seed", "window_samples"])
+    @pytest.mark.parametrize("change", ["hidden", "seed", "window_samples", "val_fraction",
+                                        "val_fold"])
     def test_resume_rejects_a_different_config(self, small_dataset, change):
         manifest, mcfg, tcfg = self._config(1, small_dataset)
         half = train.train_loop(manifest, mcfg, tcfg)
@@ -345,10 +352,41 @@ class TestTrainLoop:
             mcfg = replace(mcfg, hidden=16)
         elif change == "seed":
             tcfg = replace(tcfg, seed=tcfg.seed + 1)
+        elif change == "val_fraction":
+            tcfg = replace(tcfg, val_fraction=0.5)
+        elif change == "val_fold":  # the manifest has no folds, but the request differs
+            tcfg = replace(tcfg, val_fold=1)
         else:  # same frame count, so the model config still fits
             tcfg = replace(tcfg, window_samples=tcfg.window_samples + 8)
         with pytest.raises(ConfigError, match=change):
             train.train_loop(manifest, mcfg, tcfg, resume_from=half.last)
+
+    def test_resume_rejects_other_class_names(self, small_dataset):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        half = train.train_loop(manifest, mcfg, tcfg).last
+        renamed = replace(manifest, class_names=("a", "b", "c"))  # same count, same model
+        with pytest.raises(ConfigError, match="class_names=.*'clicks'.*dataset has.*'a'"):
+            train.train_loop(renamed, mcfg, replace(tcfg, epochs=2), resume_from=half)
+
+    @pytest.mark.parametrize("epoch", [None, [3], "3", 1.7], ids=["null", "list", "str", "float"])
+    def test_resume_rejects_a_non_integer_epoch(self, small_dataset, monkeypatch, epoch):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        half = train.train_loop(manifest, mcfg, tcfg).last
+        half = replace(half, metadata={**half.metadata, "epoch": epoch})
+        prepared = []
+        monkeypatch.setattr(train, "_prepare_example", lambda *a: prepared.append(a))
+        with pytest.raises(CheckpointError, match=r"cannot resume: checkpoint epoch .* is not"):
+            train.train_loop(manifest, mcfg, replace(tcfg, epochs=4), resume_from=half)
+        assert prepared == []
+
+    def test_snapshot_records_the_run_fields(self, small_dataset):
+        manifest, mcfg, tcfg = self._config(1, small_dataset)
+        tcfg = replace(tcfg, val_fraction=0.25, val_fold=3)
+        meta = train.train_loop(manifest, mcfg, tcfg).last.metadata
+        assert {k: meta[k] for k in train.RUN_FIELDS} == {
+            "seed": tcfg.seed, "window_samples": tcfg.window_samples, "val_fold": 3,
+            "val_fraction": 0.25}
+        assert train.run_config(meta, replace(tcfg, seed=9, val_fold=None)) == tcfg
 
     @pytest.mark.parametrize("tamper, named", [
         (lambda moments: moments.pop("m__cls_b"), "m__cls_b: checkpoint has no entry"),
