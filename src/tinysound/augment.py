@@ -201,11 +201,10 @@ def _merge(a: list, b: list) -> list:
 
 
 def _rank(a: list, b: list, k: int) -> np.ndarray:
-    """Output ``k`` (from 0) of ``_merge(a, b)``, from only the comparators that reach it."""
+    """Output ``k`` (from 0) of ``_merge(a, b)``, a middle one (``len(a) - 1`` or
+    ``len(a)``), from only the comparators that reach it."""
     if len(a) == 1:
         return (np.maximum if k else np.minimum)(a[0], b[0])
-    if k in (0, 2 * len(a) - 1):  # the first even or the last odd, unexchanged
-        return _rank(a[k % 2 :: 2], b[k % 2 :: 2], k // 2)
     odd, even = _rank(a[1::2], b[1::2], (k - 1) // 2), _rank(a[::2], b[::2], (k + 1) // 2)
     return (np.minimum if k % 2 else np.maximum)(odd, even)
 

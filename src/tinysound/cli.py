@@ -107,6 +107,7 @@ def _naming_keys(key: str | None = None):
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
+@_naming_keys()
 def pipeline_config(cfg: Config) -> train.PipelineConfig:
     fields = _fields(cfg, train.PipelineConfig)
     vocab = None

@@ -187,7 +187,7 @@ def _mel_filterbank_csr(cfg: SpectrogramConfig) -> scipy.sparse.csr_array:
 
 def power_to_db(power: np.ndarray) -> np.ndarray:
     db = 10.0 * np.log10(np.maximum(power, _DB_FLOOR_POWER))
-    return np.maximum(db, db.max() - _DB_RANGE)
+    return np.maximum(db, db.max(initial=-np.inf) - _DB_RANGE)  # 0 frames: empty
 
 
 def mel_spectrogram(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:

@@ -142,6 +142,10 @@ class PipelineConfig:
             raise ConfigError(f"downsample must be >= 1, got {self.downsample}")
         if self.feature == CURVE and self.vocab is None:
             raise ConfigError("curve pipeline needs a vocabulary")
+        if self.n_coeffs is not None and self.feature != MFCC:
+            raise ConfigError(f"n_coeffs is for feature mfcc, got feature {self.feature}")
+        if self.feature == MFCC and not self.spectrogram.log_scale:
+            raise ConfigError("log_scale must be true for feature mfcc (log mel energies)")
         if self.n_coeffs is not None and not 1 <= self.n_coeffs <= self.spectrogram.n_mels:
             raise ConfigError(f"n_coeffs must be in 1..n_mels = {self.spectrogram.n_mels}, "
                               f"got {self.n_coeffs}")
@@ -224,8 +228,11 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        for name, low, word in (("seed", 0, "non-negative"), ("window_samples", 1, "positive")):
+        for name, low, word in (("seed", 0, "non-negative"), ("window_samples", 1, "positive"),
+                                ("val_fold", 0, "non-negative")):
             value = getattr(self, name)
+            if value is None and name == "val_fold":  # no fold held out
+                continue
             if not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < low:
@@ -250,10 +257,11 @@ def _model_input(pipeline: PipelineConfig, window: AudioClip) -> np.ndarray:
 
 
 class ClipStore:
-    """Read-only ``_model_input``s of dataset clips' fixed windows, by path, window
-    length and pipeline; it keeps no decoded clip. One lock guards the table."""
+    """One run's read-only ``_model_input``s of dataset clips' fixed windows, by
+    clip path, for ``cfg``; it keeps no decoded clip. One lock guards the table."""
 
-    def __init__(self):
+    def __init__(self, cfg: TrainConfig):
+        self.cfg = cfg
         self._features: dict = {}
         self._lock = threading.Lock()
 
@@ -261,25 +269,24 @@ class ClipStore:
         """``entry``'s clip, decoded at 44.1 kHz: every decode of a dataset clip."""
         return audio_io.load_audio(entry.path)
 
-    def features(self, entry: ManifestEntry, cfg: TrainConfig,
-                 clip: AudioClip | None = None) -> np.ndarray:
+    def features(self, entry: ManifestEntry, clip: AudioClip | None = None) -> np.ndarray:
         """``cfg.pipeline`` features of the center window of ``clip``, ``entry``'s
         decoded clip; on a miss without ``clip`` it is decoded through ``load``."""
-        feats = self.cached(entry, cfg)
+        feats = self.cached(entry)
         if feats is None:
             clip = self.load(entry) if clip is None else clip
-            feats = _model_input(cfg.pipeline, audio_io.center_slice(clip, cfg.window_samples))
+            feats = _model_input(self.cfg.pipeline,
+                                 audio_io.center_slice(clip, self.cfg.window_samples))
             feats.setflags(write=False)
-            key = (str(entry.path), cfg.window_samples, cfg.pipeline)
-            with self._lock:  # another thread may have stored this key since the miss
-                if key not in self._features and len(self._features) >= MAX_CACHED:
+            with self._lock:  # another thread may have stored this path since the miss
+                if entry.path not in self._features and len(self._features) >= MAX_CACHED:
                     self._features.pop(next(iter(self._features)))
-                feats = self._features.setdefault(key, feats)
+                feats = self._features.setdefault(entry.path, feats)
         return feats
 
-    def cached(self, entry: ManifestEntry, cfg: TrainConfig) -> np.ndarray | None:
-        """``features(entry, cfg)`` if it is cached, else None."""
-        return self._features.get((str(entry.path), cfg.window_samples, cfg.pipeline))
+    def cached(self, entry: ManifestEntry) -> np.ndarray | None:
+        """``features(entry)`` if it is cached, else None."""
+        return self._features.get(entry.path)
 
 
 def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
@@ -289,7 +296,7 @@ def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
         val = [e for e in entries if e.fold == cfg.val_fold]
         train = [e for e in entries if e.fold != cfg.val_fold]
         if not val or not train:
-            raise ValueError(f"fold {cfg.val_fold} split leaves an empty partition")
+            raise ValueError(f"val_fold {cfg.val_fold} split leaves an empty partition")
         return train, val
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xDA7A]))
     by_class: dict[int, list[ManifestEntry]] = {}
@@ -303,7 +310,7 @@ def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
         for rank, idx in enumerate(order):
             (val if rank < n_val else train).append(group[idx])
     if not train:
-        raise ValueError("training split is empty")
+        raise ValueError(f"training split is empty at val_fraction {cfg.val_fraction}")
     train.sort(key=lambda e: str(e.path))
     val.sort(key=lambda e: str(e.path))
     return train, val
@@ -313,7 +320,7 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
                      epoch: int, index: int) -> np.ndarray:
     clip = store.load(entry)
     if not cfg.augments and len(clip) <= cfg.window_samples:
-        return store.features(entry, cfg, clip)  # random_slice starts it at 0 too
+        return store.features(entry, clip)  # random_slice starts it at 0 too
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, index]))
     window = audio_io.random_slice(clip, cfg.window_samples, rng)
     if cfg.augments:
@@ -459,7 +466,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
         raise ValueError("manifest is empty")
     cfg.pipeline.check_model(model_cfg, cfg.window_samples)
     train_entries, val_entries = split_manifest(manifest, cfg)
-    store = ClipStore()
+    store = ClipStore(cfg)
 
     if resume_from is None:
         resume_from = Checkpoint(init_model(model_cfg, np.random.default_rng(
@@ -483,7 +490,7 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
                 chunk = order[lo : lo + cfg.batch_size].tolist()
                 batch = _prepare_batch(lambda i: _prepare_example(
                     train_entries[i], store, cfg, epoch, i), chunk, pool,
-                    lambda i: store.cached(train_entries[i], cfg))  # fixed windows only
+                    lambda i: store.cached(train_entries[i]))  # fixed windows only
                 labels = np.array([train_entries[i].label for i in chunk])
                 step, loss = train_step(params, moments, step, batch, labels, cfg, epoch, index)
                 losses.append(loss)
@@ -503,34 +510,33 @@ def evaluate(params: ModelParams, entries, cfg: TrainConfig,
              store: ClipStore | None = None, pool=None) -> float:
     """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch``
     batches of ``cfg.batch_size``. ``store`` keeps features, not clips, between
-    calls; ``pool``, a ``_helper_pool`` pair, is opened here when not given. A
-    model whose input shape is not the pipeline's raises ``ConfigError``."""
+    calls and serves ``cfg``; ``pool``, a ``_helper_pool`` pair, is opened here when
+    not given. A model whose input shape is not the pipeline's raises ``ConfigError``."""
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")
     cfg.pipeline.check_model(params.cfg, cfg.window_samples)
-    store = store if store is not None else ClipStore()
+    store = store if store is not None else ClipStore(cfg)
     correct = 0
     with _helper_pool() if pool is None else contextlib.nullcontext(pool) as pool:
         for lo in range(0, len(entries), cfg.batch_size):
             chunk = entries[lo : lo + cfg.batch_size]
-            batch = _prepare_batch(lambda e: store.features(e, cfg), chunk, pool,
-                                   lambda e: store.cached(e, cfg))
+            batch = _prepare_batch(store.features, chunk, pool, store.cached)
             logits = forward(params, batch, training=False)
             correct += int((logits.argmax(axis=1) == np.array([e.label for e in chunk])).sum())
     return correct / len(entries)
 
 
 def finetune(base: Checkpoint, manifest: DatasetManifest, cfg: TrainConfig,
-             model_cfg: ModelConfig | None = None) -> TrainResult:
+             model_cfg: ModelConfig) -> TrainResult:
     """Continue training from a checkpoint on a new label set.
 
-    Trains ``model_cfg`` (default: the base's) at the new class count. The
-    classifier is re-initialized; every other tensor is loaded from the base
-    and nothing is frozen. The base must match the requested config in every
-    field except the class count and the dropout rate.
+    Trains ``model_cfg`` at the new class count. The classifier is
+    re-initialized; every other tensor is loaded from the base and nothing is
+    frozen. The base must match ``model_cfg`` in every field except the class
+    count and the dropout rate.
     """
-    want = replace(model_cfg or base.params.cfg, classes=len(manifest.class_names))
+    want = replace(model_cfg, classes=len(manifest.class_names))
     diffs = _config_diffs(replace(base.params.cfg, classes=want.classes,
                                   dropout_rate=want.dropout_rate), want)
     if diffs:

@@ -430,3 +430,23 @@ class TestRandomSlice:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             random_slice(AudioClip(np.zeros(4), SR), 0, np.random.default_rng(0))
+
+
+def _csv_without_category(root):
+    (root / "meta.csv").write_text("filename,fold,target\nclip.wav,1,0\n")
+    return load_manifest(root, audio_io.CSV_MANIFEST)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda root: AudioClip(np.zeros((2, 4)), SR), ValueError, "mono 1-D samples"),
+    (lambda root: audio_io.DatasetManifest((audio_io.ManifestEntry(root / "a.wav", 1),),
+                                           ("only",)), ManifestError, "class index 1"),
+    (lambda root: load_manifest(root, audio_io.CSV_MANIFEST), ManifestError, "manifest CSV"),
+    (_csv_without_category, ManifestError, "columns filename,fold,target,category"),
+    (lambda root: load_manifest(root, "flat"), ManifestError, "layout 'flat'"),
+], ids=["2-D-samples", "label-out-of-range", "no-manifest-csv", "csv-without-columns",
+        "unknown-layout"])
+def test_audio_io_raise_sites_name_their_field(tmp_path, build, error, named):
+    with pytest.raises(error, match=named) as raised:
+        build(tmp_path)
+    assert raised.type is error

@@ -462,3 +462,14 @@ class TestPipeline:
     def test_bad_probability_rejected(self):
         with pytest.raises(ConfigError):
             AugmentSpec("echo", 1.5)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: augment.time_stretch(sine(440, 0.1), 0.0), "rate must be positive, got 0.0"),
+    (lambda: augment.time_stretch(sine(440, 0.1), -1.0), "rate must be positive, got -1.0"),
+    (lambda: augment.hpss(sine(440, 0.1), rng(0), branch="vocal"), "branch .* got 'vocal'"),
+], ids=["stretch-rate-zero", "stretch-rate-negative", "unknown-hpss-branch"])
+def test_augment_raise_sites_name_their_field(call, named):
+    with pytest.raises(ValueError, match=named) as raised:
+        call()
+    assert raised.type is ValueError

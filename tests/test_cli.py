@@ -316,6 +316,10 @@ class TestFeaturize:
         ({"feature": "amplitude", "reshape_cols": 0}, "reshape_cols"),
         ({"window_samples": 1}, "window_samples"),
         ({"feature": "amplitude", "reshape_rows": 100, "reshape_cols": 1000}, "window_samples"),
+        ({"feature": "mel", "n_coeffs": 13}, "n_coeffs"),  # only mfcc takes it
+        ({"feature": "amplitude", "reshape_rows": 16, "reshape_cols": 64, "n_coeffs": 13},
+         "n_coeffs"),
+        ({"feature": "mfcc", "log_mel": "false"}, "log_mel"),  # mfcc takes log mel energies
     ])
     @pytest.mark.parametrize("command", ["count"])  # builds the pipeline from the config alone
     def test_unrunnable_pipeline_is_two_and_names_its_key(self, tmp_path, capsys, command,
@@ -506,7 +510,8 @@ class TestTrainEvalPredict:
         assert printed[0] == printed[1]
 
     @pytest.mark.parametrize("record", [{"seed": "x"}, {"window_samples": 2.5},
-                                        {"val_fraction": 2}], ids=lambda r: next(iter(r)))
+                                        {"val_fraction": 2}, {"val_fold": "x"}],
+                             ids=lambda r: next(iter(r)))
     @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
     def test_bad_run_record_is_two(self, run_dir, tmp_path, capsys, monkeypatch, command,
                                    record):
@@ -751,3 +756,13 @@ def test_known_keys_give_configs_or_config_error(values):
     except ConfigError as exc:
         if len(values) == 1:  # the error names the one key that was set
             assert re.search(rf"\b{re.escape(next(iter(values)))}\b", str(exc)), str(exc)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: cli.pipeline_config(cli.Config({"feature": "curve"})), "a vocab_path config key"),
+    (lambda: cli.load_dataset(cli.Config({"layout": "csv_manifest"})), "config key data_root"),
+], ids=["curve-without-vocab_path", "no-data_root"])
+def test_cli_raise_sites_name_their_key(call, named):
+    with pytest.raises(ConfigError, match=named) as raised:
+        call()
+    assert raised.type is ConfigError

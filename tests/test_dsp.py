@@ -373,3 +373,25 @@ class TestNormalize01:
         assert out.min() == 0.0
         assert out.max() == 1.0
 
+
+
+_EMPTY = AudioClip(np.zeros(0), SR)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: dsp.stft(np.zeros(0), cfg),
+    lambda cfg: dsp.mel_spectrogram(_EMPTY, cfg),
+    lambda cfg: dsp.mfcc(_EMPTY, cfg, 13),
+], ids=["stft", "mel", "mfcc"])
+def test_empty_signal_is_a_value_error_naming_the_signal(call):
+    with pytest.raises(ValueError, match="empty signal") as raised:
+        call(dsp.SpectrogramConfig())
+    assert raised.type is ValueError
+
+
+@pytest.mark.parametrize("n", [1, 511])  # below hop_length = 512
+def test_signal_shorter_than_one_hop_gives_no_frame(n):
+    cfg, clip = dsp.SpectrogramConfig(), AudioClip(np.ones(n) * 0.5, SR)
+    assert dsp.stft(clip.samples, cfg).shape == (0, cfg.n_fft // 2 + 1)
+    assert dsp.mel_spectrogram(clip, cfg).shape == (0, cfg.n_mels)
+    assert dsp.mfcc(clip, cfg, 13).shape == (0, 13)

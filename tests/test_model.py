@@ -499,3 +499,29 @@ class TestCheckpoint:
         ck = model.load_checkpoint(path)
         assert ck.step == 9
         np.testing.assert_array_equal(ck.opt_tensors["m__cls_b"], opt["m__cls_b"])
+
+
+def _tensors_with(name, value):
+    params = model.init_model(small_cfg(), np.random.default_rng(0))
+    return model.ModelParams(params.cfg, {**params.tensors, name: value})
+
+
+def _token_forward(batch):
+    cfg = model.ModelConfig(input_mode=model.TOKENS, input_dim=10, seq_len=5, hidden=8,
+                            layers=1, heads=2, classes=3)
+    return model.forward(model.init_model(cfg, np.random.default_rng(0)), batch)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: small_cfg(input_mode="waveform"), ConfigError, "input_mode .* got 'waveform'"),
+    (lambda: _tensors_with("cls_b", np.zeros(7, np.float32)), ConfigError,
+     r"cls_b has shape \(7,\)"),
+    (lambda: _tensors_with("cls_b", np.full(small_cfg().classes, np.nan, np.float32)),
+     ConfigError, "cls_b contains NaN"),
+    (lambda: _token_forward(np.zeros((2, 6), np.int64)), ValueError,
+     r"token batch of shape \(B, 5\), got \(2, 6\)"),
+], ids=["unknown-input-mode", "tensor-wrong-shape", "tensor-nan", "token-batch-wrong-shape"])
+def test_model_raise_sites_name_their_field(build, error, named):
+    with pytest.raises(error, match=named) as raised:
+        build()
+    assert raised.type is error

@@ -414,3 +414,13 @@ def test_build_vocab_output_pinned(walk_dataset, tmp_path, capsys, mode):
     digest, line = BUILD_VOCAB_GOLDEN[mode]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert capsys.readouterr().out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize("resolution", [257, 1024])
+def test_tokenizer_raise_sites_name_their_field(tmp_path, resolution):
+    vocab = tok.CurveVocab(tok.CurveSpec(curve_len=2, resolution=resolution),
+                           [(0, resolution - 1)])
+    with pytest.raises(ConfigError, match="resolution must be <= 256") as raised:
+        tok.save_vocab(tmp_path / "v.tscv", vocab)
+    assert raised.type is ConfigError
+    assert not (tmp_path / "v.tscv").exists()

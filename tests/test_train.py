@@ -242,7 +242,8 @@ class TestSplit:
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
             train.TrainConfig(seed=-1)
 
-    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("window_samples", 25000.0)])
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("window_samples", 25000.0),
+                                             ("val_fold", 1.5)])
     def test_non_integer_seed_or_window_rejected(self, name, value):
         # before split_manifest or center_slice meets it, whose TypeError names no field
         with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
@@ -274,6 +275,33 @@ class TestSplit:
         assert not {e.path for e in train_e} & {e.path for e in val_e}
         labels = [e.label for e in val_e]
         assert sorted(set(labels)) == [0, 1, 2]
+
+
+_ONE_CLASS = ("thing",)
+_TWO_FOLDS = audio_io.DatasetManifest(
+    tuple(audio_io.ManifestEntry(Path(f"fold{k}.wav"), 0, k) for k in (1, 2)), _ONE_CLASS)
+_TWO_CLIPS = audio_io.DatasetManifest(
+    tuple(audio_io.ManifestEntry(Path(f"{name}.wav"), 0) for name in "ab"), _ONE_CLASS)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: train.PipelineConfig(feature=train.CURVE), ConfigError, "vocab"),
+    (lambda: train.TrainConfig(warmup_steps=-1), ConfigError, "^warmup_steps"),
+    (lambda: train.TrainConfig(val_fold="x"), ConfigError,
+     "^val_fold must be an integer, got 'x'$"),
+    (lambda: train.TrainConfig(val_fold=-3), ConfigError,
+     "^val_fold must be non-negative, got -3$"),
+    (lambda: train.split_manifest(_TWO_FOLDS, train.TrainConfig(val_fold=7)), ValueError,
+     "^val_fold 7 "),  # no clip in fold 7
+    (lambda: train.split_manifest(_TWO_CLIPS, train.TrainConfig(val_fraction=0.9)), ValueError,
+     "val_fraction 0.9$"),  # both clips held out
+    (lambda: train.evaluate(None, [], train.TrainConfig()), ValueError, "empty split"),
+], ids=["curve-without-vocab", "negative-warmup", "val_fold-not-integer", "val_fold-negative",
+        "fold-split-empty-side", "empty-training-split", "evaluate-no-entries"])
+def test_train_raise_sites_name_their_field(build, error, named):
+    with pytest.raises(error, match=named) as raised:
+        build()
+    assert raised.type is error
 
 
 @pytest.fixture(scope="module")
@@ -647,26 +675,11 @@ class TestFeatureCache:
         else:  # a random window per train clip and epoch; fixed eval windows
             assert len(calls) == tcfg.epochs * n_train + n_val
 
-    def test_one_store_keeps_each_pipelines_features(self, small_dataset, monkeypatch):
-        store, batches = train.ClipStore(), []
-        forward = train.forward
-        monkeypatch.setattr(train, "forward",
-                            lambda params, batch, **kw: batches.append(batch) or
-                            forward(params, batch, **kw))
-        for feature in (train.MEL, train.MFCC):  # both 87 x 32 per window
-            manifest, mcfg, tcfg = self._config(small_dataset, 8192, feature)
-            entries = manifest.entries[:5]
-            params = model.init_model(mcfg, np.random.default_rng(0))
-            train.evaluate(params, entries, tcfg, store=store)
-            want = [tcfg.pipeline.extract(audio_io.center_slice(store.load(e), 8192))
-                    for e in entries]
-            np.testing.assert_array_equal(batches.pop(), np.stack(want))
-
     def test_cached_features_are_read_only(self, small_dataset):
         manifest, _, tcfg = self._config(small_dataset, SR)
-        store = train.ClipStore()
-        feats = store.features(manifest.entries[0], tcfg)
-        assert store.features(manifest.entries[0], tcfg) is feats
+        store = train.ClipStore(tcfg)
+        feats = store.features(manifest.entries[0])
+        assert store.features(manifest.entries[0]) is feats
         with pytest.raises(ValueError, match="read-only"):
             feats[0, 0] = 0.0
 
@@ -677,7 +690,7 @@ class TestFeatureCache:
         load_audio, decoded = audio_io.load_audio, []
         monkeypatch.setattr(audio_io, "load_audio", lambda p: decoded.append(p) or load_audio(p))
         train.evaluate(model.init_model(mcfg, np.random.default_rng(0)), manifest.entries,
-                       tcfg, store=train.ClipStore())
+                       tcfg, store=train.ClipStore(tcfg))
         assert sorted(decoded) == sorted(e.path for e in manifest.entries)
 
     def test_unaugmented_run_decodes_each_clip_once_and_keeps_none(self, small_dataset,
@@ -814,15 +827,15 @@ class TestParallelPreparation:
     def test_store_shared_by_threads_keeps_its_bound(self, small_dataset, monkeypatch):
         entries = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[:3]
         tcfg = train.TrainConfig(window_samples=SR)
-        want = {str(e.path): train.ClipStore().features(e, tcfg) for e in entries}
+        want = {str(e.path): train.ClipStore(tcfg).features(e) for e in entries}
         monkeypatch.setattr(train, "MAX_CACHED", 2)  # three paths evict each other
-        store, errors = train.ClipStore(), []
+        store, errors = train.ClipStore(tcfg), []
 
         def hammer(order):
             try:
                 for _ in range(40):
                     for e in order:
-                        feats = store.features(e, tcfg)
+                        feats = store.features(e)
                         np.testing.assert_array_equal(feats, want[str(e.path)])
                         assert not feats.flags.writeable
                         assert len(store._features) <= 2
@@ -850,10 +863,10 @@ class TestParallelPreparation:
         entries = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS).entries[:2]
         tcfg = train.TrainConfig(window_samples=SR)
         monkeypatch.setattr(train, "MAX_CACHED", 2)
-        store = train.ClipStore()
-        first = [store.features(e, tcfg) for e in entries]
-        monkeypatch.setattr(store, "cached", lambda entry, cfg: None)  # a miss that raced
-        assert store.features(entries[1], tcfg) is first[1]
+        store = train.ClipStore(tcfg)
+        first = [store.features(e) for e in entries]
+        monkeypatch.setattr(store, "cached", lambda entry: None)  # a miss that raced
+        assert store.features(entries[1]) is first[1]
         assert len(store._features) == 2
 
     @pytest.mark.parametrize("n_build, n_submitted", [(0, 0), (1, 0), (2, 1), (6, 3)])
@@ -870,12 +883,12 @@ class TestParallelPreparation:
 
     def test_features_use_the_given_clip_and_decode_nothing(self, tmp_path, monkeypatch):
         entry = audio_io.ManifestEntry(tmp_path / "absent.wav", 0)
-        clip, store = audio_io.AudioClip(np.zeros(0), SR), train.ClipStore()
-        monkeypatch.setattr(audio_io, "load_audio", lambda path: pytest.fail("decoded"))
         cfg = train.TrainConfig(window_samples=SR)
-        feats = store.features(entry, cfg, clip)  # an empty clip is given, not None
+        clip, store = audio_io.AudioClip(np.zeros(0), SR), train.ClipStore(cfg)
+        monkeypatch.setattr(audio_io, "load_audio", lambda path: pytest.fail("decoded"))
+        feats = store.features(entry, clip)  # an empty clip is given, not None
         np.testing.assert_array_equal(feats, cfg.pipeline.extract(audio_io.center_slice(clip, SR)))
-        assert store.features(entry, cfg) is feats
+        assert store.features(entry) is feats
 
 
 @pytest.mark.parametrize("feature, extra", [
@@ -942,7 +955,7 @@ class TestFinetune:
         manifest, tcfg, base = self._base(small_dataset)
         starts = []
         monkeypatch.setattr(train, "train_loop", lambda *_, resume_from: starts.append(resume_from))
-        train.finetune(base.last, manifest, tcfg)
+        train.finetune(base.last, manifest, tcfg, base.last.params.cfg)
         (start,) = starts
         assert (start.step, start.opt_tensors, start.metadata) == (0, None, {"epoch": -1})
         for name, tensor in base.last.params.tensors.items():
@@ -958,7 +971,7 @@ class TestFinetune:
         shutil.rmtree(root / "clicks")
         two_class = audio_io.load_manifest(root, audio_io.FOLDER_PER_CLASS)
         tcfg = replace(tcfg, epochs=1)
-        result = train.finetune(base.last, two_class, tcfg)
+        result = train.finetune(base.last, two_class, tcfg, base.last.params.cfg)
         assert result.last.params.cfg.classes == 2
         assert result.last.params.tensors["cls_w"].shape == (2, 8)
         acc = train.evaluate(result.last.params, two_class.entries, tcfg)
@@ -997,7 +1010,7 @@ class TestFinetune:
         manifest, tcfg, base = self._base(small_dataset)
         tcfg = replace(tcfg, window_samples=16384)  # longer window -> different seq_len
         with pytest.raises(ConfigError, match="pipeline"):
-            train.finetune(base.last, manifest, tcfg)
+            train.finetune(base.last, manifest, tcfg, base.last.params.cfg)
 
 
 class TestMetricsCsv:
