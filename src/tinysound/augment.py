@@ -318,10 +318,11 @@ def default_pipeline(probability: float = AugmentSpec.probability) -> list[Augme
 
 
 def apply_pipeline(x, specs: list[AugmentSpec], rng: np.random.Generator) -> np.ndarray:
-    """Apply each spec independently with its probability, in listed order."""
+    """Apply each spec independently with its probability, in listed order; a
+    spec at probability 0 takes no draw, so ``rng`` and the output are as without it."""
     out = _as_wave(x).copy()
     for spec in specs:
-        if rng.random() >= spec.probability:
+        if spec.probability == 0 or rng.random() >= spec.probability:
             continue
         out = AUGMENTATIONS[spec.kind](out, rng)
     return out

@@ -121,16 +121,17 @@ def pipeline_config(cfg: Config) -> train.PipelineConfig:
             raise ConfigError(f"config key vocab_path: {exc}") from exc
     return train.PipelineConfig(
         spectrogram=dsp.SpectrogramConfig(**_fields(cfg, dsp.SpectrogramConfig)),
-        n_coeffs=cfg.get("n_coeffs", 0) or None, vocab=vocab, **fields)
+        n_coeffs=cfg.get("n_coeffs", 0) if "n_coeffs" in cfg.values else None,
+        vocab=vocab, **fields)
 
 
 def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
-    """One boolean + probability config key per augmentation kind."""
+    """One spec per kind, at ``aug_<kind>_p`` else ``augment_probability``; 0 is off."""
     if not cfg.get("augment", False):
         return []
     default_p = cfg.get("augment_probability", augment.AugmentSpec.probability)
     specs = []
-    for kind in (kind for kind in augment.AUGMENTATIONS if cfg.get(f"aug_{kind}", True)):
+    for kind in augment.AUGMENTATIONS:
         key = f"aug_{kind}_p" if f"aug_{kind}_p" in cfg.values else "augment_probability"
         with _naming_keys(key):
             specs.append(augment.AugmentSpec(kind, cfg.get(key, default_p)))
@@ -138,10 +139,10 @@ def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
 
 
 def train_config(cfg: Config, seed: int) -> train.TrainConfig:
-    val_fold = cfg.get("val_fold", -1)
     return train.TrainConfig(
         seed=seed, augments=augment_specs(cfg), pipeline=pipeline_config(cfg),
-        val_fold=val_fold if val_fold >= 0 else None, **_fields(cfg, train.TrainConfig))
+        val_fold=cfg.get("val_fold", 0) if "val_fold" in cfg.values else None,
+        **_fields(cfg, train.TrainConfig))
 
 
 @_naming_keys()
@@ -191,7 +192,9 @@ def cmd_augment_preview(args, cfg: Config) -> int:
     return 0
 
 
-def _run_training(args, cfg: Config, base: model_mod.Checkpoint | None) -> int:
+def _run_training(args, cfg: Config) -> int:
+    """``train``, or ``finetune`` from the checkpoint at ``--base``."""
+    base = model_mod.load_checkpoint(args.base) if args.command == "finetune" else None
     manifest = load_dataset(cfg)
     tcfg = train_config(cfg, args.seed)
     mcfg = model_config(cfg, tcfg.pipeline, tcfg.window_samples,
@@ -209,15 +212,6 @@ def _run_training(args, cfg: Config, base: model_mod.Checkpoint | None) -> int:
     best_acc = result.best.metadata["val_acc"]
     print(f"best val_acc={best_acc:.4f}; checkpoints and metrics.csv in {out_dir}")
     return 0
-
-
-def cmd_train(args, cfg: Config) -> int:
-    return _run_training(args, cfg, None)
-
-
-def cmd_finetune(args, cfg: Config) -> int:
-    base = model_mod.load_checkpoint(args.base)
-    return _run_training(args, cfg, base)
 
 
 def cmd_eval(args, cfg: Config) -> int:
@@ -290,7 +284,7 @@ _SWEEP_KEYS = ("n_mels", "hop_length", "layers", "heads", "window_samples", "aug
 KNOWN_KEYS = frozenset((
     *_FIELD_KEYS, "data_root", "layout", "vocab_path", "n_coeffs", "augment",
     "augment_probability", "seed", "val_fold", "classes",
-    *(f"aug_{kind}{suffix}" for kind in augment.AUGMENTATIONS for suffix in ("", "_p")),
+    *(f"aug_{kind}_p" for kind in augment.AUGMENTATIONS),
     *(f"sweep_{key}" for key in _SWEEP_KEYS),
 ))
 
@@ -367,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("build-vocab", cmd_build_vocab)
     add("augment-preview", cmd_augment_preview, needs_input=True)
-    add("train", cmd_train)
-    add("finetune", cmd_finetune, needs_base=True)
+    add("train", _run_training)
+    add("finetune", _run_training, needs_base=True)
     add("eval", cmd_eval, needs_ckpt=True)
     p = add("predict", cmd_predict, needs_input=True, needs_ckpt=True)
     p.add_argument("--quantized", action="store_true")

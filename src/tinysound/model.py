@@ -332,9 +332,7 @@ def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries
     xq = x[:, :n_queries]; the attention covers every position. One query
     builds no keys or values: scores are x·(W_k,hᵀ q_h) per head h, as softmax
     drops the constant q_h·b_k,h (so ``k_b`` gets no gradient here), and the
-    context is (probs·x)·W_v,hᵀ + b_v,h. Its backward also carries the
-    (B, heads, n_queries, L) attention probabilities as ``back.probs``.
-    """
+    context is (probs·x)·W_v,hᵀ + b_v,h."""
     b, _, h = x.shape
     dh = h // heads
     xq = x[:, :n_queries]
@@ -381,7 +379,6 @@ def _attention_sublayer(w, p: str, x: np.ndarray, heads: int, dropout, n_queries
             dx += v_back(merge(probs.swapaxes(-1, -2) @ d_ctx), grads)
         dx[:, :n_queries] += dxq + q_back(merge(d_a), grads)
         return dx
-    back.probs = probs
     return y, back
 
 

@@ -290,14 +290,18 @@ class ClipStore:
 
 
 def split_manifest(manifest: DatasetManifest, cfg: TrainConfig):
-    """Hold out a fold when the manifest has folds, else stratified 80/20."""
+    """Hold out fold ``val_fold`` when the manifest has folds, else a stratified
+    ``val_fraction`` of each class (with a warning when ``val_fold`` is set)."""
     entries = list(manifest.entries)
-    if cfg.val_fold is not None and any(e.fold != -1 for e in entries):
-        val = [e for e in entries if e.fold == cfg.val_fold]
-        train = [e for e in entries if e.fold != cfg.val_fold]
-        if not val or not train:
-            raise ValueError(f"val_fold {cfg.val_fold} split leaves an empty partition")
-        return train, val
+    if cfg.val_fold is not None:
+        if any(e.fold != -1 for e in entries):
+            val = [e for e in entries if e.fold == cfg.val_fold]
+            train = [e for e in entries if e.fold != cfg.val_fold]
+            if not val or not train:
+                raise ValueError(f"val_fold {cfg.val_fold} split leaves an empty partition")
+            return train, val
+        log.warning("val_fold %d ignored: the manifest has no folds, so a stratified "
+                    "val_fraction %g of each class is held out", cfg.val_fold, cfg.val_fraction)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xDA7A]))
     by_class: dict[int, list[ManifestEntry]] = {}
     for e in entries:

@@ -442,6 +442,16 @@ class TestPipeline:
         specs = [AugmentSpec(kind, 0.0) for kind in augment.AUGMENTATIONS]
         np.testing.assert_array_equal(apply_pipeline(x, specs, rng(3)), x)
 
+    def test_zero_probability_spec_is_no_spec(self):
+        # it takes no draw, so every later spec sees the same stream
+        x = rng(21).normal(size=SR) * 0.3
+        specs = augment.default_pipeline(0.5)
+        off = [AugmentSpec(s.kind, 0.0) if s.kind == "echo" else s for s in specs]
+        without = [s for s in specs if s.kind != "echo"]
+        assert len(without) == len(off) - 1
+        out_off, out_without = (apply_pipeline(x, s, rng(3)) for s in (off, without))
+        assert out_off.tobytes() == out_without.tobytes()
+
     def test_fixed_seed_deterministic(self):
         x = rng(20).normal(size=44100) * 0.3
         specs = augment.default_pipeline(0.5)

@@ -70,13 +70,14 @@ class TestConfigFile:
             cli.pipeline_config(cfg)
 
     def test_augment_section(self):
-        cfg = cli.Config({"augment": "true", "aug_echo": "false",
+        cfg = cli.Config({"augment": "true", "augment_probability": "0.4", "aug_echo_p": "0",
                           "aug_add_noise_p": "0.9"})
         specs = cli.augment_specs(cfg)
-        kinds = {s.kind: s for s in specs}
-        assert "echo" not in kinds
-        assert kinds["add_noise"].probability == 0.9
-        assert len(specs) == 10
+        assert [s.kind for s in specs] == list(augment.AUGMENTATIONS)
+        kinds = {s.kind: s.probability for s in specs}
+        assert kinds.pop("echo") == 0.0  # off: apply_pipeline never fires it
+        assert kinds.pop("add_noise") == 0.9
+        assert set(kinds.values()) == {0.4}
 
     @pytest.mark.parametrize("values, key", [
         ({"aug_pitch_shift_p": "2"}, "aug_pitch_shift_p"),
@@ -86,20 +87,19 @@ class TestConfigFile:
             cli.augment_specs(cli.Config({"augment": "true", **values}))
 
 
-# Every key the command line accepted before the key-to-field table existed.
+# Every key the command line accepted before the key-to-field table existed,
+# less the eleven aug_<kind> switches that aug_<kind>_p = 0 replaced.
 _KEYS_BEFORE_TABLE = frozenset({
-    "aug_add_noise", "aug_add_noise_p", "aug_amplify", "aug_amplify_p", "aug_amplitude_clip",
-    "aug_amplitude_clip_p", "aug_bitwise_downsample", "aug_bitwise_downsample_p", "aug_echo",
-    "aug_echo_p", "aug_hpss", "aug_hpss_p", "aug_lowpass", "aug_lowpass_p",
-    "aug_partial_erase", "aug_partial_erase_p", "aug_pitch_shift", "aug_pitch_shift_p",
-    "aug_samplerate_downsample", "aug_samplerate_downsample_p", "aug_speed_adjust",
-    "aug_speed_adjust_p", "augment", "augment_probability", "batch_size", "classes",
-    "curve_len", "curve_mode", "data_root", "downsample", "dropout", "epochs", "feature",
-    "heads", "hidden", "hop_length", "layers", "layout", "log_mel", "lr_peak", "n_coeffs",
-    "n_fft", "n_mels", "normalize01", "reshape_cols", "reshape_rows", "resolution", "seed",
-    "share_layers", "sweep_augment", "sweep_heads", "sweep_hop_length", "sweep_layers",
-    "sweep_n_mels", "sweep_window_samples", "top_k", "val_fold", "val_fraction", "vocab_path",
-    "warmup_steps", "win_length", "window_samples",
+    "aug_add_noise_p", "aug_amplify_p", "aug_amplitude_clip_p", "aug_bitwise_downsample_p",
+    "aug_echo_p", "aug_hpss_p", "aug_lowpass_p", "aug_partial_erase_p", "aug_pitch_shift_p",
+    "aug_samplerate_downsample_p", "aug_speed_adjust_p", "augment", "augment_probability",
+    "batch_size", "classes", "curve_len", "curve_mode", "data_root", "downsample",
+    "dropout", "epochs", "feature", "heads", "hidden", "hop_length", "layers", "layout",
+    "log_mel", "lr_peak", "n_coeffs", "n_fft", "n_mels", "normalize01", "reshape_cols",
+    "reshape_rows", "resolution", "seed", "share_layers", "sweep_augment", "sweep_heads",
+    "sweep_hop_length", "sweep_layers", "sweep_n_mels", "sweep_window_samples", "top_k",
+    "val_fold", "val_fraction", "vocab_path", "warmup_steps", "win_length",
+    "window_samples",
 })
 
 # Each config key that sets one field: a valid value unlike the default, the
@@ -320,6 +320,12 @@ class TestFeaturize:
         ({"feature": "amplitude", "reshape_rows": 16, "reshape_cols": 64, "n_coeffs": 13},
          "n_coeffs"),
         ({"feature": "mfcc", "log_mel": "false"}, "log_mel"),  # mfcc takes log mel energies
+        ({"feature": "mel", "n_coeffs": 0}, "n_coeffs"),  # 0 is not "unset"
+        ({"feature": "mfcc", "n_coeffs": 0}, "n_coeffs"),  # 0 is not "all"
+        # one spelling per setting: leaving val_fold out unsets it, and p = 0 turns a kind off
+        ({"val_fold": -1}, "val_fold"),
+        ({"val_fold": -3}, "val_fold"),
+        ({"augment": "true", "aug_echo": "false", "aug_echo_p": "0.9"}, "aug_echo"),
     ])
     @pytest.mark.parametrize("command", ["count"])  # builds the pipeline from the config alone
     def test_unrunnable_pipeline_is_two_and_names_its_key(self, tmp_path, capsys, command,
@@ -353,7 +359,7 @@ class TestAugmentPreview:
     def test_every_transform_disabled_keeps_the_input(self, tmp_path):
         wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
         audio_io.write_wav(wav, AudioClip(sine(500, 0.3), SR))
-        keys = {"augment": "true", **{f"aug_{kind}": "false" for kind in augment.AUGMENTATIONS}}
+        keys = {"augment": "true", **{f"aug_{kind}_p": "0" for kind in augment.AUGMENTATIONS}}
         cfg = write_cfg(tmp_path / "c.cfg", **keys)
         assert cli.main(["augment-preview", str(wav), "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes() == wav.read_bytes()

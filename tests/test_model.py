@@ -1,6 +1,7 @@
 """Encoder forward pass, parameter accounting, and checkpoints."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,10 +56,18 @@ def oracle_logits(params, batch):
     return lin(np.tanh(lin(x[:, 0], "pooler")), "cls")
 
 
-def attention_probs(backwards):
-    """Attention probabilities of each layer, (B, heads, L, L), that a training
-    forward's backwards keep; the last layer's are (B, heads, 1, L)."""
-    return [back.probs for back in backwards if hasattr(back, "probs")]
+def attention_probs(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the attention probabilities it computed, one
+    (B, heads, n_queries, L) array per attention sublayer in call order: what
+    ``model.softmax`` returns, which in a forward only attention calls."""
+    recorded, softmax = [], model.softmax
+
+    def recording_softmax(x, axis=-1):
+        recorded.append(softmax(x, axis))
+        return recorded[-1]
+
+    with mock.patch.object(model, "softmax", recording_softmax):
+        return fn(*args, **kwargs), recorded
 
 
 def perturbed_params(cfg, seed):
@@ -121,9 +130,9 @@ class TestForward:
         cfg = small_cfg()
         params = model.init_model(cfg, np.random.default_rng(3))
         batch = np.random.default_rng(4).normal(size=(2, 5, 6))
-        _, trace = model.forward(params, batch, training=True)
-        assert len(attention_probs(trace)) == cfg.layers
-        for probs in attention_probs(trace):
+        _, layers = attention_probs(model.forward, params, batch, training=True)
+        assert len(layers) == cfg.layers
+        for probs in layers:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_zero_input_zero_classifier_equal_logits(self):
@@ -193,9 +202,9 @@ class TestForward:
         cfg = small_cfg(layers=2)
         params = model.init_model(cfg, np.random.default_rng(32))
         batch = np.random.default_rng(33).normal(size=(3, 5, 6))
-        _, trace = model.forward(params, batch, training=True)
-        assert attention_probs(trace)[0].shape == (3, cfg.heads, 5, 5)
-        assert attention_probs(trace)[-1].shape == (3, cfg.heads, 1, 5)
+        _, layers = attention_probs(model.forward, params, batch, training=True)
+        assert layers[0].shape == (3, cfg.heads, 5, 5)
+        assert layers[-1].shape == (3, cfg.heads, 1, 5)
 
     def test_running_stats_follow_the_unfolded_update(self):
         cfg = small_cfg()
@@ -309,12 +318,13 @@ class TestForward:
         dy0 = np.random.default_rng(52).normal(size=(3, cfg.hidden))
         out = {}
         for n in (1, cfg.seq_len):
-            y, back = sublayer(w, p, x, heads, lambda z: (z, lambda dy, grads: dy), n)
+            (y, back), [probs] = attention_probs(
+                sublayer, w, p, x, heads, lambda z: (z, lambda dy, grads: dy), n)
             dy = np.zeros((3, n, cfg.hidden))
             dy[:, 0] = dy0  # nothing past row 0 reaches the classifier
             grads = {k: np.zeros_like(v) for k, v in w.items() if k.startswith(p)}
             dx = back(dy, grads)
-            assert back.probs.shape == (3, heads, n, cfg.seq_len)
+            assert probs.shape == (3, heads, n, cfg.seq_len)
             out[n] = {"y": y[:, :1], "dx": dx, **grads}
         one, full = out[1], out[cfg.seq_len]
         # a weight gradient that cancels to a small value keeps the rounding of

@@ -1,8 +1,15 @@
-"""tools/step_profile.py on a tiny config: every op of the step is timed."""
+"""tools/step_profile.py: every op of the step is timed, and its counts are exact."""
 
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import tinysound
 from tinysound import model
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "step_profile.py"
 
 
 def test_two_layer_step_times_each_op_forward_and_back(capsys, monkeypatch):
@@ -24,3 +31,16 @@ def test_two_layer_step_times_each_op_forward_and_back(capsys, monkeypatch):
         + ["backward total", "check _check_finite", "adam adam_step", "step total"])
     for _, median, q1, q3 in rows:
         assert 0.0 <= float(q1.strip("[,")) <= float(median) <= float(q3.strip("]"))
+
+
+def test_step_counts_are_equal_in_two_fresh_processes():
+    env = dict(os.environ, PYTHONPATH=str(Path(tinysound.__file__).parents[1]))
+    last_lines = [subprocess.run([sys.executable, str(TOOL), "--batch", "4"], env=env,
+                                 capture_output=True, text=True, timeout=300,
+                                 check=True).stdout.splitlines()[-1] for _ in range(2)]
+    counts = [re.fullmatch(r"one untimed step after them: tracemalloc peak (\d+) bytes, "
+                           r"(\d+) profiled calls", line) for line in last_lines]
+    assert all(counts), last_lines
+    peak, calls = map(int, counts[0].groups())
+    assert peak > 0 and calls > 0
+    assert counts[0].groups() == counts[1].groups()

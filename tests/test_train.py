@@ -1,6 +1,7 @@
 """Loss, gradients, optimizer schedule, and the training loop."""
 
 import hashlib
+import logging
 import os
 import subprocess
 import sys
@@ -275,6 +276,18 @@ class TestSplit:
         assert not {e.path for e in train_e} & {e.path for e in val_e}
         labels = [e.label for e in val_e]
         assert sorted(set(labels)) == [0, 1, 2]
+
+    def test_val_fold_without_folds_warns_and_splits_by_fraction(self, small_dataset, caplog):
+        manifest = audio_io.load_manifest(small_dataset, audio_io.FOLDER_PER_CLASS)
+        cfg = train.TrainConfig(seed=3, val_fraction=0.25, val_fold=5)
+        with caplog.at_level(logging.WARNING, logger=train.__name__):
+            split = train.split_manifest(manifest, cfg)
+            assert split == train.split_manifest(manifest, replace(cfg, val_fold=None))
+        [record] = caplog.records  # the split without val_fold says nothing
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "val_fold 5" in message and "val_fraction 0.25" in message
+        assert not message.startswith("epoch")  # perfbench counts those as epoch records
 
 
 _ONE_CLASS = ("thing",)

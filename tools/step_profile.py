@@ -11,6 +11,9 @@ learning rate of 1e-4. A patched ``model._run`` times each top-level forward
 op (the ops it calls counted in it) and its backward; patches of the five
 ``train`` names the step calls (``STAGES``) time those calls whole, so what
 lies outside the ops shows as the difference. One untimed step runs first.
+Under the table, ``main`` prints two counts of one more untimed step, which
+do not drift from process to process as times do: its tracemalloc peak and
+its Python and C calls as ``sys.setprofile`` sees them.
 Standard library, numpy, the package and ``tools/bench_pairs.py`` only.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -79,15 +83,21 @@ class StepTimer:
         return y
 
 
-def profile(cfg: model.ModelConfig, batch_size: int, repeats: int) -> dict:
-    """Per-op milliseconds over ``repeats`` timed steps, by label in step order."""
+def setup(cfg: model.ModelConfig, batch_size: int) -> tuple:
+    """``train.train_step``'s arguments before the step number: weights,
+    moments, examples, labels and training config."""
     rng = np.random.default_rng(0)
     params = model.init_model(cfg, rng)
-    moments = train.zero_moments(params)
     examples = [model.Example(x) for x in
                 -50.0 + 30.0 * rng.standard_normal((batch_size, cfg.seq_len, cfg.input_dim))]
     labels = rng.integers(0, cfg.classes, batch_size)
-    train_cfg, timer, step = train.TrainConfig(warmup_steps=0), StepTimer(), 0
+    return params, train.zero_moments(params), examples, labels, train.TrainConfig(warmup_steps=0)
+
+
+def profile(cfg: model.ModelConfig, batch_size: int, repeats: int) -> dict:
+    """Per-op milliseconds over ``repeats`` timed steps, by label in step order."""
+    params, moments, examples, labels, train_cfg = setup(cfg, batch_size)
+    timer, step = StepTimer(), 0
     with timer:
         for k in range(repeats + 1):
             if k == 1:
@@ -108,11 +118,33 @@ def report(cfg: model.ModelConfig, batch_size: int, repeats: int) -> None:
         print(f"{label:<40} {median:8.3f} [{q1:.3f}, {q3:.3f}]")
 
 
+def step_counts(cfg: model.ModelConfig, batch_size: int) -> tuple[int, int]:
+    """The tracemalloc peak in bytes and the ``sys.setprofile`` calls of one step."""
+    params, moments, examples, labels, train_cfg = setup(cfg, batch_size)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    tracemalloc.start()
+    sys.setprofile(count)
+    try:
+        train.train_step(params, moments, 0, examples, labels, train_cfg, 0, 0)
+    finally:
+        sys.setprofile(None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, calls
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--batch", type=int, default=16)
     args = parser.parse_args(argv)
     report(model.ModelConfig(), args.batch, 30)
+    peak, calls = step_counts(model.ModelConfig(), args.batch)
+    print(f"one untimed step after them: tracemalloc peak {peak} bytes, {calls} profiled calls")
     return 0
 
 
