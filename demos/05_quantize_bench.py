@@ -51,7 +51,7 @@ with tempfile.TemporaryDirectory() as tmp:
 pipeline = train.PipelineConfig()
 # both rows time float64 inference; the int8 row runs on the dequantized weights
 for label, target in (("float32 weights", params), ("int8 weights, dequantized", qparams)):
-    report = deploy.bench(target, pipeline, window_samples=220_500, n_runs=10)
+    report = deploy.bench(target, pipeline, window_samples=220_500)
     print(f"\n{label} bench: {report.to_json_line()}")
     print(f"  feature extraction {report.feature_mean_ms:.2f} ms, "
           f"forward {report.mean_ms:.2f} ms")

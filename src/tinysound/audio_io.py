@@ -327,7 +327,7 @@ def _load_csv_manifest(root: Path) -> tuple[list, list[str]]:
 
 
 def _load_folder_manifest(root: Path) -> tuple[list, list[str]]:
-    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    class_dirs = sorted(p for p in root.iterdir() if p.is_dir() and not p.name.startswith("."))
     class_names = [p.name for p in class_dirs]
     entries = []
     for label, class_dir in enumerate(class_dirs):
@@ -344,8 +344,9 @@ def load_manifest(root: str | Path, layout: str = CSV_MANIFEST) -> DatasetManife
 
     ``csv_manifest`` expects the ESC-50 convention (header row
     ``filename,fold,target,category``, audio under ``audio/``);
-    ``folder_per_class`` expects ``root/<class_name>/*.wav``. Entries are
-    sorted lexicographically by path and class names alphabetically.
+    ``folder_per_class`` expects ``root/<class_name>/*.wav`` and skips
+    folders whose names start with ``.``. Entries are sorted
+    lexicographically by path and class names alphabetically.
     """
     root = Path(root)
     if not root.exists():

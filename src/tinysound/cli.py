@@ -28,20 +28,24 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` UTF-8 file; ``#`` starts a comment."""
+    """Flat ``key = value`` UTF-8 file, each key set once; ``#`` starts a comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (key and eq):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key} is already set on line "
+                              f"{lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -273,7 +277,7 @@ def cmd_bench(args, cfg: Config) -> int:
     loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
     tcfg = train.run_config(loaded.metadata, train_config(cfg, args.seed))
     report = deploy.bench(loaded if args.quantized else loaded.params, tcfg.pipeline,
-                          tcfg.window_samples, n_runs=args.runs)
+                          tcfg.window_samples)
     print(report.to_json_line())
     return 0
 
@@ -345,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, handler, needs_input=False, needs_ckpt=False, needs_base=False):
+    def add(name, handler, needs_input=False, needs_ckpt=False, needs_base=False, writes=False):
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
+        if writes:
+            p.add_argument("--out", default=None)
         if needs_input:
             p.add_argument("input", help="input wav file")
         if needs_ckpt:
@@ -359,20 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--base", required=True, help="base checkpoint to finetune")
         return p
 
-    add("build-vocab", cmd_build_vocab)
-    add("augment-preview", cmd_augment_preview, needs_input=True)
-    add("train", _run_training)
-    add("finetune", _run_training, needs_base=True)
+    add("build-vocab", cmd_build_vocab, writes=True)
+    add("augment-preview", cmd_augment_preview, needs_input=True, writes=True)
+    add("train", _run_training, writes=True)
+    add("finetune", _run_training, needs_base=True, writes=True)
     add("eval", cmd_eval, needs_ckpt=True)
     p = add("predict", cmd_predict, needs_input=True, needs_ckpt=True)
     p.add_argument("--quantized", action="store_true")
     add("count", cmd_count)
-    add("quantize", cmd_quantize, needs_ckpt=True)
+    add("quantize", cmd_quantize, needs_ckpt=True, writes=True)
     p = add("bench", cmd_bench, needs_ckpt=True)
     p.add_argument("--quantized", action="store_true",
                    help="time float64 inference on the dequantized int8 weights")
-    p.add_argument("--runs", type=int, default=10)
-    p = add("sweep", cmd_sweep)
+    p = add("sweep", cmd_sweep, writes=True)
     p.add_argument("--budget", type=int, default=None)
     return parser
 

@@ -143,6 +143,7 @@ def weight_payload_bytes(params_or_q) -> int:
 # ---------------------------------------------------------------------------
 
 _WARMUP = 3
+_RUNS = 10
 
 
 @dataclass
@@ -169,11 +170,11 @@ class BenchReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10) -> BenchReport:
+def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
     """Wall-clock latency of feature extraction and one forward pass.
 
-    Runs in this process on a deterministic input; the first ``_WARMUP`` (3)
-    measurements are discarded from every statistic but ``first_call_ms``.
+    Runs in this process on a deterministic input, ``_WARMUP`` (3) times, then
+    ``_RUNS`` (10) times; only ``first_call_ms`` counts the warm-up runs.
     Model and feature time are reported separately. For ``QuantizedParams``
     the timed pass is float64 inference on the weights dequantized once up
     front, as ``qforward`` runs it; no integer arithmetic is timed;
@@ -182,11 +183,8 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10) -> Bench
     whole file; for ``ModelParams`` it is the weights alone, with no Adam
     moments, step or metadata: a trained 6-class TSCK of the default config
     is 85,295 bytes on disk and reports 30,773. A model whose input shape
-    is not the pipeline's, or ``n_runs < 1``, raises ``ConfigError`` before
-    anything is featurized.
+    is not the pipeline's raises ``ConfigError`` before anything is featurized.
     """
-    if n_runs < 1:
-        raise ConfigError(f"bench needs at least 1 run, got {n_runs}")
     quantized = isinstance(params_or_q, QuantizedParams)
     params = params_or_q.dequantize() if quantized else params_or_q
     pipeline.check_model(params.cfg, window_samples)
@@ -195,7 +193,7 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10) -> Bench
     clip = AudioClip(wave, TARGET_RATE)
 
     feature_times, model_times = [], []
-    for _ in range(_WARMUP + n_runs):
+    for _ in range(_WARMUP + _RUNS):
         t0 = time.perf_counter()
         example = pipeline.extract(clip)
         t1 = time.perf_counter()
@@ -213,7 +211,7 @@ def bench(params_or_q, pipeline, window_samples: int, n_runs: int = 10) -> Bench
         p90_ms=float(np.percentile(model_times, 90)),
         first_call_ms=first_call_ms,
         feature_mean_ms=float(np.mean(feature_times)),
-        runs=n_runs,
+        runs=_RUNS,
         param_count=count_params(params.cfg),
         serialized_bytes=len(encode_quantized(params_or_q) if quantized
                              else encode_checkpoint(params)),

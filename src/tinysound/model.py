@@ -4,9 +4,9 @@ accounting, and checkpoints.
 Continuous inputs (feature matrices) pass through a per-position batch
 normalization and a learned linear mapping to the hidden size, with no
 positional encoding; the batch norm is folded into the mapping, so the
-normalized input is never built. Token inputs use embedding + positional
-tables instead. Encoder layers use post-LayerNorm residuals, GELU, and a
-feed-forward width fixed at 4x hidden. Classification reads the first
+normalized input is never built. Token inputs use token and position
+tables instead, as BERT does. Encoder layers use post-LayerNorm residuals,
+GELU, and a feed-forward width fixed at 4x hidden. Classification reads the first
 sequence position through a tanh pooler, so the last layer runs at
 position 0 only: its query, residual, LayerNorms and feed-forward cover
 that one row, and it builds no keys or values, as its key and value weights
@@ -53,7 +53,6 @@ class ModelConfig:
     layers: int = 1
     heads: int = 2
     classes: int = 6
-    use_positional: bool | None = None
     share_layers: bool = False
     dropout_rate: float = 0.1
 
@@ -68,10 +67,6 @@ class ModelConfig:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.use_positional is None:
-            object.__setattr__(self, "use_positional", self.input_mode == TOKENS)
-        if self.input_mode == CONTINUOUS and self.use_positional:
-            raise ConfigError("continuous inputs use no positional encoding")
 
     @property
     def ffn_dim(self) -> int:
@@ -109,8 +104,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["map_b"] = (cfg.hidden,)
     else:
         shapes["tok_emb"] = (cfg.input_dim, cfg.hidden)
-        if cfg.use_positional:
-            shapes["pos_emb"] = (cfg.seq_len, cfg.hidden)
+        shapes["pos_emb"] = (cfg.seq_len, cfg.hidden)
     shapes["seg_emb"] = (2, cfg.hidden)  # every input is one segment, so row 1 never learns
     shapes["emb_ln_g"] = (cfg.hidden,)
     shapes["emb_ln_b"] = (cfg.hidden,)
@@ -195,10 +189,10 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return cdf + x * pdf
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    out = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -310,17 +304,15 @@ def _bn_mapping(params: ModelParams, w, batch, training: bool):
     return y, back
 
 
-def _token_embedding(w, ids: np.ndarray, positional: bool):
-    """Token table rows, plus the positional table when ``positional``, plus segment row 0."""
+def _token_embedding(w, ids: np.ndarray):
+    """Token table rows, plus the position table, plus segment row 0."""
     out = w["tok_emb"][ids]
-    if positional:
-        out += w["pos_emb"]
+    out += w["pos_emb"]
     out += w["seg_emb"][0]
 
     def back(dy, grads):
         np.add.at(grads["tok_emb"], ids.reshape(-1), dy.reshape(-1, dy.shape[-1]))
-        if positional:
-            grads["pos_emb"] += dy.sum(axis=0)
+        grads["pos_emb"] += dy.sum(axis=0)
         grads["seg_emb"][0] += np.einsum("blh->h", dy)
     return out, back
 
@@ -454,7 +446,7 @@ def forward(params: ModelParams, batch, training: bool = False,
     if cfg.input_mode == CONTINUOUS:
         x = _run(backwards, _bn_mapping, params, w, batch, training)
     else:
-        x = _run(backwards, _token_embedding, w, batch, cfg.use_positional)
+        x = _run(backwards, _token_embedding, w, batch)
     x = _run(backwards, _layer_norm, w, "emb_ln", x)
     x = _run(backwards, dropout, x)
     for layer in range(cfg.layers):
@@ -556,11 +548,13 @@ class Checkpoint:
 
 # TSCK and TSCQ share the prefix (magic, u32 version, JSON config and
 # metadata blocks) and the tensor entry (name, then in TSCQ a u8 dtype tag
-# and an f32 scale, then shape and payload); TSCK entries are all f32.
+# and an f32 scale, then shape and payload); TSCK entries are all f32. The
+# config block also holds use_positional, true for a token model; readers drop it.
 
 def _prefix_bytes(magic: bytes, version: int, cfg: ModelConfig, metadata: dict) -> bytes:
+    block = {**asdict(cfg), "use_positional": cfg.input_mode == TOKENS}
     return (magic + struct.pack("<I", version)
-            + _binio.json_block(asdict(cfg)) + _binio.json_block(metadata))
+            + _binio.json_block(block) + _binio.json_block(metadata))
 
 
 def _entry_bytes(name: str, tensor: np.ndarray, tag: int | None = None,
@@ -584,6 +578,7 @@ def _read_prefix(data: bytes, magic: bytes, version: int,
     if found != version:
         raise r.error(f"{kind} version {found} unsupported (expected {version})")
     block = r.json_object("config")
+    block.pop("use_positional", None)
     with r.rejecting("config", TypeError, ConfigError):
         cfg = ModelConfig(**block)
     metadata = r.json_object("metadata")

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,16 @@ class TestManifest:
         with pytest.warns(UserWarning):
             manifest = load_manifest(tmp_path, audio_io.FOLDER_PER_CLASS)
         assert manifest.class_names == ("quiet",)
+
+    def test_hidden_folders_are_not_classes(self, tmp_path):
+        for name in (".cache", "a", "b"):
+            (tmp_path / name).mkdir()
+            audio_io.write_wav(tmp_path / name / "x.wav", AudioClip(np.zeros(64), SR))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            manifest = load_manifest(tmp_path, audio_io.FOLDER_PER_CLASS)
+        assert manifest.class_names == ("a", "b")
+        assert [(e.path.parent.name, e.label) for e in manifest.entries] == [("a", 0), ("b", 1)]
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(ManifestError):

@@ -4,7 +4,7 @@ import argparse
 import json
 import os
 import re
-import warnings
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,9 +45,14 @@ class TestConfigFile:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("just words\n")
-        with pytest.raises(ConfigError):
-            cli.parse_config_file(path)
+        for text, message in [
+                ("just words\n", ":1: expected 'key = value'"),
+                ("seed = 1\n = 5\n", ":2: expected 'key = value'"),  # no key
+                ("n_mels = 64\nseed = 1\nn_mels = 128\n",
+                 ":3: config key n_mels is already set on line 1")]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                cli.parse_config_file(path)
 
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -191,6 +196,15 @@ class TestExitCodes:
     def test_unknown_flag_usage_error(self):
         assert cli.main(["count", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [["count"], ["eval", "--ckpt", "m.tsck"],
+                                      ["predict", "in.wav", "--ckpt", "m.tsck"],
+                                      ["bench", "--ckpt", "m.tsck"]], ids=lambda a: a[0])
+    def test_out_is_a_usage_error_where_nothing_is_written(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.txt"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_is_two(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", data_root=str(tmp_path / "missing"))
         assert cli.main(["train", "--config", cfg]) == 2
@@ -281,6 +295,24 @@ class TestExitCodes:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         assert "epochs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+def test_readme_command_lines_parse():
+    """Every ``tinysound`` line of the README's Command line section parses, and
+    together they show every command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    parser, commands = cli.build_parser(), set()
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        commands.add(args.command)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)
 
 
 class TestCount:
@@ -505,7 +537,7 @@ class TestTrainEvalPredict:
         printed = []
         for config in (cfg, bare):
             argv = [command, "--config", config, "--ckpt", ckpt] + ["--quantized"] * quantized
-            argv += [str(wav)] if command == "predict" else ["--runs", "2"]
+            argv += [str(wav)] * (command == "predict")
             capsys.readouterr()
             assert cli.main(argv) == 0
             text = capsys.readouterr().out
@@ -557,11 +589,10 @@ class TestTrainEvalPredict:
         assert cli.main(["quantize", "--ckpt", str(out / "best.tsck"),
                          "--out", str(qpath)]) == 0
         capsys.readouterr()
-        assert cli.main(["bench", "--config", cfg, "--ckpt", str(qpath),
-                         "--quantized", "--runs", "4"]) == 0
+        assert cli.main(["bench", "--config", cfg, "--ckpt", str(qpath), "--quantized"]) == 0
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert record["quantized"] is True
-        assert record["runs"] == 4
+        assert record["runs"] == 10
 
     def test_predict_quantized_names_the_class_qforward_gives(self, run_dir, tmp_path, capsys):
         _, cfg, out = run_dir
@@ -578,20 +609,6 @@ class TestTrainEvalPredict:
         logits = deploy.qforward(qparams, tcfg.pipeline.extract(window)[None, ...])[0]
         want = qparams.metadata["class_names"][int(np.argmax(logits))]
         assert capsys.readouterr().out.splitlines()[0] == f"prediction: {want}"
-
-    @pytest.mark.parametrize("runs", ["0", "-2"])
-    def test_bench_without_runs_exits_2_before_featurizing(self, run_dir, capsys, monkeypatch,
-                                                           runs):
-        _, cfg, out = run_dir
-        extracted = []
-        monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["bench", "--config", cfg, "--ckpt", str(out / "best.tsck"),
-                             "--runs", runs]) == 2
-        assert f"at least 1 run, got {runs}" in capsys.readouterr().err
-        assert extracted == []
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
     def test_pipeline_model_mismatch_exits_2_before_featurizing(

@@ -176,6 +176,51 @@ class TestTypedFailures:
         load_tscq_rejecting_scale(tmp_path, _flip(valid, 1351, 68))
 
 
+TOKEN_CFG = replace(CFG, input_mode="tokens", input_dim=10)
+
+
+class TestUsePositionalKey:
+    """The config block's ``use_positional``: written as ``input_mode == "tokens"``,
+    dropped on reading."""
+
+    @pytest.mark.parametrize("cfg", [CFG, TOKEN_CFG], ids=["continuous", "tokens"])
+    def test_written_true_for_token_models(self, cfg):
+        data = model.encode_checkpoint(model.init_model(cfg, np.random.default_rng(7)))
+        (size,) = struct.unpack_from("<I", data, 8)
+        block = json.loads(data[12 : 12 + size])
+        assert block == {**asdict(cfg), "use_positional": cfg.input_mode == "tokens"}
+
+    def test_block_without_it_loads(self, tmp_path):
+        params = model.init_model(TOKEN_CFG, np.random.default_rng(7))
+        entries = [model._entry_bytes(n, t) for n, t in params.tensors.items()]
+        loaded = load_tsck(tmp_path, tsck_bytes(asdict(TOKEN_CFG), entries=entries)).params
+        assert loaded.cfg == TOKEN_CFG
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(loaded.tensors[name], tensor)
+
+    @pytest.mark.parametrize("suffix", [".tsck", ".tscq"])
+    def test_token_file_without_positions_names_pos_emb(self, tmp_path, suffix):
+        # as a writer that let token models go without positions would have saved one
+        params = model.init_model(TOKEN_CFG, np.random.default_rng(7))
+        block = {**asdict(TOKEN_CFG), "use_positional": False}
+        path = tmp_path / f"bad{suffix}"
+        if suffix == ".tsck":
+            path.write_bytes(tsck_bytes(block, entries=[
+                model._entry_bytes(n, t) for n, t in params.tensors.items() if n != "pos_emb"]))
+            load = model.load_checkpoint
+        else:
+            q = deploy.quantize_dynamic(params)
+            entries = [model._entry_bytes(n, t, model._F32)
+                       for n, t in q.float_tensors.items() if n != "pos_emb"]
+            entries += [model._entry_bytes(n, t, model._I8, q.scales[n])
+                        for n, t in q.int8_weights.items()]
+            path.write_bytes(tscq_bytes(block)[:-4] + struct.pack("<I", len(entries))
+                             + b"".join(entries))
+            load = deploy.load_quantized
+        with pytest.raises(CheckpointError, match=r"tensors: .*missing \{'pos_emb'\}"):
+            load(path)
+
+
 def load_tscq_rejecting_scale(tmp_path, data: bytes) -> None:
     path = tmp_path / "bad.tscq"
     path.write_bytes(data)

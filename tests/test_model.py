@@ -1,13 +1,15 @@
 """Encoder forward pass, parameter accounting, and checkpoints."""
 
+import struct
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from tinysound import model, train
+from tinysound import _binio, model, train
 from tinysound.errors import CheckpointError, ConfigError
 
 from conftest import assert_grads_close, finite_difference_grads
@@ -40,7 +42,7 @@ def oracle_logits(params, batch):
         xhat = (batch - w["bn_running_mean"][:, None]) / np.sqrt(w["bn_running_var"][:, None] + 1e-5)
         x = lin(w["bn_gamma"][:, None] * xhat + w["bn_beta"][:, None], "map")
     else:
-        x = w["tok_emb"][batch] + (w["pos_emb"] if cfg.use_positional else 0.0)
+        x = w["tok_emb"][batch] + w["pos_emb"]
     x = ln(x + w["seg_emb"][0], "emb_ln")
     b, seq, h = x.shape
     for layer in range(cfg.layers):
@@ -62,8 +64,8 @@ def attention_probs(fn, *args, **kwargs):
     ``model.softmax`` returns, which in a forward only attention calls."""
     recorded, softmax = [], model.softmax
 
-    def recording_softmax(x, axis=-1):
-        recorded.append(softmax(x, axis))
+    def recording_softmax(x):
+        recorded.append(softmax(x))
         return recorded[-1]
 
     with mock.patch.object(model, "softmax", recording_softmax):
@@ -85,14 +87,6 @@ class TestConfig:
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ConfigError):
             model.ModelConfig(hidden=16, heads=3)
-
-    def test_continuous_forbids_positional(self):
-        with pytest.raises(ConfigError):
-            model.ModelConfig(input_mode="continuous", use_positional=True)
-
-    def test_tokens_defaults_to_positional(self):
-        cfg = model.ModelConfig(input_mode="tokens", input_dim=32)
-        assert cfg.use_positional is True
 
     def test_ffn_dim_is_4h(self):
         assert small_cfg(hidden=24, heads=2).ffn_dim == 96
@@ -185,7 +179,7 @@ class TestForward:
         {"layers": 1},
         {"layers": 2},
         {"layers": 3, "share_layers": True},
-        {"input_mode": "tokens", "input_dim": 20, "use_positional": True},
+        {"input_mode": "tokens", "input_dim": 20},
     ])
     def test_matches_full_sequence_oracle(self, overrides):
         cfg = small_cfg(seq_len=9, **overrides)
@@ -364,12 +358,12 @@ class TestForward:
 def closed_form_params(cfg):
     """Learnable count by the closed form
     2L + (F*H + H) + 2H + 2H + blocks*(12H^2 + 13H) + (H^2 + H) + (H*C + C),
-    whose input part is F*H (+ L*H positional) in tokens mode."""
+    whose input part is F*H + L*H (token and position tables) in tokens mode."""
     h, c = cfg.hidden, cfg.classes
     if cfg.input_mode == "continuous":
         input_part = 2 * cfg.seq_len + (cfg.input_dim * h + h)
     else:
-        input_part = cfg.input_dim * h + (cfg.seq_len * h if cfg.use_positional else 0)
+        input_part = cfg.input_dim * h + cfg.seq_len * h
     return (input_part + 2 * h + 2 * h + cfg.n_layer_blocks * (12 * h * h + 13 * h)
             + (h * h + h) + (h * c + c))
 
@@ -382,10 +376,16 @@ class TestCountParams:
                                                       (24, 4, 3)])
     def test_matches_closed_form(self, mode, use_positional, share_layers, hidden, layers,
                                  heads):
+        # read back from a config block with no use_positional key (None) or one that
+        # says false: readers ignore it, as a token model always has a position table
         cfg = model.ModelConfig(input_mode=mode, input_dim=11, seq_len=7, hidden=hidden,
-                                layers=layers, heads=heads, classes=5,
-                                use_positional=use_positional, share_layers=share_layers)
-        assert model.count_params(cfg) == closed_form_params(cfg)
+                                layers=layers, heads=heads, classes=5, share_layers=share_layers)
+        block = {**asdict(cfg), **({} if use_positional is None
+                                   else {"use_positional": use_positional})}
+        prefix = b"TSCK" + struct.pack("<I", 1) + _binio.json_block(block) + _binio.json_block({})
+        _, read, _ = model._read_prefix(prefix, b"TSCK", 1, "checkpoint")
+        assert read == cfg
+        assert model.count_params(read) == closed_form_params(cfg)
 
     def test_table_values(self):
         assert model.count_params(TINY86) == 5954

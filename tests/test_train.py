@@ -114,10 +114,8 @@ class TestBackward:
         for name, g in grads.items():
             np.testing.assert_array_equal(g, 0.0, err_msg=name)
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"input_mode": "tokens", "input_dim": 20},
-        {"input_mode": "tokens", "input_dim": 20, "use_positional": False}],
-        ids=["continuous", "tokens", "tokens-unpositioned"])
+    @pytest.mark.parametrize("overrides", [{}, {"input_mode": "tokens", "input_dim": 20}],
+                             ids=["continuous", "tokens"])
     def test_unused_segment_row_gradient_exactly_zero(self, overrides):
         cfg = grad_cfg(**overrides)
         params = model.init_model(cfg, np.random.default_rng(46))
