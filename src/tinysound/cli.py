@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-One flat config file (``key = value``, ``#`` comments) is shared by every
-subcommand; a key outside ``KNOWN_KEYS`` is an error, and flags override config
-values. All randomness is controlled by ``--seed``, else the ``seed`` key.
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+One flat config file (``key = value``; ``#`` at a line's start or after
+whitespace starts a comment) is shared by every subcommand; a key outside
+``KNOWN_KEYS`` is an error. Each command takes only the options it reads
+(``_COMMANDS``); ``--seed``, on the five whose output it changes, is the only
+spelling of the seed. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import contextlib
 import functools
 import itertools
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +30,8 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` UTF-8 file, each key set once; ``#`` starts a comment."""
+    """Flat ``key = value`` UTF-8 file, each key set once; ``#`` at the start of a
+    line or after whitespace starts a comment, so ``a = x#2`` keeps its ``#``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -36,7 +39,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
@@ -142,7 +145,7 @@ def augment_specs(cfg: Config) -> list[augment.AugmentSpec]:
     return specs
 
 
-def train_config(cfg: Config, seed: int) -> train.TrainConfig:
+def train_config(cfg: Config, seed: int = train.TrainConfig.seed) -> train.TrainConfig:
     return train.TrainConfig(
         seed=seed, augments=augment_specs(cfg), pipeline=pipeline_config(cfg),
         val_fold=cfg.get("val_fold", 0) if "val_fold" in cfg.values else None,
@@ -184,7 +187,7 @@ def cmd_build_vocab(args, cfg: Config) -> int:
 
 def cmd_augment_preview(args, cfg: Config) -> int:
     clip = audio_io.load_audio(args.input)
-    specs = augment_specs(cfg) if cfg.get("augment", False) else augment.default_pipeline(1.0)
+    specs = augment_specs(cfg) or augment.default_pipeline(1.0)
     rng = np.random.default_rng(args.seed)
     out_samples = augment.apply_pipeline(clip.samples, specs, rng)
     peak = np.max(np.abs(out_samples), initial=0.0)
@@ -231,16 +234,13 @@ def cmd_eval(args, cfg: Config) -> int:
 
 def cmd_predict(args, cfg: Config) -> int:
     loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
-    tcfg = train.run_config(loaded.metadata, train_config(cfg, args.seed))
-    tcfg.pipeline.check_model(loaded.cfg if args.quantized else loaded.params.cfg,
-                              tcfg.window_samples)
+    weights, run = ((loaded, deploy.qforward) if args.quantized else
+                    (loaded.params, functools.partial(model_mod.forward, training=False)))
+    tcfg = train.run_config(loaded.metadata, train_config(cfg))
+    tcfg.pipeline.check_model(weights.cfg, tcfg.window_samples)
     clip = audio_io.load_audio(args.input)
     example = tcfg.pipeline.extract(audio_io.center_slice(clip, tcfg.window_samples))
-    if args.quantized:
-        logits = deploy.qforward(loaded, example[None, ...])[0]
-    else:
-        logits = model_mod.forward(loaded.params, example[None, ...], training=False)[0]
-    probs = model_mod.softmax(logits)
+    probs = model_mod.softmax(run(weights, example[None, ...])[0])
     names = loaded.metadata.get("class_names") or [str(i) for i in range(len(probs))]
     order = np.argsort(probs)[::-1]
     print(f"prediction: {names[order[0]]}")
@@ -250,7 +250,7 @@ def cmd_predict(args, cfg: Config) -> int:
 
 
 def cmd_count(args, cfg: Config) -> int:
-    tcfg = train_config(cfg, args.seed)
+    tcfg = train_config(cfg)
     mcfg = model_config(cfg, tcfg.pipeline, tcfg.window_samples,
                         cfg.get("classes", model_mod.ModelConfig.classes))
     params = model_mod.count_params(mcfg)
@@ -275,7 +275,7 @@ def cmd_quantize(args, cfg: Config) -> int:
 
 def cmd_bench(args, cfg: Config) -> int:
     loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
-    tcfg = train.run_config(loaded.metadata, train_config(cfg, args.seed))
+    tcfg = train.run_config(loaded.metadata, train_config(cfg))
     report = deploy.bench(loaded if args.quantized else loaded.params, tcfg.pipeline,
                           tcfg.window_samples)
     print(report.to_json_line())
@@ -287,7 +287,7 @@ _SWEEP_KEYS = ("n_mels", "hop_length", "layers", "heads", "window_samples", "aug
 # Every key a reader above uses; main rejects any other as a typo.
 KNOWN_KEYS = frozenset((
     *_FIELD_KEYS, "data_root", "layout", "vocab_path", "n_coeffs", "augment",
-    "augment_probability", "seed", "val_fold", "classes",
+    "augment_probability", "val_fold", "classes",
     *(f"aug_{kind}_p" for kind in augment.AUGMENTATIONS),
     *(f"sweep_{key}" for key in _SWEEP_KEYS),
 ))
@@ -340,6 +340,31 @@ def cmd_sweep(args, cfg: Config) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# Each option as ``build_parser`` adds it, and the options each command reads.
+_OPTIONS = {
+    "input": dict(help="input wav file"),
+    "--config": dict(help="flat key = value config file"),
+    "--seed": dict(type=int, default=train.TrainConfig.seed),
+    "--out": dict(),
+    "--ckpt": dict(required=True, help="checkpoint path"),
+    "--base": dict(required=True, help="base checkpoint to finetune"),
+    "--quantized": dict(action="store_true", help="run a TSCQ file through deploy.qforward"),
+    "--budget": dict(type=int),
+}
+_COMMANDS = {
+    "build-vocab": (cmd_build_vocab, "--config --out"),
+    "augment-preview": (cmd_augment_preview, "input --config --seed --out"),
+    "train": (_run_training, "--config --seed --out"),
+    "finetune": (_run_training, "--config --seed --base --out"),
+    "eval": (cmd_eval, "--config --seed --ckpt"),
+    "predict": (cmd_predict, "input --config --ckpt --quantized"),
+    "count": (cmd_count, "--config"),
+    "quantize": (cmd_quantize, "--ckpt --out"),
+    "bench": (cmd_bench, "--config --ckpt --quantized"),
+    "sweep": (cmd_sweep, "--config --seed --out --budget"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command table, built once per process; ``main`` reuses it."""
@@ -348,36 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tiny-transformer environmental sound classification toolkit.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, handler, needs_input=False, needs_ckpt=False, needs_base=False, writes=False):
+    for name, (handler, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        if writes:
-            p.add_argument("--out", default=None)
-        if needs_input:
-            p.add_argument("input", help="input wav file")
-        if needs_ckpt:
-            p.add_argument("--ckpt", required=True, help="checkpoint path")
-        if needs_base:
-            p.add_argument("--base", required=True, help="base checkpoint to finetune")
-        return p
-
-    add("build-vocab", cmd_build_vocab, writes=True)
-    add("augment-preview", cmd_augment_preview, needs_input=True, writes=True)
-    add("train", _run_training, writes=True)
-    add("finetune", _run_training, needs_base=True, writes=True)
-    add("eval", cmd_eval, needs_ckpt=True)
-    p = add("predict", cmd_predict, needs_input=True, needs_ckpt=True)
-    p.add_argument("--quantized", action="store_true")
-    add("count", cmd_count)
-    add("quantize", cmd_quantize, needs_ckpt=True, writes=True)
-    p = add("bench", cmd_bench, needs_ckpt=True)
-    p.add_argument("--quantized", action="store_true",
-                   help="time float64 inference on the dequantized int8 weights")
-    p = add("sweep", cmd_sweep, writes=True)
-    p.add_argument("--budget", type=int, default=None)
+        p.set_defaults(handler=handler, config=None)  # quantize reads no config
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -398,9 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         unknown = sorted(config.values.keys() - KNOWN_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        if args.seed is None:
-            args.seed = config.get("seed", train.TrainConfig.seed)
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return args.handler(args, config)
     except (TinySoundError, OSError, ValueError) as exc:

@@ -2,12 +2,13 @@
 
 Linear-layer weights are stored as int8 with one symmetric per-tensor
 scale (zero-point 0); biases, norms, and embeddings stay float32, and
-activations are never quantized. Inference dequantizes on the fly and is
-numerically equivalent to running the dequantized weights.
+activations are never quantized. Inference runs the float weights that
+building a ``QuantizedParams`` dequantizes once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import time
@@ -175,10 +176,9 @@ def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
 
     Runs in this process on a deterministic input, ``_WARMUP`` (3) times, then
     ``_RUNS`` (10) times; only ``first_call_ms`` counts the warm-up runs.
-    Model and feature time are reported separately. For ``QuantizedParams``
-    the timed pass is float64 inference on the weights dequantized once up
-    front, as ``qforward`` runs it; no integer arithmetic is timed;
-    ``quantized`` in the report says only which weights were loaded.
+    Model and feature time are reported separately. ``QuantizedParams`` run
+    through ``qforward``, as in ``predict --quantized``: float64 inference on
+    weights dequantized once when built, so no integer arithmetic is timed.
     ``serialized_bytes`` re-encodes what it is given: for a TSCQ that is the
     whole file; for ``ModelParams`` it is the weights alone, with no Adam
     moments, step or metadata: a trained 6-class TSCK of the default config
@@ -186,8 +186,8 @@ def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
     is not the pipeline's raises ``ConfigError`` before anything is featurized.
     """
     quantized = isinstance(params_or_q, QuantizedParams)
-    params = params_or_q.dequantize() if quantized else params_or_q
-    pipeline.check_model(params.cfg, window_samples)
+    run = qforward if quantized else functools.partial(forward, training=False)
+    pipeline.check_model(params_or_q.cfg, window_samples)
 
     wave = np.sin(2 * np.pi * 440.0 * np.arange(window_samples) / TARGET_RATE)
     clip = AudioClip(wave, TARGET_RATE)
@@ -197,7 +197,7 @@ def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
         t0 = time.perf_counter()
         example = pipeline.extract(clip)
         t1 = time.perf_counter()
-        forward(params, example[None, ...], training=False)
+        run(params_or_q, example[None, ...])
         t2 = time.perf_counter()
         feature_times.append((t1 - t0) * 1e3)
         model_times.append((t2 - t1) * 1e3)
@@ -212,8 +212,7 @@ def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
         first_call_ms=first_call_ms,
         feature_mean_ms=float(np.mean(feature_times)),
         runs=_RUNS,
-        param_count=count_params(params.cfg),
-        serialized_bytes=len(encode_quantized(params_or_q) if quantized
-                             else encode_checkpoint(params)),
+        param_count=count_params(params_or_q.cfg),
+        serialized_bytes=len((encode_quantized if quantized else encode_checkpoint)(params_or_q)),
         quantized=quantized,
     )

@@ -19,12 +19,6 @@ from .errors import ConfigError
 _DB_FLOOR_POWER = 1e-10
 _DB_RANGE = 80.0
 
-MEL = "mel"
-MFCC = "mfcc"
-AMPLITUDE = "amplitude"
-#: Kinds of feature matrix.
-FEATURE_KINDS = (MEL, MFCC, AMPLITUDE)
-
 
 @dataclass(frozen=True)
 class SpectrogramConfig:

@@ -23,7 +23,6 @@ import numpy as np
 from . import _binio, audio_io, dsp, tokenizer as tokenizer_mod
 from .audio_io import AudioClip, DatasetManifest, ManifestEntry
 from .augment import AugmentSpec, apply_pipeline
-from .dsp import AMPLITUDE, FEATURE_KINDS, MEL, MFCC
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .model import (
     CONTINUOUS,
@@ -119,7 +118,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 # Feature pipeline
 # ---------------------------------------------------------------------------
 
-CURVE = "curve"
+MEL, MFCC, AMPLITUDE, CURVE = "mel", "mfcc", "amplitude", "curve"
+FEATURE_KINDS = (MEL, MFCC, AMPLITUDE, CURVE)  # the inputs PipelineConfig.extract makes
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class PipelineConfig:
     vocab: "tokenizer_mod.CurveVocab | None" = None
 
     def __post_init__(self):
-        if self.feature not in (*FEATURE_KINDS, CURVE):
+        if self.feature not in FEATURE_KINDS:
             raise ConfigError(f"unknown feature kind {self.feature!r}")
         if self.downsample < 1:
             raise ConfigError(f"downsample must be >= 1, got {self.downsample}")

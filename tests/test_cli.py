@@ -43,6 +43,14 @@ class TestConfigFile:
         values = cli.parse_config_file(path)
         assert values == {"a": "1", "name": "hello"}
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a comment starts at a line's first # or at a # after whitespace
+        path = tmp_path / "c.cfg"
+        path.write_text("data_root = /data/set#2   # note\n  # indented\n"
+                        "layout = folder_per_class\t# after a tab\n")
+        assert cli.parse_config_file(path) == {"data_root": "/data/set#2",
+                                               "layout": "folder_per_class"}
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         for text, message in [
@@ -93,7 +101,8 @@ class TestConfigFile:
 
 
 # Every key the command line accepted before the key-to-field table existed,
-# less the eleven aug_<kind> switches that aug_<kind>_p = 0 replaced.
+# less the eleven aug_<kind> switches that aug_<kind>_p = 0 replaced and the
+# seed key that --seed replaced.
 _KEYS_BEFORE_TABLE = frozenset({
     "aug_add_noise_p", "aug_amplify_p", "aug_amplitude_clip_p", "aug_bitwise_downsample_p",
     "aug_echo_p", "aug_hpss_p", "aug_lowpass_p", "aug_partial_erase_p", "aug_pitch_shift_p",
@@ -101,7 +110,7 @@ _KEYS_BEFORE_TABLE = frozenset({
     "batch_size", "classes", "curve_len", "curve_mode", "data_root", "downsample",
     "dropout", "epochs", "feature", "heads", "hidden", "hop_length", "layers", "layout",
     "log_mel", "lr_peak", "n_coeffs", "n_fft", "n_mels", "normalize01", "reshape_cols",
-    "reshape_rows", "resolution", "seed", "share_layers", "sweep_augment", "sweep_heads",
+    "reshape_rows", "resolution", "share_layers", "sweep_augment", "sweep_heads",
     "sweep_hop_length", "sweep_layers", "sweep_n_mels", "sweep_window_samples", "top_k",
     "val_fold", "val_fraction", "vocab_path", "warmup_steps", "win_length",
     "window_samples",
@@ -228,9 +237,12 @@ class TestExitCodes:
         assert "parameters" not in captured.out
 
     def test_bad_seed_names_its_key(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.cfg", **dict(TINY_KEYS, seed="abc"))
+        # --seed is the seed's one spelling; a seed key is unknown
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(TINY_KEYS, seed=3))
         assert cli.main(["count", "--config", cfg]) == 2
-        assert "config key seed is not an integer" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config keys: seed\n"
+        assert "parameters" not in captured.out
 
     @pytest.mark.parametrize("command", ["train", "sweep", "augment-preview"])
     @pytest.mark.parametrize("flag", [True, False])
@@ -248,8 +260,30 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
-        assert errors == ["error: seed must be non-negative, got -1"]
+        # the key is no spelling of the seed, so it is named as unknown
+        want = "seed must be non-negative, got -1" if flag else "unknown config keys: seed"
+        assert errors == [f"error: {want}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("predict", "--seed"), ("bench", "--seed"), ("count", "--seed"), ("quantize", "--seed"),
+        ("build-vocab", "--seed"), ("quantize", "--config")])
+    def test_an_option_the_command_does_not_read_is_a_usage_error(
+            self, run_dir, tmp_path, capsys, monkeypatch, command, option):
+        _, cfg, run = run_dir
+        wav, out, ckpt = tmp_path / "in.wav", tmp_path / "out", str(run / "best.tsck")
+        audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
+        argv = {"predict": [str(wav), "--config", cfg, "--ckpt", ckpt],
+                "bench": ["--config", cfg, "--ckpt", ckpt], "count": ["--config", cfg],
+                "quantize": ["--ckpt", ckpt, "--out", str(out)],
+                "build-vocab": ["--config", cfg, "--out", str(out)]}[command]
+        extracted = []
+        monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
+        value = cfg if option == "--config" else "1"
+        assert cli.main([command, *argv, option, value]) == 1
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {option} {value}" in captured.err
+        assert captured.out == "" and extracted == [] and not out.exists()
 
     def test_known_keys_are_the_keys_read(self):
         source = Path(cli.__file__).read_text()
@@ -297,6 +331,26 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
 
 
+def _commands(parser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Every option each command registers: a command takes only the options it reads.
+_CLI_OPTIONS = {
+    "build-vocab": {"config", "out"}, "augment-preview": {"input", "config", "seed", "out"},
+    "train": {"config", "seed", "out"}, "finetune": {"config", "seed", "base", "out"},
+    "eval": {"config", "seed", "ckpt"}, "predict": {"input", "config", "ckpt", "quantized"},
+    "count": {"config"}, "quantize": {"ckpt", "out"}, "bench": {"config", "ckpt", "quantized"},
+    "sweep": {"config", "seed", "out", "budget"},
+}
+
+
+def test_cli_options_unchanged():
+    registered = {name: {a.dest for a in p._actions if a.dest != "help"}
+                  for name, p in _commands(cli.build_parser()).items()}
+    assert registered == _CLI_OPTIONS
+
+
 def test_readme_command_lines_parse():
     """Every ``tinysound`` line of the README's Command line section parses, and
     together they show every command."""
@@ -311,8 +365,7 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
         commands.add(args.command)
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert commands == set(subparsers.choices)
+    assert commands == set(_commands(parser))
 
 
 class TestCount:
@@ -512,10 +565,10 @@ class TestTrainEvalPredict:
         model.save_checkpoint(bare, ckpt.params,
                               metadata={"class_names": ckpt.metadata["class_names"]})
         other = write_cfg(tmp_path / "o.cfg", **dict(cli.parse_config_file(cfg),
-                                                     seed=1, val_fraction=0.5))
+                                                     val_fraction=0.5))
         evaluate, scored = train.evaluate, []
         monkeypatch.setattr(train, "evaluate", lambda *a: scored.append(a[1]) or evaluate(*a))
-        assert cli.main(["eval", "--config", other, "--ckpt", str(bare)]) == 0
+        assert cli.main(["eval", "--config", other, "--seed", "1", "--ckpt", str(bare)]) == 0
         config = cli.Config(cli.parse_config_file(other))
         assert scored == [train.split_manifest(cli.load_dataset(config),
                                                cli.train_config(config, seed=1))[1]]
