@@ -19,16 +19,22 @@ import numpy as np
 from .errors import DecodeError, TinySoundError
 
 
-class Reader:
-    """Cursor over a file that starts with a 4-byte ``magic``."""
+FORMATS = {b"TSCK": "checkpoint", b"TSCQ": "quantized checkpoint", b"TSCV": "vocab file"}
 
-    def __init__(self, data: bytes, magic: bytes, error: type[TinySoundError], kind: str):
+
+class Reader:
+    """Cursor over a file that starts with ``magic``; another is an error whose
+    ``found_format`` is that magic's ``FORMATS`` name, or None."""
+
+    def __init__(self, data: bytes, magic: bytes, error: type[TinySoundError]):
         self._data = memoryview(data)
         self._error = error
-        self._kind = kind  # names the file in messages
+        self.kind = FORMATS[magic]  # names the file in messages
         self._field = 0  # start of the field being read, reported as the offset
         if bytes(self._data[:4]) != magic:
-            raise self.error(f"bad {kind} magic {bytes(self._data[:4])!r}")
+            exc = self.error(f"bad {self.kind} magic {bytes(self._data[:4])!r}")
+            exc.found_format = FORMATS.get(bytes(self._data[:4]))
+            raise exc
         self._pos = 4
 
     def error(self, message: str) -> TinySoundError:
@@ -42,12 +48,12 @@ class Reader:
         try:
             yield
         except errors as exc:
-            raise self.error(f"invalid {self._kind} {what}: {exc}") from exc
+            raise self.error(f"invalid {self.kind} {what}: {exc}") from exc
 
     def take(self, n: int, what: str) -> memoryview:
         self._field = self._pos
         if n > len(self._data) - self._pos:
-            raise self.error(f"truncated {self._kind} while reading {what}")
+            raise self.error(f"truncated {self.kind} while reading {what}")
         self._pos += n
         return self._data[self._pos - n : self._pos]
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _binio, audio_io, augment, deploy, dsp, model as model_mod, tokenizer, train
-from .errors import ConfigError, TinySoundError
+from .errors import CheckpointError, ConfigError, TinySoundError
 
 log = logging.getLogger(__name__)
 
@@ -232,16 +232,28 @@ def cmd_eval(args, cfg: Config) -> int:
     return 0
 
 
+def _load_model(args):
+    """(weights, metadata) of the TSCQ at ``--ckpt`` with ``--quantized``, else of
+    the TSCK; a file of the other format is an error naming it and the flag."""
+    try:
+        loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
+    except CheckpointError as exc:
+        if (found := getattr(exc, "found_format", None)) in ("checkpoint", "quantized checkpoint"):
+            raise CheckpointError(f"{args.ckpt} is a {found} by its magic: "
+                                  f"{'drop' if args.quantized else 'add'} --quantized") from exc
+        raise
+    return (loaded if args.quantized else loaded.params), loaded.metadata
+
+
 def cmd_predict(args, cfg: Config) -> int:
-    loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
-    weights, run = ((loaded, deploy.qforward) if args.quantized else
-                    (loaded.params, functools.partial(model_mod.forward, training=False)))
-    tcfg = train.run_config(loaded.metadata, train_config(cfg))
+    weights, metadata = _load_model(args)
+    run = deploy.qforward if args.quantized else model_mod.forward  # eval mode
+    tcfg = train.run_config(metadata, train_config(cfg))
     tcfg.pipeline.check_model(weights.cfg, tcfg.window_samples)
     clip = audio_io.load_audio(args.input)
     example = tcfg.pipeline.extract(audio_io.center_slice(clip, tcfg.window_samples))
     probs = model_mod.softmax(run(weights, example[None, ...])[0])
-    names = loaded.metadata.get("class_names") or [str(i) for i in range(len(probs))]
+    names = metadata.get("class_names") or [str(i) for i in range(len(probs))]
     order = np.argsort(probs)[::-1]
     print(f"prediction: {names[order[0]]}")
     for i in order:
@@ -263,22 +275,21 @@ def cmd_count(args, cfg: Config) -> int:
 
 
 def cmd_quantize(args, cfg: Config) -> int:
+    out = args.out or (str(Path(args.ckpt).with_suffix("")) + ".tscq")
+    if Path(out).resolve() == Path(args.ckpt).resolve():
+        raise ConfigError(f"quantize --out {out} is --ckpt {args.ckpt}: refusing to overwrite it")
     ckpt = model_mod.load_checkpoint(args.ckpt)
     qparams = deploy.quantize_dynamic(ckpt.params, metadata=ckpt.metadata)
-    out = args.out or (str(Path(args.ckpt).with_suffix("")) + ".tscq")
     deploy.save_quantized(out, qparams)
-    f32_bytes = deploy.weight_payload_bytes(ckpt.params)
-    q_bytes = deploy.weight_payload_bytes(qparams)
-    print(f"wrote {out} (weight payload {q_bytes} bytes, {q_bytes / f32_bytes:.1%} of float32)")
+    print(f"wrote {out} ({Path(out).stat().st_size} bytes, int8 weight payload "
+          f"{deploy.weight_payload_bytes(qparams)} bytes)")
     return 0
 
 
 def cmd_bench(args, cfg: Config) -> int:
-    loaded = (deploy.load_quantized if args.quantized else model_mod.load_checkpoint)(args.ckpt)
-    tcfg = train.run_config(loaded.metadata, train_config(cfg))
-    report = deploy.bench(loaded if args.quantized else loaded.params, tcfg.pipeline,
-                          tcfg.window_samples)
-    print(report.to_json_line())
+    weights, metadata = _load_model(args)
+    tcfg = train.run_config(metadata, train_config(cfg))
+    print(deploy.bench(weights, tcfg.pipeline, tcfg.window_samples).to_json_line())
     return 0
 
 

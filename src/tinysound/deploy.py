@@ -1,16 +1,15 @@
 """Post-training dynamic int8 weight quantization and latency benchmarks.
 
-Linear-layer weights are stored as int8 with one symmetric per-tensor
-scale (zero-point 0); biases, norms, and embeddings stay float32, and
-activations are never quantized. Inference runs the float weights that
-building a ``QuantizedParams`` dequantizes once.
+A quantized model is one tensor table, written and read by the TSCK's table
+code: linear-layer weights are int8 with one symmetric per-tensor scale
+(zero-point 0); biases, norms, and embeddings stay float32, and activations
+are never quantized. Inference runs the float weights that building a
+``QuantizedParams`` dequantizes once.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,37 +24,38 @@ from .model import ModelConfig, ModelParams, count_params, encode_checkpoint, fo
 _QUANT_SUFFIX = "_w"  # every linear weight tensor
 
 
-def quantized_tensor_names(cfg: ModelConfig) -> list[str]:
-    return [n for n in model_mod.param_shapes(cfg) if n.endswith(_QUANT_SUFFIX)]
-
-
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 @dataclass(frozen=True)
 class QuantizedParams:
-    """int8 linear weights with per-tensor scales; everything else float32.
-    Building one dequantizes it once; a scale that is not finite and positive,
-    a weight past float32's range or tensors unlike ``cfg``'s are ConfigErrors."""
+    """One table of ``cfg``'s tensors, int8 where ``scales`` holds a scale and
+    float32 elsewhere. Building one dequantizes it once; an int8 tensor with no
+    scale, a scale on no int8 tensor, a scale that is not finite and positive, a
+    weight past float32's range or tensors unlike ``cfg``'s are ConfigErrors."""
 
     cfg: ModelConfig
-    int8_weights: dict[str, np.ndarray]
+    tensors: dict[str, np.ndarray]
     scales: dict[str, float]
-    float_tensors: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
     _params: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tensors = {k: v.copy() for k, v in self.float_tensors.items()}
-        for name, q in self.int8_weights.items():
-            scale = self.scales[name]
+        tensors = {n: t.copy() for n, t in self.tensors.items() if n not in self.scales}
+        for name, scale in self.scales.items():
+            q = self.tensors.get(name)
+            if q is None or q.dtype != np.int8:
+                raise ConfigError(f"{name} has a scale but no int8 tensor")
             if not 0.0 < scale < float("inf"):
                 raise ConfigError(f"{name} scale must be finite and positive, got {scale}")
             weights = q.astype(np.float64) * scale
             if np.abs(weights).max(initial=0.0) > np.finfo(np.float32).max:
                 raise ConfigError(f"{name} scale {scale} takes weights past float32's range")
             tensors[name] = weights.astype(np.float32)
+        unscaled = [n for n, t in tensors.items() if t.dtype == np.int8]
+        if unscaled:
+            raise ConfigError(f"int8 tensor {unscaled[0]} has no scale")
         object.__setattr__(self, "_params", ModelParams(self.cfg, tensors))
 
     def dequantize(self) -> ModelParams:
@@ -70,22 +70,15 @@ def quantize_dynamic(params: ModelParams, metadata: dict | None = None) -> Quant
     element-wise dequantization error is bounded by scale / 2. All-zero
     tensors quantize to zeros with scale 1.
     """
-    int8_weights: dict[str, np.ndarray] = {}
+    quantized = [n for n in params.tensors if n.endswith(_QUANT_SUFFIX)]
+    tensors = {n: t.copy() for n, t in params.tensors.items() if n not in quantized}
     scales: dict[str, float] = {}
-    float_tensors: dict[str, np.ndarray] = {}
-    quantized = set(quantized_tensor_names(params.cfg))
-    for name, tensor in params.tensors.items():
-        if name not in quantized:
-            float_tensors[name] = tensor.copy()
-            continue
-        amax = float(np.max(np.abs(tensor.astype(np.float64))))
-        scale = amax / 127.0 if amax > 0.0 else 1.0
-        scale = float(np.float32(scale))
-        q = _round_half_away(tensor.astype(np.float64) / scale)
-        int8_weights[name] = np.clip(q, -127, 127).astype(np.int8)
-        scales[name] = scale
-    return QuantizedParams(params.cfg, int8_weights, scales, float_tensors,
-                           metadata or {})
+    for name in quantized:  # after every float32 tensor, as the TSCQ keeps them
+        w = params.tensors[name].astype(np.float64)
+        amax = float(np.max(np.abs(w)))
+        scales[name] = float(np.float32(amax / 127.0 if amax > 0.0 else 1.0))
+        tensors[name] = np.clip(_round_half_away(w / scales[name]), -127, 127).astype(np.int8)
+    return QuantizedParams(params.cfg, tensors, scales, metadata or {})
 
 
 def qforward(qparams: QuantizedParams, batch: np.ndarray) -> np.ndarray:
@@ -95,7 +88,7 @@ def qforward(qparams: QuantizedParams, batch: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Quantized checkpoint: the TSCK prefix with magic "TSCQ", then one
-# dtype-tagged tensor table (layout in model.py)
+# dtype-tagged tensor table, written and read by model.py's table code
 # ---------------------------------------------------------------------------
 
 _QCKPT_MAGIC = b"TSCQ"
@@ -103,12 +96,8 @@ _QCKPT_VERSION = 1
 
 
 def encode_quantized(qparams: QuantizedParams) -> bytes:
-    entries = [model_mod._entry_bytes(n, t, model_mod._F32)
-               for n, t in qparams.float_tensors.items()]
-    entries += [model_mod._entry_bytes(n, t, model_mod._I8, qparams.scales[n])
-                for n, t in qparams.int8_weights.items()]
-    prefix = model_mod._prefix_bytes(_QCKPT_MAGIC, _QCKPT_VERSION, qparams.cfg, qparams.metadata)
-    return b"".join([prefix, struct.pack("<I", len(entries))] + entries)
+    return (model_mod._prefix_bytes(_QCKPT_MAGIC, _QCKPT_VERSION, qparams.cfg, qparams.metadata)
+            + model_mod._table_bytes(qparams.tensors, qparams.scales))
 
 
 def save_quantized(path, qparams: QuantizedParams) -> None:
@@ -118,25 +107,19 @@ def save_quantized(path, qparams: QuantizedParams) -> None:
 def load_quantized(path) -> QuantizedParams:
     """Read a TSCQ file; any malformed content, a bad scale or tensors that
     do not fit the config included, raises CheckpointError."""
-    r, cfg, metadata = model_mod._read_prefix(Path(path).read_bytes(), _QCKPT_MAGIC,
-                                              _QCKPT_VERSION, "quantized checkpoint")
-    int8_weights, scales, float_tensors = {}, {}, {}
-    for name, tag, scale, array in model_mod._read_entries(r, tagged=True):
-        if tag == model_mod._I8:
-            int8_weights[name] = array
-            scales[name] = scale
-        else:
-            float_tensors[name] = array
+    r, cfg, metadata = model_mod._read_prefix(Path(path).read_bytes(), _QCKPT_MAGIC, _QCKPT_VERSION)
+    entries = list(model_mod._read_entries(r, tagged=True))
+    tensors = {name: array for name, _, _, array in entries}
+    scales = {name: scale for name, tag, scale, _ in entries if tag == model_mod._I8}
     with r.rejecting("tensors", ConfigError):
-        return QuantizedParams(cfg, int8_weights, scales, float_tensors, metadata)
+        return QuantizedParams(cfg, tensors, scales, metadata)
 
 
 def weight_payload_bytes(params_or_q) -> int:
     """Serialized bytes of just the linear-weight payloads (excluding scales)."""
     if isinstance(params_or_q, QuantizedParams):
-        return sum(t.size for t in params_or_q.int8_weights.values())
-    names = quantized_tensor_names(params_or_q.cfg)
-    return sum(params_or_q.tensors[n].size * 4 for n in names)
+        return sum(params_or_q.tensors[n].size for n in params_or_q.scales)
+    return sum(t.size * 4 for n, t in params_or_q.tensors.items() if n.endswith(_QUANT_SUFFIX))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +169,7 @@ def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
     is not the pipeline's raises ``ConfigError`` before anything is featurized.
     """
     quantized = isinstance(params_or_q, QuantizedParams)
-    run = qforward if quantized else functools.partial(forward, training=False)
+    run = qforward if quantized else forward  # eval mode
     pipeline.check_model(params_or_q.cfg, window_samples)
 
     wave = np.sin(2 * np.pi * 440.0 * np.arange(window_samples) / TARGET_RATE)

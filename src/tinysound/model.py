@@ -546,10 +546,10 @@ class Checkpoint:
     metadata: dict
 
 
-# TSCK and TSCQ share the prefix (magic, u32 version, JSON config and
-# metadata blocks) and the tensor entry (name, then in TSCQ a u8 dtype tag
-# and an f32 scale, then shape and payload); TSCK entries are all f32. The
-# config block also holds use_positional, true for a token model; readers drop it.
+# TSCK and TSCQ share the prefix (magic, u32 version, JSON config and metadata
+# blocks) and the tensor table. A TSCQ entry adds a u8 dtype tag and an f32 scale
+# after the name: i8 where ``scales`` holds one, else f32 (scale 0). The config
+# block also holds use_positional, true for a token model; readers drop it.
 
 def _prefix_bytes(magic: bytes, version: int, cfg: ModelConfig, metadata: dict) -> bytes:
     block = {**asdict(cfg), "use_positional": cfg.input_mode == TOKENS}
@@ -557,26 +557,25 @@ def _prefix_bytes(magic: bytes, version: int, cfg: ModelConfig, metadata: dict) 
             + _binio.json_block(block) + _binio.json_block(metadata))
 
 
-def _entry_bytes(name: str, tensor: np.ndarray, tag: int | None = None,
-                 scale: float = 0.0) -> bytes:
-    head = b"" if tag is None else struct.pack("<Bf", tag, scale)
-    dtype = _DTYPE_TAGS[_F32 if tag is None else tag]
+def _entry_bytes(name: str, tensor: np.ndarray, scales: dict[str, float] | None = None) -> bytes:
+    tag = _I8 if scales and name in scales else _F32
+    head = b"" if scales is None else struct.pack("<Bf", tag, scales.get(name, 0.0))
     return (_binio.name_block(name) + head + _binio.shape_block(tensor.shape)
-            + np.ascontiguousarray(tensor, dtype=dtype).tobytes())
+            + np.ascontiguousarray(tensor, dtype=_DTYPE_TAGS[tag]).tobytes())
 
 
-def _table_bytes(tensors: dict[str, np.ndarray]) -> bytes:
+def _table_bytes(tensors: dict[str, np.ndarray], scales: dict[str, float] | None = None) -> bytes:
     return struct.pack("<I", len(tensors)) + b"".join(
-        _entry_bytes(name, t) for name, t in tensors.items())
+        _entry_bytes(name, t, scales) for name, t in tensors.items())
 
 
-def _read_prefix(data: bytes, magic: bytes, version: int,
-                 kind: str) -> tuple[_binio.Reader, ModelConfig, dict]:
+def _read_prefix(data: bytes, magic: bytes,
+                 version: int) -> tuple[_binio.Reader, ModelConfig, dict]:
     """Check magic and version, then decode and validate config and metadata."""
-    r = _binio.Reader(data, magic, CheckpointError, kind)
+    r = _binio.Reader(data, magic, CheckpointError)
     (found,) = r.unpack("<I", "version")
     if found != version:
-        raise r.error(f"{kind} version {found} unsupported (expected {version})")
+        raise r.error(f"{r.kind} version {found} unsupported (expected {version})")
     block = r.json_object("config")
     block.pop("use_positional", None)
     with r.rejecting("config", TypeError, ConfigError):
@@ -623,8 +622,7 @@ def save_checkpoint(path, params: ModelParams,
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a TSCK file; any malformed content raises CheckpointError."""
-    r, cfg, metadata = _read_prefix(Path(path).read_bytes(), _CKPT_MAGIC, _CKPT_VERSION,
-                                    "checkpoint")
+    r, cfg, metadata = _read_prefix(Path(path).read_bytes(), _CKPT_MAGIC, _CKPT_VERSION)
     (step,) = r.unpack("<Q", "step")
     tensors = _read_table(r)
     with r.rejecting("tensors", ConfigError):

@@ -185,7 +185,7 @@ def save_vocab(path, vocab: CurveVocab) -> None:
 
 def load_vocab(path) -> CurveVocab:
     """Read a TSCV file; any malformed content raises DecodeError."""
-    r = _binio.Reader(Path(path).read_bytes(), _VOCAB_MAGIC, DecodeError, "vocab file")
+    r = _binio.Reader(Path(path).read_bytes(), _VOCAB_MAGIC, DecodeError)
     curve_len, resolution, top_k = r.unpack("<III", "header")
     if resolution > _MAX_RESOLUTION:
         raise r.error(f"resolution {resolution} does not fit one byte per level")

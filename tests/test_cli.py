@@ -391,6 +391,58 @@ class TestCount:
         assert "parameters: 6,642" in capsys.readouterr().out
 
 
+class TestModelFiles:
+    """``quantize`` and the two formats that ``predict`` and ``bench`` read."""
+
+    SMALL = model.ModelConfig(input_dim=6, seq_len=5, hidden=4, heads=2, classes=3)
+
+    def test_quantize_prints_file_size_and_int8_payload(self, tmp_path, capsys):
+        ckpt, out = tmp_path / "m.tsck", tmp_path / "m.tscq"
+        model.save_checkpoint(ckpt, model.init_model(model.ModelConfig(),
+                                                     np.random.default_rng(0)))
+        assert cli.main(["quantize", "--ckpt", str(ckpt)]) == 0
+        assert capsys.readouterr().out == (f"wrote {out} ({out.stat().st_size} bytes, "
+                                           f"int8 weight payload 5472 bytes)\n")
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    def test_quantize_refuses_to_overwrite_its_checkpoint(self, tmp_path, capsys, spelling):
+        ckpt = tmp_path / "m.tsck"
+        model.save_checkpoint(ckpt, model.init_model(self.SMALL, np.random.default_rng(0)))
+        before = ckpt.read_bytes()
+        (tmp_path / "sub").mkdir()
+        out = str(ckpt) if spelling == "same" else f"{tmp_path}/sub/../m.tsck"
+        assert cli.main(["quantize", "--ckpt", str(ckpt), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:")
+        assert f"--out {out} " in errors[0] and f"--ckpt {ckpt}" in errors[0]
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsck", "sub"]
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["tscq-no-flag", "tsck-flag"])
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_file_of_the_other_format_names_it_and_the_flag(
+            self, tmp_path, capsys, monkeypatch, command, quantized):
+        params = model.init_model(self.SMALL, np.random.default_rng(0))
+        path = tmp_path / ("m.tsck" if quantized else "m.tscq")
+        if quantized:
+            model.save_checkpoint(path, params)
+        else:
+            deploy.save_quantized(path, deploy.quantize_dynamic(params))
+        wav = tmp_path / "in.wav"
+        audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
+        extracted = []
+        monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
+        argv = [command, "--ckpt", str(path)] + ["--quantized"] * quantized
+        argv += [str(wav)] * (command == "predict")
+        assert cli.main(argv) == 2
+        found, fix = ("checkpoint", "drop") if quantized else ("quantized checkpoint", "add")
+        want = f"error: {path} is a {found} by its magic: {fix} --quantized\n"
+        assert capsys.readouterr().err == want
+        assert extracted == []
+
+
 class TestFeaturize:
     # configs whose pipeline cannot run, each with the key its error names
     @pytest.mark.parametrize("keys, named", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tinysound import deploy, model, train
-from tinysound.errors import CheckpointError
+from tinysound.errors import CheckpointError, ConfigError
 
 TINY = model.ModelConfig(input_dim=128, seq_len=430, hidden=16, layers=1,
                          heads=2, classes=6)
@@ -24,8 +24,8 @@ class TestQuantizeDynamic:
         params.tensors["cls_w"][0, 1] = -1.0
         q = deploy.quantize_dynamic(params)
         assert q.scales["cls_w"] == pytest.approx(1.0 / 127.0)
-        assert q.int8_weights["cls_w"][0, 0] == 64  # 63.5 rounds half away
-        assert q.int8_weights["cls_w"][0, 1] == -127
+        assert q.tensors["cls_w"][0, 0] == 64  # 63.5 rounds half away
+        assert q.tensors["cls_w"][0, 1] == -127
 
     def test_dequantization_error_bounded(self):
         params = tiny_params(2)
@@ -41,24 +41,40 @@ class TestQuantizeDynamic:
         params.tensors["pooler_w"][...] = 0.0
         q = deploy.quantize_dynamic(params)
         assert q.scales["pooler_w"] == 1.0
-        np.testing.assert_array_equal(q.int8_weights["pooler_w"], 0)
+        np.testing.assert_array_equal(q.tensors["pooler_w"], 0)
 
     def test_int8_range(self):
         q = deploy.quantize_dynamic(tiny_params(4))
-        for tensor in q.int8_weights.values():
-            assert np.abs(tensor.astype(np.int64)).max() <= 127
+        for name in q.scales:
+            assert np.abs(q.tensors[name].astype(np.int64)).max() <= 127
 
     def test_idempotent(self):
         q1 = deploy.quantize_dynamic(tiny_params(5))
         q2 = deploy.quantize_dynamic(q1.dequantize())
-        for name in q1.int8_weights:
-            np.testing.assert_array_equal(q1.int8_weights[name], q2.int8_weights[name])
+        for name in q1.scales:
+            np.testing.assert_array_equal(q1.tensors[name], q2.tensors[name])
             assert q1.scales[name] == q2.scales[name]
 
     def test_storage_quarter_of_float(self):
         params = tiny_params(6)
         q = deploy.quantize_dynamic(params)
         assert deploy.weight_payload_bytes(q) * 4 == deploy.weight_payload_bytes(params)
+
+
+class TestOneTensorTable:
+    """A tensor is int8 exactly where ``scales`` holds its scale."""
+
+    def test_int8_tensor_without_scale(self):
+        q = deploy.quantize_dynamic(tiny_params(17))
+        scales = {n: s for n, s in q.scales.items() if n != "cls_w"}
+        with pytest.raises(ConfigError, match="int8 tensor cls_w has no scale"):
+            deploy.QuantizedParams(q.cfg, q.tensors, scales)
+
+    @pytest.mark.parametrize("name", ["cls_b", "no_such_tensor"])
+    def test_scale_on_float32_or_absent_tensor(self, name):
+        q = deploy.quantize_dynamic(tiny_params(18))
+        with pytest.raises(ConfigError, match=f"{name} has a scale but no int8 tensor"):
+            deploy.QuantizedParams(q.cfg, q.tensors, {**q.scales, name: 0.5})
 
 
 class TestQforward:
@@ -103,11 +119,10 @@ class TestQuantizedFile:
         deploy.save_quantized(path, q)
         loaded = deploy.load_quantized(path)
         assert loaded.cfg == q.cfg
-        for name in q.int8_weights:
-            np.testing.assert_array_equal(loaded.int8_weights[name], q.int8_weights[name])
+        for name in q.scales:
             assert loaded.scales[name] == pytest.approx(q.scales[name], rel=1e-7)
-        for name in q.float_tensors:
-            np.testing.assert_array_equal(loaded.float_tensors[name], q.float_tensors[name])
+        for name in q.tensors:
+            np.testing.assert_array_equal(loaded.tensors[name], q.tensors[name])
 
     def test_checkpoint_small_enough_for_microcontroller(self, tmp_path):
         q = deploy.quantize_dynamic(tiny_params(15))

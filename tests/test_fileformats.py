@@ -145,12 +145,14 @@ class TestTypedFailures:
             load_tsck(tmp_path, tsck_bytes(entries=entries))
 
     def test_tensor_named_twice_in_tscq(self, tmp_path):
-        # an int8 cls_w and a stale float32 copy of it, which encode_quantized writes back
+        # an int8 cls_w and a stale float32 copy of it, as bytes: one table cannot hold both
         params = model.init_model(CFG, np.random.default_rng(7))
         q = deploy.quantize_dynamic(params)
+        entries = (model._table_bytes(q.tensors, q.scales)[4:]
+                   + model._entry_bytes("cls_w", params.tensors["cls_w"], {}))
         path = tmp_path / "bad.tscq"
-        deploy.save_quantized(path, replace(q, float_tensors={**q.float_tensors,
-                                                              "cls_w": params.tensors["cls_w"]}))
+        path.write_bytes(tscq_bytes(asdict(CFG))[:-4] + struct.pack("<I", len(q.tensors) + 1)
+                         + entries)
         with pytest.raises(CheckpointError, match="tensor cls_w appears twice"):
             deploy.load_quantized(path)
 
@@ -210,12 +212,8 @@ class TestUsePositionalKey:
             load = model.load_checkpoint
         else:
             q = deploy.quantize_dynamic(params)
-            entries = [model._entry_bytes(n, t, model._F32)
-                       for n, t in q.float_tensors.items() if n != "pos_emb"]
-            entries += [model._entry_bytes(n, t, model._I8, q.scales[n])
-                        for n, t in q.int8_weights.items()]
-            path.write_bytes(tscq_bytes(block)[:-4] + struct.pack("<I", len(entries))
-                             + b"".join(entries))
+            tensors = {n: t for n, t in q.tensors.items() if n != "pos_emb"}
+            path.write_bytes(tscq_bytes(block)[:-4] + model._table_bytes(tensors, q.scales))
             load = deploy.load_quantized
         with pytest.raises(CheckpointError, match=r"tensors: .*missing \{'pos_emb'\}"):
             load(path)

@@ -383,7 +383,7 @@ class TestCountParams:
         block = {**asdict(cfg), **({} if use_positional is None
                                    else {"use_positional": use_positional})}
         prefix = b"TSCK" + struct.pack("<I", 1) + _binio.json_block(block) + _binio.json_block({})
-        _, read, _ = model._read_prefix(prefix, b"TSCK", 1, "checkpoint")
+        _, read, _ = model._read_prefix(prefix, b"TSCK", 1)
         assert read == cfg
         assert model.count_params(read) == closed_form_params(cfg)
 
