@@ -1,12 +1,12 @@
 """
-Quantization and latency accounting
------------------------------------
+Quantization and size accounting
+--------------------------------
 
 Takes the reference tiny configuration, quantizes every linear weight to
-int8 with one symmetric scale per tensor, and compares: prediction
-agreement against the float path, serialized sizes against the 256 KB
-microcontroller budget, and wall-clock latency of feature extraction
-versus the forward pass.
+int8 with one symmetric scale per tensor, and compares prediction
+agreement against the float path and serialized sizes against the 256 KB
+microcontroller budget. Latency is measured end to end, from WAV bytes, by
+``python3 perfbench/run.py --workload infer``.
 """
 
 import tempfile
@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from tinysound import deploy, model, train
+from tinysound import deploy, model
 
 cfg = model.ModelConfig(input_dim=128, seq_len=430, hidden=16, layers=1,
                         heads=2, classes=6)
 params = model.init_model(cfg, np.random.default_rng(1))
 print(f"model: {model.count_params(cfg):,} parameters")
-print(f"mult-adds per forward pass: {model.count_mult_adds(cfg, model.TOTAL):,} "
-      f"(per-position convention: {model.count_mult_adds(cfg, model.PER_POSITION):,})")
+print(f"mult-adds per forward pass: {model.count_mult_adds(cfg, model.TOTAL):,}")
 
 qparams = deploy.quantize_dynamic(params)
 ratio = deploy.weight_payload_bytes(qparams) / deploy.weight_payload_bytes(params)
@@ -47,11 +46,3 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"float checkpoint:     {fpath.stat().st_size:6d} bytes")
     print(f"quantized checkpoint: {qpath.stat().st_size:6d} bytes "
           f"(budget: {256 * 1024})")
-
-pipeline = train.PipelineConfig()
-# both rows time float64 inference; the int8 row runs on the dequantized weights
-for label, target in (("float32 weights", params), ("int8 weights, dequantized", qparams)):
-    report = deploy.bench(target, pipeline, window_samples=220_500)
-    print(f"\n{label} bench: {report.to_json_line()}")
-    print(f"  feature extraction {report.feature_mean_ms:.2f} ms, "
-          f"forward {report.mean_ms:.2f} ms")

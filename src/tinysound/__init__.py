@@ -8,7 +8,7 @@ augment    eleven waveform augmentations and the pipeline applicator
 tokenizer  curve quantization, vocabulary building, tokenization
 model      the tiny BERT-style encoder, accounting, checkpoints
 train      loss, exact gradients, Adam with warmup, the epoch loop
-deploy     dynamic int8 quantization, quantized inference, benchmarks
+deploy     dynamic int8 quantization, quantized inference
 cli        batch command-line front end, imported on its own
 """
 

@@ -267,7 +267,6 @@ def cmd_count(args, cfg: Config) -> int:
                         cfg.get("classes", model_mod.ModelConfig.classes))
     params = model_mod.count_params(mcfg)
     print(f"parameters: {params:,}")
-    print(f"mult-adds (per-position convention): {model_mod.count_mult_adds(mcfg, model_mod.PER_POSITION):,}")
     print(f"mult-adds (total forward pass): {model_mod.count_mult_adds(mcfg, model_mod.TOTAL):,}")
     print(f"mult-adds (executed, last layer one query with no keys or values): "
           f"{model_mod.count_mult_adds(mcfg, model_mod.EXECUTED):,}")
@@ -283,13 +282,6 @@ def cmd_quantize(args, cfg: Config) -> int:
     deploy.save_quantized(out, qparams)
     print(f"wrote {out} ({Path(out).stat().st_size} bytes, int8 weight payload "
           f"{deploy.weight_payload_bytes(qparams)} bytes)")
-    return 0
-
-
-def cmd_bench(args, cfg: Config) -> int:
-    weights, metadata = _load_model(args)
-    tcfg = train.run_config(metadata, train_config(cfg))
-    print(deploy.bench(weights, tcfg.pipeline, tcfg.window_samples).to_json_line())
     return 0
 
 
@@ -371,7 +363,6 @@ _COMMANDS = {
     "predict": (cmd_predict, "input --config --ckpt --quantized"),
     "count": (cmd_count, "--config"),
     "quantize": (cmd_quantize, "--ckpt --out"),
-    "bench": (cmd_bench, "--config --ckpt --quantized"),
     "sweep": (cmd_sweep, "--config --seed --out --budget"),
 }
 

@@ -1,4 +1,4 @@
-"""Post-training dynamic int8 weight quantization and latency benchmarks.
+"""Post-training dynamic int8 weight quantization.
 
 A quantized model is one tensor table, written and read by the TSCK's table
 code: linear-layer weights are int8 with one symmetric per-tensor scale
@@ -9,17 +9,14 @@ are never quantized. Inference runs the float weights that building a
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import _binio, model as model_mod
-from .audio_io import TARGET_RATE, AudioClip
 from .errors import ConfigError
-from .model import ModelConfig, ModelParams, count_params, encode_checkpoint, forward
+from .model import ModelConfig, ModelParams, forward
 
 _QUANT_SUFFIX = "_w"  # every linear weight tensor
 
@@ -121,81 +118,3 @@ def weight_payload_bytes(params_or_q) -> int:
         return sum(params_or_q.tensors[n].size for n in params_or_q.scales)
     return sum(t.size * 4 for n, t in params_or_q.tensors.items() if n.endswith(_QUANT_SUFFIX))
 
-
-# ---------------------------------------------------------------------------
-# Benchmarks
-# ---------------------------------------------------------------------------
-
-_WARMUP = 3
-_RUNS = 10
-
-
-@dataclass
-class BenchReport:
-    """Forward-pass latency over the measured runs, plus the first call.
-
-    ``first_call_ms`` is the very first forward of the benchmark, warm-up
-    included, so a slow start shows next to the steady-state median.
-    """
-
-    mean_ms: float
-    min_ms: float
-    max_ms: float
-    median_ms: float
-    p90_ms: float
-    first_call_ms: float
-    feature_mean_ms: float
-    runs: int
-    param_count: int
-    serialized_bytes: int
-    quantized: bool
-
-    def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def bench(params_or_q, pipeline, window_samples: int) -> BenchReport:
-    """Wall-clock latency of feature extraction and one forward pass.
-
-    Runs in this process on a deterministic input, ``_WARMUP`` (3) times, then
-    ``_RUNS`` (10) times; only ``first_call_ms`` counts the warm-up runs.
-    Model and feature time are reported separately. ``QuantizedParams`` run
-    through ``qforward``, as in ``predict --quantized``: float64 inference on
-    weights dequantized once when built, so no integer arithmetic is timed.
-    ``serialized_bytes`` re-encodes what it is given: for a TSCQ that is the
-    whole file; for ``ModelParams`` it is the weights alone, with no Adam
-    moments, step or metadata: a trained 6-class TSCK of the default config
-    is 85,295 bytes on disk and reports 30,773. A model whose input shape
-    is not the pipeline's raises ``ConfigError`` before anything is featurized.
-    """
-    quantized = isinstance(params_or_q, QuantizedParams)
-    run = qforward if quantized else forward  # eval mode
-    pipeline.check_model(params_or_q.cfg, window_samples)
-
-    wave = np.sin(2 * np.pi * 440.0 * np.arange(window_samples) / TARGET_RATE)
-    clip = AudioClip(wave, TARGET_RATE)
-
-    feature_times, model_times = [], []
-    for _ in range(_WARMUP + _RUNS):
-        t0 = time.perf_counter()
-        example = pipeline.extract(clip)
-        t1 = time.perf_counter()
-        run(params_or_q, example[None, ...])
-        t2 = time.perf_counter()
-        feature_times.append((t1 - t0) * 1e3)
-        model_times.append((t2 - t1) * 1e3)
-    first_call_ms = model_times[0]
-    feature_times, model_times = feature_times[_WARMUP:], model_times[_WARMUP:]
-    return BenchReport(
-        mean_ms=float(np.mean(model_times)),
-        min_ms=float(np.min(model_times)),
-        max_ms=float(np.max(model_times)),
-        median_ms=float(np.median(model_times)),
-        p90_ms=float(np.percentile(model_times, 90)),
-        first_call_ms=first_call_ms,
-        feature_mean_ms=float(np.mean(feature_times)),
-        runs=_RUNS,
-        param_count=count_params(params_or_q.cfg),
-        serialized_bytes=len((encode_quantized if quantized else encode_checkpoint)(params_or_q)),
-        quantized=quantized,
-    )

@@ -478,7 +478,6 @@ def count_params(cfg: ModelConfig) -> int:
     return sum(math.prod(shapes[name]) for name in learnable_names(cfg))
 
 
-PER_POSITION = "per_position"
 TOTAL = "total"
 EXECUTED = "executed"
 
@@ -492,22 +491,11 @@ def mult_add_breakdown(cfg: ModelConfig, convention: str = TOTAL) -> dict[str, i
     layer runs one query and builds no keys or values (Q, O, W_k,hᵀ q_h and
     (probs·x)·W_v,hᵀ cost 4 * H^2, its scores and weighted sums
     2 * heads * L * H, its feed-forward one row), and the batch norm folded
-    into the mapping costs 2 * L * H. ``per_position`` counts each weight
-    matrix once plus L for the batch norm, approximating
-    parameter-count-style accounting tools.
+    into the mapping costs 2 * L * H.
     """
     h, c, seq, layers = cfg.hidden, cfg.classes, cfg.seq_len, cfg.layers
     continuous = cfg.input_mode == CONTINUOUS
     f = cfg.input_dim if continuous else 0
-    if convention == PER_POSITION:
-        return {
-            "batch_norm": seq if continuous else 0,
-            "mapping": f * h,
-            "attention": layers * 4 * h * h,
-            "ffn": layers * 8 * h * h,
-            "pooler": h * h,
-            "classifier": h * c,
-        }
     if convention not in (TOTAL, EXECUTED):
         raise ValueError(f"unknown convention {convention!r}")
     full = layers if convention == TOTAL else layers - 1  # layers run at every position

@@ -1,7 +1,6 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
 import argparse
-import json
 import os
 import re
 import shlex
@@ -206,8 +205,8 @@ class TestExitCodes:
         assert cli.main(["count", "--frobnicate"]) == 1
 
     @pytest.mark.parametrize("argv", [["count"], ["eval", "--ckpt", "m.tsck"],
-                                      ["predict", "in.wav", "--ckpt", "m.tsck"],
-                                      ["bench", "--ckpt", "m.tsck"]], ids=lambda a: a[0])
+                                      ["predict", "in.wav", "--ckpt", "m.tsck"]],
+                             ids=lambda a: a[0])
     def test_out_is_a_usage_error_where_nothing_is_written(self, tmp_path, capsys, argv):
         out = tmp_path / "x.txt"
         assert cli.main([*argv, "--out", str(out)]) == 1
@@ -266,15 +265,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, option", [
-        ("predict", "--seed"), ("bench", "--seed"), ("count", "--seed"), ("quantize", "--seed"),
+        ("predict", "--seed"), ("count", "--seed"), ("quantize", "--seed"),
         ("build-vocab", "--seed"), ("quantize", "--config")])
     def test_an_option_the_command_does_not_read_is_a_usage_error(
             self, run_dir, tmp_path, capsys, monkeypatch, command, option):
         _, cfg, run = run_dir
         wav, out, ckpt = tmp_path / "in.wav", tmp_path / "out", str(run / "best.tsck")
         audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
-        argv = {"predict": [str(wav), "--config", cfg, "--ckpt", ckpt],
-                "bench": ["--config", cfg, "--ckpt", ckpt], "count": ["--config", cfg],
+        argv = {"predict": [str(wav), "--config", cfg, "--ckpt", ckpt], "count": ["--config", cfg],
                 "quantize": ["--ckpt", ckpt, "--out", str(out)],
                 "build-vocab": ["--config", cfg, "--out", str(out)]}[command]
         extracted = []
@@ -340,8 +338,7 @@ _CLI_OPTIONS = {
     "build-vocab": {"config", "out"}, "augment-preview": {"input", "config", "seed", "out"},
     "train": {"config", "seed", "out"}, "finetune": {"config", "seed", "base", "out"},
     "eval": {"config", "seed", "ckpt"}, "predict": {"input", "config", "ckpt", "quantized"},
-    "count": {"config"}, "quantize": {"ckpt", "out"}, "bench": {"config", "ckpt", "quantized"},
-    "sweep": {"config", "seed", "out", "budget"},
+    "count": {"config"}, "quantize": {"ckpt", "out"}, "sweep": {"config", "seed", "out", "budget"},
 }
 
 
@@ -392,7 +389,7 @@ class TestCount:
 
 
 class TestModelFiles:
-    """``quantize`` and the two formats that ``predict`` and ``bench`` read."""
+    """``quantize`` and the two formats that ``predict`` reads."""
 
     SMALL = model.ModelConfig(input_dim=6, seq_len=5, hidden=4, heads=2, classes=3)
 
@@ -421,7 +418,7 @@ class TestModelFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsck", "sub"]
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["tscq-no-flag", "tsck-flag"])
-    @pytest.mark.parametrize("command", ["predict", "bench"])
+    @pytest.mark.parametrize("command", ["predict"])
     def test_file_of_the_other_format_names_it_and_the_flag(
             self, tmp_path, capsys, monkeypatch, command, quantized):
         params = model.init_model(self.SMALL, np.random.default_rng(0))
@@ -434,8 +431,7 @@ class TestModelFiles:
         audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
         extracted = []
         monkeypatch.setattr(train.PipelineConfig, "extract", lambda *a: extracted.append(a))
-        argv = [command, "--ckpt", str(path)] + ["--quantized"] * quantized
-        argv += [str(wav)] * (command == "predict")
+        argv = [command, str(wav), "--ckpt", str(path)] + ["--quantized"] * quantized
         assert cli.main(argv) == 2
         found, fix = ("checkpoint", "drop") if quantized else ("quantized checkpoint", "add")
         want = f"error: {path} is a {found} by its magic: {fix} --quantized\n"
@@ -626,7 +622,7 @@ class TestTrainEvalPredict:
                                                cli.train_config(config, seed=1))[1]]
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["tsck", "tscq"])
-    @pytest.mark.parametrize("command", ["predict", "bench"])
+    @pytest.mark.parametrize("command", ["predict"])
     def test_window_comes_from_the_checkpoint(self, run_dir, tmp_path, capsys, command,
                                               quantized):
         _, cfg, out = run_dir  # trained at window_samples = 8192
@@ -641,21 +637,17 @@ class TestTrainEvalPredict:
         audio_io.write_wav(wav, AudioClip(sine(700, 0.3), SR))
         printed = []
         for config in (cfg, bare):
-            argv = [command, "--config", config, "--ckpt", ckpt] + ["--quantized"] * quantized
-            argv += [str(wav)] * (command == "predict")
+            argv = [command, str(wav), "--config", config, "--ckpt", ckpt]
+            argv += ["--quantized"] * quantized
             capsys.readouterr()
             assert cli.main(argv) == 0
-            text = capsys.readouterr().out
-            if command == "bench":  # the timings differ from run to run
-                record = json.loads(text)
-                text = {k: v for k, v in record.items() if not k.endswith("_ms")}
-            printed.append(text)
+            printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
 
     @pytest.mark.parametrize("record", [{"seed": "x"}, {"window_samples": 2.5},
                                         {"val_fraction": 2}, {"val_fold": "x"}],
                              ids=lambda r: next(iter(r)))
-    @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_bad_run_record_is_two(self, run_dir, tmp_path, capsys, monkeypatch, command,
                                    record):
         _, cfg, out = run_dir
@@ -688,17 +680,6 @@ class TestTrainEvalPredict:
         for name in ("clicks", "noise", "tone"):
             assert name in text
 
-    def test_quantize_and_bench(self, run_dir, tmp_path, capsys):
-        _, cfg, out = run_dir
-        qpath = tmp_path / "m.tscq"
-        assert cli.main(["quantize", "--ckpt", str(out / "best.tsck"),
-                         "--out", str(qpath)]) == 0
-        capsys.readouterr()
-        assert cli.main(["bench", "--config", cfg, "--ckpt", str(qpath), "--quantized"]) == 0
-        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert record["quantized"] is True
-        assert record["runs"] == 10
-
     def test_predict_quantized_names_the_class_qforward_gives(self, run_dir, tmp_path, capsys):
         _, cfg, out = run_dir
         qpath, wav = tmp_path / "m.tscq", tmp_path / "probe.wav"
@@ -715,7 +696,7 @@ class TestTrainEvalPredict:
         want = qparams.metadata["class_names"][int(np.argmax(logits))]
         assert capsys.readouterr().out.splitlines()[0] == f"prediction: {want}"
 
-    @pytest.mark.parametrize("command", ["eval", "predict", "bench"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_pipeline_model_mismatch_exits_2_before_featurizing(
             self, run_dir, tmp_path, capsys, monkeypatch, command):
         _, cfg, out = run_dir  # trained at 32 mels

@@ -1,11 +1,9 @@
-"""Dynamic int8 quantization, quantized inference, and benchmarking."""
-
-import json
+"""Dynamic int8 quantization, quantized inference and the TSCQ file."""
 
 import numpy as np
 import pytest
 
-from tinysound import deploy, model, train
+from tinysound import deploy, model
 from tinysound.errors import CheckpointError, ConfigError
 
 TINY = model.ModelConfig(input_dim=128, seq_len=430, hidden=16, layers=1,
@@ -144,61 +142,3 @@ class TestQuantizedFile:
         with pytest.raises(CheckpointError):
             deploy.load_quantized(path)
 
-
-class TestBench:
-    def _pipeline(self):
-        return train.PipelineConfig()  # mel, 128 bands, hop 512
-
-    def test_report_structure(self):
-        report = deploy.bench(tiny_params(17), self._pipeline(), 220500)
-        assert report.runs == 10
-        assert report.min_ms <= report.mean_ms <= report.max_ms
-        assert report.param_count == 6642
-        assert report.serialized_bytes > 0
-        line = report.to_json_line()
-        assert '"runs": 10' in line
-
-    def test_serialized_bytes_of_a_trained_tsck_and_a_tscq(self, tmp_path):
-        # a TSCK is re-encoded from its weights alone, without the Adam
-        # moments, step and metadata of the file; a TSCQ counts whole
-        params, meta = tiny_params(22), {"epoch": 3, "val_acc": 0.5}
-        tsck = tmp_path / "best.tsck"
-        model.save_checkpoint(tsck, params, train.zero_moments(params), step=40, metadata=meta)
-        report = deploy.bench(model.load_checkpoint(tsck).params, self._pipeline(), 220500)
-        assert report.serialized_bytes == len(model.encode_checkpoint(params))
-        assert report.serialized_bytes < tsck.stat().st_size / 2
-        tscq = tmp_path / "best.tscq"
-        deploy.save_quantized(tscq, deploy.quantize_dynamic(params, meta))
-        report = deploy.bench(deploy.load_quantized(tscq), self._pipeline(), 220500)
-        assert report.serialized_bytes == tscq.stat().st_size
-
-    def test_order_statistics_and_first_call(self):
-        report = deploy.bench(tiny_params(21), self._pipeline(), 220500)
-        assert report.min_ms <= report.median_ms <= report.p90_ms <= report.max_ms
-        assert report.first_call_ms > 0
-        assert {"median_ms", "p90_ms", "first_call_ms"} <= set(json.loads(report.to_json_line()))
-
-    def test_tiny_model_faster_than_large(self):
-        pipeline = self._pipeline()
-        tiny = deploy.bench(tiny_params(18), pipeline, 220500)
-        large_cfg = model.ModelConfig(
-            input_dim=128, seq_len=86, hidden=256, layers=16, heads=16,
-            classes=50, share_layers=True)
-        large_params = model.init_model(large_cfg, np.random.default_rng(19))
-        large = deploy.bench(large_params, pipeline, 44100)
-        assert large.param_count > 900_000
-        assert tiny.mean_ms < large.mean_ms
-
-    def test_quantized_latency_comparable(self):
-        # dequantize-once inference keeps quantized latency within 10% of f32
-        large_cfg = model.ModelConfig(
-            input_dim=128, seq_len=86, hidden=256, layers=16, heads=16,
-            classes=50, share_layers=True)
-        params = model.init_model(large_cfg, np.random.default_rng(20))
-        pipeline, quantized = self._pipeline(), deploy.quantize_dynamic(params)
-        # alternating rounds share out whatever else the machine is running
-        f32_ms, q_ms = [], []
-        for _ in range(4):
-            f32_ms.append(deploy.bench(params, pipeline, 44100).min_ms)
-            q_ms.append(deploy.bench(quantized, pipeline, 44100).min_ms)
-        assert min(q_ms) <= min(f32_ms) * 1.1

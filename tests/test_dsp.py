@@ -31,8 +31,11 @@ class TestConfig:
             dsp.SpectrogramConfig(n_fft=512, win_length=1024)
 
     def test_rejects_too_many_mels(self):
-        with pytest.raises(ConfigError):
-            dsp.SpectrogramConfig(n_fft=64, win_length=64, n_mels=128)
+        # n_fft // 2 + 1 bands is the most a spectrum of n_fft bins can hold
+        cfg = dsp.SpectrogramConfig(n_fft=64, win_length=64, n_mels=33)
+        assert np.isfinite(dsp.mel_spectrogram(AudioClip(white_noise(SR), SR), cfg)).all()
+        with pytest.raises(ConfigError, match=r"^n_mels 34 exceeds n_fft/2\+1 = 33$"):
+            dsp.SpectrogramConfig(n_fft=64, win_length=64, n_mels=34)
 
     def test_rejects_bad_hop(self):
         with pytest.raises(ConfigError):

@@ -426,16 +426,6 @@ class TestMultAdds:
         parts = model.mult_add_breakdown(TINY430, model.TOTAL)
         assert parts["mapping"] == 430 * 128 * 16
 
-    def test_total_exceeds_per_position(self):
-        assert model.count_mult_adds(TINY430, model.TOTAL) > model.count_mult_adds(
-            TINY430, model.PER_POSITION)
-
-    def test_per_position_values(self):
-        # our convention gives 5,902 for the reference tiny config; external
-        # counting tools report 5,982 under a convention we cannot reproduce
-        assert model.count_mult_adds(TINY430, model.PER_POSITION) == 5902
-        assert model.count_mult_adds(TINY86, model.PER_POSITION) == 5902 - (430 - 86)
-
     def test_total_is_the_architectural_count(self):
         assert model.count_mult_adds(TINY430, model.TOTAL) == 8_173_792
 

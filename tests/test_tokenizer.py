@@ -297,6 +297,23 @@ class TestVocabFile:
         with pytest.raises(DecodeError, match=r"2\*\*63"):
             tok.load_vocab(path)
 
+    # each error reports the offset of the field it was reading: the magic at 0,
+    # curve_len, resolution and top_k at 4, the mode byte at 16, the count at 17
+    # and the curves at 21
+    @pytest.mark.parametrize("data, offset", [
+        (b"TSCK" + struct.pack("<IIIBI", 8, 64, 10, 0, 0), 0),
+        (b"TSCV" + struct.pack("<III", 8, 300, 10), 4),
+        (b"TSCV" + struct.pack("<IIIB", 8, 64, 10, 7), 16),
+        (b"TSCV" + struct.pack("<IIIB", 8, 64, 10, 0) + b"\x02\x00", 17),
+        (b"TSCV" + struct.pack("<IIIBI", 8, 64, 10, 0, 2) + bytes(11), 21),
+    ], ids=["magic", "resolution", "mode", "cut-count", "cut-curves"])
+    def test_decode_error_reports_the_field_offset(self, tmp_path, data, offset):
+        path = tmp_path / "v.tscv"
+        path.write_bytes(data)
+        with pytest.raises(DecodeError, match=rf"\(at byte offset {offset}\)$") as raised:
+            tok.load_vocab(path)
+        assert raised.value.offset == offset
+
     @pytest.mark.parametrize("curves", [
         [(0, 1, 2)],  # wrong length
         [(0, 1, 2, 3), (0, 1)],  # ragged
