@@ -384,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run a command; first ``train.keep_heap`` fixes glibc's mmap/trim thresholds process-wide."""
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:
@@ -402,6 +401,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be non-negative, got {args.seed}")
+        train.keep_heap()
         return args.handler(args, config)
     except (TinySoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ optimizer step whose results overflow float32 raises it before writing.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import logging
 import os
 import threading
@@ -332,6 +334,17 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
     return _model_input(cfg.pipeline, window)
 
 
+@functools.cache
+def keep_heap() -> None:
+    """Once per process, keep blocks of up to 64 MB on glibc's malloc heap and up to 128 MB of
+    its free top mapped, so freed arrays are reused, not re-faulted: a process-wide side effect."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # no glibc ``mallopt``
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
 @contextlib.contextmanager
 def _helper_pool():
     """``(pool, helpers)``: one pool thread per usable CPU besides the caller's."""
@@ -457,15 +470,15 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
                resume_from: Checkpoint | None = None) -> TrainResult:
     """Train over random slices; returns best/last checkpoints and metrics.
 
-    Each epoch visits every training entry once in a seeded shuffle,
-    re-slicing and re-augmenting; an unaugmented clip no longer than the
-    window has one fixed window, featurized once per run. This thread and one
-    pool thread per other usable CPU make each batch and each epoch's
-    validation batch through ``_prepare_batch``, the same for any count.
-    Fixing the seed makes the whole loop bit-reproducible and resumable. A
-    model whose input shape is not the pipeline's raises ``ConfigError``
-    before any example is prepared.
-    """
+    It first calls ``keep_heap``, which fixes glibc's mmap (64 MB) and trim (128 MB)
+    thresholds for the whole process. Each epoch visits every training entry once in a
+    seeded shuffle, re-slicing and re-augmenting; an unaugmented clip no longer than the
+    window has one fixed window, featurized once per run. This thread and one pool thread
+    per other usable CPU make each batch and each epoch's validation batch through
+    ``_prepare_batch``, the same for any count. Fixing the seed makes the whole loop
+    bit-reproducible and resumable. A model whose input shape is not the pipeline's
+    raises ``ConfigError`` before any example is prepared."""
+    keep_heap()
     if not manifest.entries:
         raise ValueError("manifest is empty")
     cfg.pipeline.check_model(model_cfg, cfg.window_samples)
@@ -512,10 +525,12 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
              store: ClipStore | None = None, pool=None) -> float:
-    """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch``
-    batches of ``cfg.batch_size``. ``store`` keeps features, not clips, between
-    calls and serves ``cfg``; ``pool``, a ``_helper_pool`` pair, is opened here when
-    not given. A model whose input shape is not the pipeline's raises ``ConfigError``."""
+    """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch`` batches of
+    ``cfg.batch_size``. ``store`` keeps features, not clips, between calls and serves
+    ``cfg``; ``pool``, a ``_helper_pool`` pair, is opened here when not given. A model
+    input shape unlike the pipeline's raises ``ConfigError``. ``keep_heap`` first fixes
+    glibc's mmap (64 MB) and trim (128 MB) thresholds for the whole process."""
+    keep_heap()
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")

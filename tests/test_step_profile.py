@@ -1,10 +1,13 @@
 """tools/step_profile.py: every op of the step is timed, and its counts are exact."""
 
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tinysound
 from tinysound import model
@@ -44,3 +47,13 @@ def test_step_counts_are_equal_in_two_fresh_processes():
     peak, calls = map(int, counts[0].groups())
     assert peak > 0 and calls > 0
     assert counts[0].groups() == counts[1].groups()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_warm_step_faults_are_printed_and_few():
+    env = dict(os.environ, PYTHONPATH=str(Path(tinysound.__file__).parents[1]))
+    lines = subprocess.run([sys.executable, str(TOOL)], env=env, capture_output=True, text=True,
+                           timeout=300, check=True).stdout.splitlines()
+    faults = re.fullmatch(r"one untimed step after a warm one: (\d+) minor page faults", lines[-2])
+    assert faults, lines[-2:]
+    assert int(faults.group(1)) < 50

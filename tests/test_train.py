@@ -1,8 +1,10 @@
 """Loss, gradients, optimizer schedule, and the training loop."""
 
+import contextlib
 import hashlib
 import logging
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -11,12 +13,13 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tinysound
-from tinysound import audio_io, augment, dsp, model, tokenizer, train
+from tinysound import audio_io, augment, cli, dsp, model, tokenizer, train
 from tinysound.errors import CheckpointError, ConfigError, DecodeError, DivergenceError
 
 from conftest import (SR, assert_grads_close, finite_difference_grads, sine,
@@ -558,6 +561,61 @@ class TestTrainLoop:
         manifest = audio_io.DatasetManifest((), ())
         with pytest.raises(ValueError):
             train.train_loop(manifest, grad_cfg(), train.TrainConfig())
+
+
+class TestKeepHeap:
+    @pytest.fixture
+    def fresh(self):
+        train.keep_heap.cache_clear()  # the next call runs the lookup again
+        yield
+        train.keep_heap.cache_clear()
+
+    def test_without_mallopt_returns_quietly(self, fresh, monkeypatch):
+        monkeypatch.setattr(train.ctypes, "CDLL", lambda name: object())
+        assert train.keep_heap() is None
+
+    def test_sets_both_thresholds_once_per_process(self, fresh, monkeypatch):
+        calls = []
+
+        def mallopt(option, value):
+            calls.append((option, value))
+            return 1
+
+        monkeypatch.setattr(train.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        train.keep_heap()
+        train.keep_heap()
+        assert calls == [(-3, 64 << 20), (-1, 128 << 20)]
+
+    @pytest.mark.parametrize("entry", [
+        lambda: train.train_loop(audio_io.DatasetManifest((), ()), grad_cfg(),
+                                 train.TrainConfig()),
+        lambda: train.evaluate(model.init_model(grad_cfg(), np.random.default_rng(0)), [],
+                               train.TrainConfig()),
+        lambda: cli.main(["count"]),
+    ], ids=["train_loop", "evaluate", "cli.main"])
+    def test_entry_points_call_it_first(self, entry, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(train, "keep_heap", lambda: calls.append(1))
+        with contextlib.suppress(ValueError):  # an empty manifest or split, after the call
+            entry()
+        assert calls == [1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_warm_default_step_makes_no_page_faults(self):
+        import resource  # POSIX only, as glibc is
+
+        train.keep_heap()
+        cfg = model.ModelConfig()
+        rng = np.random.default_rng(0)
+        params = model.init_model(cfg, rng)
+        moments, tcfg = train.zero_moments(params), train.TrainConfig(warmup_steps=0)
+        batch = [model.Example(x) for x in
+                 -50.0 + 30.0 * rng.standard_normal((16, cfg.seq_len, cfg.input_dim))]
+        labels = rng.integers(0, cfg.classes, 16)
+        train.train_step(params, moments, 0, batch, labels, tcfg, 0, 0)  # warm
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train.train_step(params, moments, 1, batch, labels, tcfg, 0, 1)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 class TestEvaluate:

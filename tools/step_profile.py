@@ -10,16 +10,21 @@ hidden 16, one layer, two heads, six classes), timed over 30 steps at a
 learning rate of 1e-4. A patched ``model._run`` times each top-level forward
 op (the ops it calls counted in it) and its backward; patches of the five
 ``train`` names the step calls (``STAGES``) time those calls whole, so what
-lies outside the ops shows as the difference. One untimed step runs first.
-Under the table, ``main`` prints two counts of one more untimed step, which
-do not drift from process to process as times do: its tracemalloc peak and
-its Python and C calls as ``sys.setprofile`` sees them.
+lies outside the ops shows as the difference. One untimed step runs first,
+and ``train.keep_heap`` fixes glibc's malloc thresholds before any step, as
+``train.train_loop`` does. Under the table, ``main`` prints the minor page
+faults (``resource.getrusage``) of an untimed step after a warm one, both run
+before the timed steps, whose freed arrays would hide what a fresh heap pays;
+then two counts of one more untimed step, which do not drift from process to
+process as times do: its tracemalloc peak and its Python and C calls as
+``sys.setprofile`` sees them.
 Standard library, numpy, the package and ``tools/bench_pairs.py`` only.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 import tracemalloc
@@ -118,6 +123,15 @@ def report(cfg: model.ModelConfig, batch_size: int, repeats: int) -> None:
         print(f"{label:<40} {median:8.3f} [{q1:.3f}, {q3:.3f}]")
 
 
+def step_faults(cfg: model.ModelConfig, batch_size: int) -> int:
+    """The minor page faults of one step after a warm one."""
+    params, moments, examples, labels, train_cfg = setup(cfg, batch_size)
+    train.train_step(params, moments, 0, examples, labels, train_cfg, 0, 0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train.train_step(params, moments, 1, examples, labels, train_cfg, 0, 1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def step_counts(cfg: model.ModelConfig, batch_size: int) -> tuple[int, int]:
     """The tracemalloc peak in bytes and the ``sys.setprofile`` calls of one step."""
     params, moments, examples, labels, train_cfg = setup(cfg, batch_size)
@@ -142,7 +156,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--batch", type=int, default=16)
     args = parser.parse_args(argv)
+    train.keep_heap()
+    faults = step_faults(model.ModelConfig(), args.batch)  # before other steps free arrays
     report(model.ModelConfig(), args.batch, 30)
+    print(f"one untimed step after a warm one: {faults} minor page faults")
     peak, calls = step_counts(model.ModelConfig(), args.batch)
     print(f"one untimed step after them: tracemalloc peak {peak} bytes, {calls} profiled calls")
     return 0
