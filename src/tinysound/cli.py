@@ -385,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run a command; first ``train.keep_heap`` fixes glibc's mmap/trim thresholds process-wide."""
+    if argv is None:
+        argv = sys.argv[1:]
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:

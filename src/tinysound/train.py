@@ -336,13 +336,11 @@ def _prepare_example(entry: ManifestEntry, store: ClipStore, cfg: TrainConfig,
 
 @functools.cache
 def keep_heap() -> None:
-    """Once per process, keep blocks of up to 64 MB on glibc's malloc heap and up to 128 MB of
-    its free top mapped, so freed arrays are reused, not re-faulted: a process-wide side effect."""
+    """Once per process, fix glibc's mmap (32 MB) and trim (128 MB) thresholds, process-wide."""
     with contextlib.suppress(AttributeError, OSError, TypeError):  # no glibc ``mallopt``
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+        mallopt = ctypes.CDLL(None).mallopt  # takes and returns C ints, ctypes' defaults
+        if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD, at its 64-bit cap in mallopt(3)
+            mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD; alone, it would freeze the mmap one
 
 
 @contextlib.contextmanager
@@ -470,14 +468,16 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
                resume_from: Checkpoint | None = None) -> TrainResult:
     """Train over random slices; returns best/last checkpoints and metrics.
 
-    It first calls ``keep_heap``, which fixes glibc's mmap (64 MB) and trim (128 MB)
-    thresholds for the whole process. Each epoch visits every training entry once in a
-    seeded shuffle, re-slicing and re-augmenting; an unaugmented clip no longer than the
-    window has one fixed window, featurized once per run. This thread and one pool thread
-    per other usable CPU make each batch and each epoch's validation batch through
-    ``_prepare_batch``, the same for any count. Fixing the seed makes the whole loop
-    bit-reproducible and resumable. A model whose input shape is not the pipeline's
-    raises ``ConfigError`` before any example is prepared."""
+    Each epoch visits every training entry once in a seeded shuffle,
+    re-slicing and re-augmenting; an unaugmented clip no longer than the
+    window has one fixed window, featurized once per run. This thread and one
+    pool thread per other usable CPU make each batch and each epoch's
+    validation batch through ``_prepare_batch``, the same for any count.
+    Fixing the seed makes the whole loop bit-reproducible and resumable. A
+    model whose input shape is not the pipeline's raises ``ConfigError``
+    before any example is prepared. It first calls ``keep_heap``, which fixes
+    glibc's mmap (32 MB) and trim (128 MB) thresholds for the whole process.
+    """
     keep_heap()
     if not manifest.entries:
         raise ValueError("manifest is empty")
@@ -525,12 +525,10 @@ def train_loop(manifest: DatasetManifest, model_cfg: ModelConfig, cfg: TrainConf
 
 def evaluate(params: ModelParams, entries, cfg: TrainConfig,
              store: ClipStore | None = None, pool=None) -> float:
-    """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch`` batches of
-    ``cfg.batch_size``. ``store`` keeps features, not clips, between calls and serves
-    ``cfg``; ``pool``, a ``_helper_pool`` pair, is opened here when not given. A model
-    input shape unlike the pipeline's raises ``ConfigError``. ``keep_heap`` first fixes
-    glibc's mmap (64 MB) and trim (128 MB) thresholds for the whole process."""
-    keep_heap()
+    """Top-1 accuracy over center slices in eval mode, in ``_prepare_batch``
+    batches of ``cfg.batch_size``. ``store`` keeps features, not clips, between
+    calls and serves ``cfg``; ``pool``, a ``_helper_pool`` pair, is opened here when
+    not given. A model whose input shape is not the pipeline's raises ``ConfigError``."""
     entries = list(entries)
     if not entries:
         raise ValueError("cannot evaluate on an empty split")

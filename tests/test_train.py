@@ -584,19 +584,40 @@ class TestKeepHeap:
         monkeypatch.setattr(train.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         train.keep_heap()
         train.keep_heap()
-        assert calls == [(-3, 64 << 20), (-1, 128 << 20)]
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+    def test_rejected_mmap_threshold_sets_no_trim_threshold(self, fresh, monkeypatch):
+        calls = []
+
+        def mallopt(option, value):
+            calls.append((option, value))
+            return 0
+
+        monkeypatch.setattr(train.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        train.keep_heap()
+        assert calls == [(-3, 32 << 20)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_accepts_both_thresholds(self, fresh, monkeypatch):
+        libc, returns = train.ctypes.CDLL(None), []
+
+        def mallopt(option, value):
+            returns.append(libc.mallopt(option, value))
+            return returns[-1]
+
+        monkeypatch.setattr(train.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        train.keep_heap()
+        assert returns == [1, 1]
 
     @pytest.mark.parametrize("entry", [
         lambda: train.train_loop(audio_io.DatasetManifest((), ()), grad_cfg(),
                                  train.TrainConfig()),
-        lambda: train.evaluate(model.init_model(grad_cfg(), np.random.default_rng(0)), [],
-                               train.TrainConfig()),
         lambda: cli.main(["count"]),
-    ], ids=["train_loop", "evaluate", "cli.main"])
+    ], ids=["train_loop", "cli.main"])
     def test_entry_points_call_it_first(self, entry, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(train, "keep_heap", lambda: calls.append(1))
-        with contextlib.suppress(ValueError):  # an empty manifest or split, after the call
+        with contextlib.suppress(ValueError):  # an empty manifest, after the call
             entry()
         assert calls == [1]
 
