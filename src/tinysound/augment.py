@@ -1,6 +1,7 @@
 """Waveform augmentations: eleven randomized transforms plus a pipeline.
 
-Every transform preserves the sample count, is deterministic given
+Every transform takes a 1-D float64 array (``apply_pipeline`` makes one
+from any input), preserves the sample count, is deterministic given
 (input, seed), and never produces NaN/Inf from finite input. Randomly
 drawn parameters can be pinned through keyword overrides for testing.
 """
@@ -17,21 +18,13 @@ from . import dsp
 from .audio_io import sinc_resample
 from .errors import ConfigError
 
-# Phase vocoder configuration shared by pitch_shift and speed_adjust.
-_VOCODER_FFT = 2048
-_VOCODER_HOP = 512
-
-# HPSS configuration.
-_HPSS_FFT = 1024
-_HPSS_HOP = 512
+# STFT frames of the phase vocoder (pitch_shift, speed_adjust) and of HPSS
+_VOCODER = dsp.SpectrogramConfig(n_fft=2048, hop_length=512, win_length=2048)
+_HPSS = dsp.SpectrogramConfig(n_fft=1024, hop_length=512, win_length=1024)
 _HPSS_KERNEL = 17  # the median network below is built for 17 taps
 _MEDIAN_BLOCK = 32  # lines per block of the median network
 
 ECHO_DELAY_RANGE = (882, 17640)  # 2% .. 40% of one second at 44.1 kHz
-
-
-def _as_wave(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
 
 
 def _fit_length(x: np.ndarray, n: int) -> np.ndarray:
@@ -42,7 +35,6 @@ def _fit_length(x: np.ndarray, n: int) -> np.ndarray:
 
 def amplitude_clip(x, rng: np.random.Generator, *, threshold: float | None = None):
     """Clamp to +-t where t = u * max|x|, u ~ U(0.75, 1.0)."""
-    x = _as_wave(x)
     if threshold is None:
         threshold = rng.uniform(0.75, 1.0) * np.max(np.abs(x), initial=0.0)
     return np.clip(x, -threshold, threshold)
@@ -50,7 +42,6 @@ def amplitude_clip(x, rng: np.random.Generator, *, threshold: float | None = Non
 
 def amplify(x, rng: np.random.Generator, *, gain: float | None = None):
     """Scale by g ~ U(0.5, 1.5). No re-clamping; downstream features tolerate it."""
-    x = _as_wave(x)
     if gain is None:
         gain = rng.uniform(0.5, 1.5)
     return gain * x
@@ -58,7 +49,6 @@ def amplify(x, rng: np.random.Generator, *, gain: float | None = None):
 
 def echo(x, rng: np.random.Generator, *, delay: int | None = None):
     """Add the sample from ``delay`` positions earlier, delay ~ U_int(882, 17640)."""
-    x = _as_wave(x)
     if delay is None:
         delay = int(rng.integers(ECHO_DELAY_RANGE[0], ECHO_DELAY_RANGE[1] + 1))
     out = x.copy()
@@ -69,7 +59,6 @@ def echo(x, rng: np.random.Generator, *, delay: int | None = None):
 
 def lowpass(x, rng: np.random.Generator, *, cutoff: float | None = None):
     """Fifth-order Butterworth lowpass, cutoff ~ U(0.05, 0.20) of Nyquist, forward pass."""
-    x = _as_wave(x)
     if cutoff is None:
         cutoff = rng.uniform(0.05, 0.20)
     b, a = scipy.signal.butter(5, cutoff)
@@ -77,30 +66,19 @@ def lowpass(x, rng: np.random.Generator, *, cutoff: float | None = None):
     return np.where(np.abs(y) < np.finfo(float).tiny, 0.0, y)  # subnormals slow later transforms
 
 
-def _linear_stft_config(n_fft: int, hop: int) -> dsp.SpectrogramConfig:
-    return dsp.SpectrogramConfig(n_fft=n_fft, hop_length=hop, win_length=n_fft, n_mels=1,
-                                 log_scale=False)
-
-
-def time_stretch(x, rate: float) -> np.ndarray:
+def time_stretch(x, rate: float, max_steps: int | None = None) -> np.ndarray:
     """Phase-vocoder time stretch; rate > 1 is faster (output ~ len/rate).
 
-    Pitch is preserved. Output length is exactly round(len / rate). Phase is carried
-    as unit phasors (Laroche and Dolson 1999), so no angle is taken.
+    Pitch is preserved. Output length is exactly round(len / rate), zero past the
+    first ``max_steps`` synthesis frames (None: all). Phase is carried as unit
+    phasors (Laroche and Dolson 1999), so no angle is taken.
     """
-    return _stretch(x, rate, None)
-
-
-def _stretch(x, rate: float, max_steps: int | None) -> np.ndarray:
-    """``time_stretch`` from at most ``max_steps`` synthesis frames (None: all)."""
     if rate <= 0:
         raise ValueError(f"stretch rate must be positive, got {rate}")
-    x = _as_wave(x)
     n_target = int(round(x.size / rate))
-    if x.size < _VOCODER_HOP:  # no analysis frame
+    if x.size < _VOCODER.hop_length:  # no analysis frame
         return _fit_length(x, n_target)
-    cfg = _linear_stft_config(_VOCODER_FFT, _VOCODER_HOP)
-    units = dsp.stft(x, cfg)
+    units = dsp.stft(x, _VOCODER)
 
     n, bins = units.shape
     # e^{i phi} = X/|X| by two real divides (a complex one overflows on a subnormal |X|),
@@ -125,7 +103,7 @@ def _stretch(x, rate: float, max_steps: int | None) -> np.ndarray:
         ks, f = k[lo : lo + 64], frac[lo : lo + 64]
         out[lo : lo + 64] *= (1.0 - f) * magnitudes[ks] + f * magnitudes[ks + 1]
     del magnitudes
-    return _fit_length(dsp.istft(out, cfg, steps.size * _VOCODER_HOP), n_target)
+    return _fit_length(dsp.istft(out, _VOCODER, steps.size * _VOCODER.hop_length), n_target)
 
 
 def pitch_shift(x, rng: np.random.Generator, *, semitones: float | None = None):
@@ -137,7 +115,6 @@ def pitch_shift(x, rng: np.random.Generator, *, semitones: float | None = None):
     constant pitch, then resamples by den/num back to the original length,
     scaling all frequencies by num/den.
     """
-    x = _as_wave(x)
     if semitones is None:
         semitones = rng.uniform(0.0, 4.0)
     num, den = Fraction(2.0 ** (semitones / 12.0)).limit_denominator(256).as_integer_ratio()
@@ -154,7 +131,6 @@ def partial_erase(x, rng: np.random.Generator, *, fraction: float | None = None)
     The noise is Gaussian with the input's standard deviation; the rest of
     the clip is untouched.
     """
-    x = _as_wave(x)
     if fraction is None:
         fraction = rng.uniform(0.0, 0.30)
     length = int(round(fraction * x.size))
@@ -172,18 +148,16 @@ def speed_adjust(x, rng: np.random.Generator, *, rate: float | None = None):
     Pitch is preserved; the result is trimmed or zero-padded back to the
     input length.
     """
-    x = _as_wave(x)
     if rate is None:
         rate = rng.uniform(0.5, 1.5)
     if rate == 1.0:
         return x.copy()
-    steps = x.size // _VOCODER_HOP + _VOCODER_FFT // _VOCODER_HOP + 1  # frames its samples reach
-    return _fit_length(_stretch(x, rate, steps), x.size)
+    steps = (x.size + _VOCODER.n_fft) // _VOCODER.hop_length + 1  # frames its samples reach
+    return _fit_length(time_stretch(x, rate, steps), x.size)
 
 
 def add_noise(x, rng: np.random.Generator, *, sigma: float | None = None):
     """Add Gaussian noise with sigma ~ U(0, 0.05) * max|x|."""
-    x = _as_wave(x)
     if sigma is None:
         sigma = rng.uniform(0.0, 0.05) * np.max(np.abs(x), initial=0.0)
     if sigma == 0.0:
@@ -248,23 +222,20 @@ def hpss_masks(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hpss(x, rng: np.random.Generator, *, branch: str | None = None):
     """Harmonic/percussive separation; a coin picks which branch to keep."""
-    x = _as_wave(x)
     if branch is None:
         branch = "harmonic" if rng.integers(0, 2) == 0 else "percussive"
     if branch not in ("harmonic", "percussive"):
         raise ValueError(f"branch must be harmonic or percussive, got {branch!r}")
-    if x.size < _HPSS_HOP:  # no analysis frame
+    if x.size < _HPSS.hop_length:  # no analysis frame
         return x.copy()
-    cfg = _linear_stft_config(_HPSS_FFT, _HPSS_HOP)
-    spec = dsp.stft(x, cfg)
+    spec = dsp.stft(x, _HPSS)
     mask_h, mask_p = hpss_masks(np.abs(spec))
     mask = mask_h if branch == "harmonic" else mask_p
-    return dsp.istft(spec * mask, cfg, x.size)
+    return dsp.istft(spec * mask, _HPSS, x.size)
 
 
 def bitwise_downsample(x, rng: np.random.Generator, *, resolution: int | None = None):
     """Snap samples to a grid of 1/R, R ~ U_int(40, 100): floor(x*R)/R."""
-    x = _as_wave(x)
     if resolution is None:
         resolution = int(rng.integers(40, 101))
     # eps keeps exact grid points (m/R)*R from flooring down a whole step
@@ -273,7 +244,6 @@ def bitwise_downsample(x, rng: np.random.Generator, *, resolution: int | None = 
 
 def samplerate_downsample(x, rng: np.random.Generator, *, factor: int | None = None):
     """Hold every k-th sample for k positions, k ~ U_int(2, 9); length unchanged."""
-    x = _as_wave(x)
     if factor is None:
         factor = int(rng.integers(2, 10))
     if x.size == 0:
@@ -320,7 +290,7 @@ def default_pipeline(probability: float = AugmentSpec.probability) -> list[Augme
 def apply_pipeline(x, specs: list[AugmentSpec], rng: np.random.Generator) -> np.ndarray:
     """Apply each spec independently with its probability, in listed order; a
     spec at probability 0 takes no draw, so ``rng`` and the output are as without it."""
-    out = _as_wave(x).copy()
+    out = np.array(x, dtype=np.float64)
     for spec in specs:
         if spec.probability == 0 or rng.random() >= spec.probability:
             continue

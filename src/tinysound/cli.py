@@ -126,6 +126,12 @@ def pipeline_config(cfg: Config) -> train.PipelineConfig:
             vocab = tokenizer.load_vocab(vocab_path)
         except OSError as exc:
             raise ConfigError(f"config key vocab_path: {exc}") from exc
+        for key, (owner, field) in _FIELD_KEYS.items():  # the vocabulary fixes its spec
+            if owner is tokenizer.CurveSpec and key in cfg.values:
+                built = getattr(vocab.spec, field)
+                if cfg.get(key, built) != built:
+                    raise ConfigError(f"config key {key} is {cfg.values[key]}, but "
+                                      f"{vocab_path} was built at {key} {built}")
     return train.PipelineConfig(
         spectrogram=dsp.SpectrogramConfig(**_fields(cfg, dsp.SpectrogramConfig)),
         n_coeffs=cfg.get("n_coeffs", 0) if "n_coeffs" in cfg.values else None,

@@ -146,6 +146,9 @@ class PipelineConfig:
             raise ConfigError("curve pipeline needs a vocabulary")
         if self.n_coeffs is not None and self.feature != MFCC:
             raise ConfigError(f"n_coeffs is for feature mfcc, got feature {self.feature}")
+        for name, unset in (("downsample", 1), ("normalize", False)):  # token ids take neither
+            if self.feature == CURVE and getattr(self, name) != unset:
+                raise ConfigError(f"{name} is not for feature curve, got {getattr(self, name)}")
         if self.feature == MFCC and not self.spectrogram.log_scale:
             raise ConfigError("log_scale must be true for feature mfcc (log mel energies)")
         if self.n_coeffs is not None and not 1 <= self.n_coeffs <= self.spectrogram.n_mels:
@@ -242,7 +245,8 @@ class TrainConfig:
         self.pipeline.check_window(self.window_samples)
         if not (isinstance(self.val_fraction, (int, float)) and 0.0 < self.val_fraction < 1.0):
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        object.__setattr__(self, "augments", tuple(self.augments))
+        # a spec at p = 0 never fires: without it, an all-zero run reuses cached features
+        object.__setattr__(self, "augments", tuple(s for s in self.augments if s.probability))
 
 
 # ---------------------------------------------------------------------------

@@ -443,9 +443,9 @@ class TestRandomSlice:
             random_slice(AudioClip(np.zeros(4), SR), 0, np.random.default_rng(0))
 
 
-def _csv_without_category(root):
+def _csv_without_category(root, data_root=""):
     (root / "meta.csv").write_text("filename,fold,target\nclip.wav,1,0\n")
-    return load_manifest(root, audio_io.CSV_MANIFEST)
+    return load_manifest(root / data_root, audio_io.CSV_MANIFEST)
 
 
 @pytest.mark.parametrize("build, error, named", [
@@ -455,8 +455,10 @@ def _csv_without_category(root):
     (lambda root: load_manifest(root, audio_io.CSV_MANIFEST), ManifestError, "manifest CSV"),
     (_csv_without_category, ManifestError, "columns filename,fold,target,category"),
     (lambda root: load_manifest(root, "flat"), ManifestError, "layout 'flat'"),
+    (lambda root: _csv_without_category(root, "meta.csv"), ManifestError,  # the CSV as root
+     "meta.csv must have columns"),
 ], ids=["2-D-samples", "label-out-of-range", "no-manifest-csv", "csv-without-columns",
-        "unknown-layout"])
+        "unknown-layout", "csv-file-as-root-without-columns"])
 def test_audio_io_raise_sites_name_their_field(tmp_path, build, error, named):
     with pytest.raises(error, match=named) as raised:
         build(tmp_path)

@@ -192,7 +192,7 @@ def loop_time_stretch(x, rate):
     """The phase vocoder as first written, with angles, a wrapped phase advance and
     a complex exp per step: the oracle for the phasor one."""
     n_target = int(round(x.size / rate))
-    cfg = augment._linear_stft_config(2048, 512)
+    cfg = dsp.SpectrogramConfig(n_fft=2048, hop_length=512, win_length=2048)
     spec = dsp.stft(x, cfg)
     steps = np.arange(0.0, spec.shape[0], rate)
     spec = np.vstack([spec, np.zeros((2, spec.shape[1]), dtype=spec.dtype)])

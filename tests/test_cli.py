@@ -439,6 +439,14 @@ class TestModelFiles:
         assert extracted == []
 
 
+@pytest.fixture(scope="module")
+def vocab_8_16(tmp_path_factory):
+    path = tmp_path_factory.mktemp("vocab") / "v.tscv"
+    spec = tokenizer.CurveSpec(curve_len=8, resolution=16)
+    tokenizer.save_vocab(path, tokenizer.CurveVocab(spec, [(0,) * 8, (1,) * 8]))
+    return str(path)
+
+
 class TestFeaturize:
     # configs whose pipeline cannot run, each with the key its error names
     @pytest.mark.parametrize("keys, named", [
@@ -459,11 +467,20 @@ class TestFeaturize:
         ({"val_fold": -1}, "val_fold"),
         ({"val_fold": -3}, "val_fold"),
         ({"augment": "true", "aug_echo": "false", "aug_echo_p": "0.9"}, "aug_echo"),
+        # a curve pipeline feeds token ids: no downsampling or normalizing of them
+        ({"feature": "curve", "downsample": 4}, "downsample"),
+        ({"feature": "curve", "normalize01": "true"}, "normalize01"),
+        # a curve key set in the config must match the vocabulary, built at 8/16
+        ({"feature": "curve", "curve_len": 16}, "curve_len"),
+        ({"feature": "curve", "resolution": 64}, "resolution"),
+        ({"feature": "curve", "top_k": 100}, "top_k"),
+        ({"feature": "curve", "curve_mode": "relative"}, "curve_mode"),
     ])
     @pytest.mark.parametrize("command", ["count"])  # builds the pipeline from the config alone
     def test_unrunnable_pipeline_is_two_and_names_its_key(self, tmp_path, capsys, command,
-                                                          keys, named):
-        cfg = write_cfg(tmp_path / "c.cfg", **{**TINY_KEYS, "window_samples": 44100, **keys})
+                                                          keys, named, vocab_8_16):
+        cfg = write_cfg(tmp_path / "c.cfg", **{**TINY_KEYS, "window_samples": 44100,
+                                               "vocab_path": vocab_8_16, **keys})
         assert cli.main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]

@@ -520,7 +520,9 @@ def _token_forward(batch):
      ConfigError, "cls_b contains NaN"),
     (lambda: _token_forward(np.zeros((2, 6), np.int64)), ValueError,
      r"token batch of shape \(B, 5\), got \(2, 6\)"),
-], ids=["unknown-input-mode", "tensor-wrong-shape", "tensor-nan", "token-batch-wrong-shape"])
+    (lambda: small_cfg(dropout_rate=1.0), ConfigError, r"^dropout_rate must be in \[0, 1\)"),
+], ids=["unknown-input-mode", "tensor-wrong-shape", "tensor-nan", "token-batch-wrong-shape",
+        "dropout-of-one"])
 def test_model_raise_sites_name_their_field(build, error, named):
     with pytest.raises(error, match=named) as raised:
         build()

@@ -274,6 +274,8 @@ class TestVocabFile:
             tok.CurveSpec(resolution=1)
         with pytest.raises(ConfigError):
             tok.CurveSpec(mode="both")
+        with pytest.raises(ConfigError, match="^top_k must be >= 1"):
+            tok.CurveSpec(top_k=0)
 
     @pytest.mark.parametrize("curve_len,resolution", [(63, 2), (8, 256), (8, 235), (11, 64),
                                                       (2**32 - 1, 64)])

@@ -310,8 +310,11 @@ _TWO_CLIPS = audio_io.DatasetManifest(
     (lambda: train.split_manifest(_TWO_CLIPS, train.TrainConfig(val_fraction=0.9)), ValueError,
      "val_fraction 0.9$"),  # both clips held out
     (lambda: train.evaluate(None, [], train.TrainConfig()), ValueError, "empty split"),
+    (lambda: train.PipelineConfig(downsample=0), ConfigError, "^downsample must be >= 1"),
+    (lambda: train.TrainConfig(batch_size=0), ConfigError, "^batch_size must be >= 1"),
 ], ids=["curve-without-vocab", "negative-warmup", "val_fold-not-integer", "val_fold-negative",
-        "fold-split-empty-side", "empty-training-split", "evaluate-no-entries"])
+        "fold-split-empty-side", "empty-training-split", "evaluate-no-entries",
+        "downsample-zero", "batch-size-zero"])
 def test_train_raise_sites_name_their_field(build, error, named):
     with pytest.raises(error, match=named) as raised:
         build()
@@ -764,6 +767,17 @@ class TestFeatureCache:
             assert len(calls) == n_train + n_val
         else:  # a random window per train clip and epoch; fixed eval windows
             assert len(calls) == tcfg.epochs * n_train + n_val
+
+    def test_all_zero_augments_featurize_as_none(self, small_dataset, monkeypatch):
+        # every 1 s clip fits, so an unaugmented run featurizes each clip once
+        manifest, mcfg, tcfg = self._config(small_dataset, SR)
+        mel, runs = dsp.mel_spectrogram, []
+        for augments in ((), augment.default_pipeline(0.0)):
+            calls = []
+            monkeypatch.setattr(dsp, "mel_spectrogram", lambda *a: calls.append(1) or mel(*a))
+            last = train.train_loop(manifest, mcfg, replace(tcfg, augments=augments)).last
+            runs.append((len(calls), [t.tobytes() for t in last.params.tensors.values()]))
+        assert runs[0] == runs[1]
 
     def test_cached_features_are_read_only(self, small_dataset):
         manifest, _, tcfg = self._config(small_dataset, SR)
