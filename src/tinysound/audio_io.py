@@ -8,6 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -297,10 +298,12 @@ def _find_manifest_csv(root: Path) -> Path:
 
 def _load_csv_manifest(root: Path) -> tuple[list, list[str]]:
     csv_path = _find_manifest_csv(root)
-    base = csv_path.parent if root.is_file() else root
-    audio_dir = base / "audio"
-    if not audio_dir.is_dir():
-        audio_dir = base
+    if root.is_file():  # ESC-50's own meta/esc50.csv names clips under ../audio
+        up = Path(os.path.normpath(csv_path.parent / ".." / "audio"))  # meta/../audio is audio
+        dirs = [csv_path.parent / "audio", up, csv_path.parent]
+    else:
+        dirs = [root / "audio", root]
+    audio_dir = next(d for d in dirs if d.is_dir())
 
     rows = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -343,7 +346,8 @@ def load_manifest(root: str | Path, layout: str = CSV_MANIFEST) -> DatasetManife
     """Load a dataset manifest with deterministic ordering.
 
     ``csv_manifest`` expects the ESC-50 convention (header row
-    ``filename,fold,target,category``, audio under ``audio/``);
+    ``filename,fold,target,category``, audio under ``audio/``; a CSV file as
+    ``root`` finds it in its folder's ``audio/``, ``../audio/`` or the folder);
     ``folder_per_class`` expects ``root/<class_name>/*.wav`` and skips
     folders whose names start with ``.``. Entries are sorted
     lexicographically by path and class names alphabetically.

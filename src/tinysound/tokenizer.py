@@ -65,9 +65,13 @@ class CoverageStats:
     distinct_curves: int
 
 
-def _place_values(spec: CurveSpec) -> np.ndarray:
-    """R**(L-1), ..., R, 1: a curve's key is its dot product with these."""
-    return spec.resolution ** np.arange(spec.curve_len - 1, -1, -1, dtype=np.int64)
+def _horner(cols, resolution: int) -> np.ndarray:
+    """Keys of the level columns, new int64, by Horner's rule: none overflows mid-way."""
+    keys = np.array(cols[0], dtype=np.int64)
+    for col in cols[1:]:
+        keys *= resolution
+        keys += col
+    return keys
 
 
 class CurveVocab:
@@ -89,8 +93,9 @@ class CurveVocab:
             raise ConfigError(f"curves have values outside [0, {spec.resolution})")
         self.spec = spec
         self.levels = levels
-        keys, ranks = np.unique(levels @ _place_values(spec), return_index=True)
-        if keys.size != len(levels):
+        ranks = np.argsort(keys := _horner(levels.T, spec.resolution))
+        keys = keys[ranks]
+        if np.any(keys[1:] == keys[:-1]):
             raise ConfigError("duplicate curves in vocabulary")
         # searchsorted puts keys above the largest at the -1 sentinel, id UNK
         self._sorted_keys = np.append(keys, -1)
@@ -116,9 +121,9 @@ class CurveVocab:
 
 def quantize_signal(clip: AudioClip, resolution: int) -> np.ndarray:
     """Quantize samples (clamped to [-1, 1]) to integer levels in [0, R)."""
-    x = np.clip(clip.samples, -1.0, 1.0)
-    levels = np.floor((x + 1.0) / 2.0 * resolution).astype(np.int64)
-    return np.minimum(levels, resolution - 1)
+    x = np.clip(clip.samples, -1.0, 1.0) + 1.0  # x * (R / 2) is exactly (x + 1) / 2 * R
+    levels = (x * (resolution / 2)).astype(np.int64)  # the floor, as x >= 0
+    return np.minimum(levels, resolution - 1, out=levels)
 
 
 def _curve_keys(clip: AudioClip, spec: CurveSpec, stride: int) -> np.ndarray:
@@ -126,9 +131,9 @@ def _curve_keys(clip: AudioClip, spec: CurveSpec, stride: int) -> np.ndarray:
     levels = quantize_signal(clip, spec.resolution)
     n = max(0, (levels.size - spec.curve_len) // stride + 1)
     cols = [levels[j::stride][:n] for j in range(spec.curve_len)]  # level j of each window
-    keys = sum(place * col for place, col in zip(_place_values(spec), cols))
-    if spec.mode == RELATIVE:
-        keys -= reduce(np.minimum, cols) * _place_values(spec).sum()
+    keys = _horner(cols, spec.resolution)
+    if spec.mode == RELATIVE:  # the all-min curve's key is min times the all-ones curve's
+        keys -= reduce(np.minimum, cols) * _horner([1] * spec.curve_len, spec.resolution)
     return keys
 
 
@@ -140,19 +145,24 @@ def build_curve_vocab(corpus, spec: CurveSpec) -> tuple[CurveVocab, CoverageStat
     against the same corpus, read once: each clip is dropped once keyed, and
     every curve_len-th stride-1 key is the key ``tokenize`` looks up.
     """
-    clip_keys = [_curve_keys(clip, spec, 1) for clip in corpus]
-    if not clip_keys:
+    keys = [_curve_keys(clip, spec, 1) for clip in corpus]
+    if not keys:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    keys, counts = np.unique(np.concatenate(clip_keys), return_counts=True)
+    token_keys = np.sort(np.concatenate([k[:: spec.curve_len] for k in keys]))  # sorted for lookup
+    keys = np.concatenate(keys)
     if not keys.size:
         raise ValueError("corpus holds no window of curve_len samples")
-    kept = keys[np.lexsort((keys, -counts))[: spec.top_k]]
-    vocab = CurveVocab(spec, kept[:, None] // _place_values(spec) % spec.resolution)
-    in_vocab = int(counts[vocab._lookup_keys(keys) != UNK_ID].sum())
-    ids = vocab._lookup_keys(np.concatenate([k[:: spec.curve_len] for k in clip_keys]))
-    known = np.count_nonzero(ids != UNK_ID)
-    return vocab, CoverageStats(in_vocab / int(counts.sum()),
-                                known / ids.size if ids.size else 0.0, keys.size)
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    n_windows, counts, keys = keys.size, np.diff(starts, append=keys.size), keys[starts]
+    del starts  # freed before the vocabulary is built, which lowers the peak
+    ranks = np.argsort(-counts, kind="stable")[: spec.top_k]  # equal counts keep key order
+    kept, levels = keys[ranks], np.empty((spec.curve_len, ranks.size), dtype=np.int64)
+    for row in levels[::-1]:  # peel off the least significant level, key - key // R * R
+        np.subtract(kept, (kept := kept // spec.resolution) * spec.resolution, out=row)
+    vocab = CurveVocab(spec, levels.T)
+    known = np.count_nonzero(vocab._lookup_keys(token_keys) != UNK_ID) / token_keys.size
+    return vocab, CoverageStats(int(counts[ranks].sum()) / n_windows, known, keys.size)
 
 
 def tokenize(clip: AudioClip, vocab: CurveVocab) -> np.ndarray:

@@ -4,6 +4,7 @@ import hashlib
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +381,29 @@ class TestManifest:
         assert [e.path.name for e in manifest.entries] == ["a.wav", "b.wav", "c.wav"]
         assert [e.fold for e in manifest.entries] == [2, 1, 5]
         assert [e.label for e in manifest.entries] == [1, 0, 0]
+
+    def test_esc50_loads_from_its_root_and_from_its_csv(self, tmp_path, monkeypatch):
+        """ESC-50's own layout: meta/esc50.csv, with its seven columns, names
+        clips that live in ../audio."""
+        (tmp_path / "meta").mkdir()
+        (tmp_path / "audio").mkdir()
+        lines = ["filename,fold,target,category,esc10,src_file,take"]
+        for fold in range(1, 6):
+            for target, category in enumerate(("dog", "rain", "rooster")):
+                name = f"{fold}-{100 + target}-A-{target}.wav"
+                lines.append(f"{name},{fold},{target},{category},False,{100 + target},A")
+                audio_io.write_wav(tmp_path / "audio" / name, AudioClip(np.zeros(32), SR))
+        (tmp_path / "meta" / "esc50.csv").write_text("\n".join(lines) + "\n")
+        from_root = load_manifest(tmp_path, audio_io.CSV_MANIFEST)
+        from_csv = load_manifest(tmp_path / "meta" / "esc50.csv", audio_io.CSV_MANIFEST)
+        assert from_csv == from_root
+        assert len(from_root) == 15 and from_root.class_names == ("dog", "rain", "rooster")
+        assert {e.path.parent for e in from_root.entries} == {tmp_path / "audio"}
+        assert sorted(e.fold for e in from_root.entries) == [f for f in range(1, 6) for _ in "abc"]
+        monkeypatch.chdir(tmp_path / "meta")  # a bare CSV name still reaches ../audio
+        from_here = load_manifest("esc50.csv", audio_io.CSV_MANIFEST)
+        assert [e.path for e in from_here.entries] == [
+            Path("..", "audio", e.path.name) for e in from_root.entries]
 
     def test_csv_bad_row_reports_line(self, tmp_path):
         self._write_csv_tree(tmp_path, ["a.wav,1,0,dog"])

@@ -51,6 +51,23 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_sides_part():
     assert not p90["unresolved"]
 
 
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_parent_spread():
+    parent = list(range(100, 110))  # inclusive q1 102.25, q3 106.75
+    close = [(result(p, 50), result(p + 0.5, 50)) for p in parent]  # 10/10, gap 0.5 < 4.5
+    throughput = bench_pairs.summarize(close, END_TO_END)["metrics"][0]
+    assert throughput["wins"] == 10 and not throughput["gain"]
+    far = [(result(p, 50), result(p + 5, 50)) for p in parent]
+    far[3] = (result(103, 50), result(102, 50))  # 9/10 wins, median gap 109.5 - 104.5 > 4.5
+    throughput = bench_pairs.summarize(far, END_TO_END)["metrics"][0]
+    assert throughput["wins"] == 9 and throughput["gain"]
+    assert bench_pairs.format_summary(bench_pairs.summarize(far, END_TO_END))[1].endswith(
+        "wins 9/10, gain: >= 9/10 wins, median gap > parent q3 - q1")
+    far[4] = (result(104, 50), result(103, 50))  # 8/10 wins is no gain
+    assert not bench_pairs.summarize(far, END_TO_END)["metrics"][0]["gain"]
+    nine = [(result(p, 50), result(p + 5, 50)) for p in parent[:9]]  # 9/9, but under ten pairs
+    assert not bench_pairs.summarize(nine, END_TO_END)["metrics"][0]["gain"]
+
+
 def test_failed_share_pools_every_run_of_a_side():
     pairs = [(result(1, 1, attempted=10, failed=1), result(1, 1, attempted=10)),
              (result(1, 1, attempted=30, failed=1), result(1, 1, attempted=30, failed=4))]

@@ -2,8 +2,10 @@
 
 import hashlib
 import struct
+import tempfile
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,12 +65,14 @@ class TestQuantize:
         clip = AudioClip(np.array([-2.0, 2.0]), SR)
         np.testing.assert_array_equal(tok.quantize_signal(clip, 64), [0, 63])
 
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 256))
+    @given(st.integers(0, 2**31 - 1), st.one_of(st.integers(2, 256), st.integers(2, 2**62)))
     @settings(max_examples=40, deadline=None)
     def test_levels_always_in_range(self, seed, resolution):
         x = np.random.default_rng(seed).uniform(-1.2, 1.2, size=100)
         levels = tok.quantize_signal(AudioClip(x, SR), resolution)
         assert levels.min() >= 0 and levels.max() < resolution
+        reference = np.floor((np.clip(x, -1.0, 1.0) + 1.0) / 2.0 * resolution).astype(np.int64)
+        np.testing.assert_array_equal(levels, np.minimum(reference, resolution - 1))
 
 
 class TestRelativeShift:
@@ -292,6 +296,25 @@ class TestVocabFile:
         np.testing.assert_array_equal(tok.tokenize(AudioClip(wave, SR), vocab),
                                       [tok.CLS_ID, tok.N_SPECIAL, tok.N_SPECIAL + 1, tok.UNK_ID])
 
+    @pytest.mark.parametrize("mode", [tok.ABSOLUTE, tok.RELATIVE])
+    @pytest.mark.parametrize("curve_len,resolution", [(10, 64), (7, 256), (62, 2)])
+    def test_keys_at_the_bound_match_python_ints(self, curve_len, resolution, mode):
+        spec = tok.CurveSpec(curve_len=curve_len, resolution=resolution, mode=mode)
+        rng = np.random.default_rng(curve_len)
+        # the largest key, then a top run cut by a 0 (the largest relative key), then noise
+        levels = ([resolution - 1] * curve_len + [0] + [resolution - 1] * curve_len
+                  + rng.integers(0, resolution, size=5 * curve_len).tolist())
+        clip = AudioClip(levels_to_wave(levels, resolution), SR)
+        for stride in (1, curve_len):
+            want = []
+            for i in range(0, len(levels) - curve_len + 1, stride):
+                win = levels[i : i + curve_len]
+                low = min(win) if mode == tok.RELATIVE else 0
+                want.append(sum((v - low) * resolution ** (curve_len - 1 - j)
+                                for j, v in enumerate(win)))
+            assert tok._curve_keys(clip, spec, stride).tolist() == want
+        assert max(want) < 2**63 and (mode == tok.RELATIVE or want[0] == resolution**curve_len - 1)
+
     @pytest.mark.parametrize("curve_len,resolution", [(8, 256), (2**32 - 1, 2)])
     def test_header_beyond_key_bound_is_decode_error(self, tmp_path, curve_len, resolution):
         path = tmp_path / "v.tscv"
@@ -390,8 +413,14 @@ def test_matches_tuple_oracle(data):
     assert vocab.curves == curves
     assert got == stats
     assert coverage(vocab, corpus) == stats
+    with tempfile.TemporaryDirectory() as tmp:  # the TSCV file's constructor call, too
+        tok.save_vocab(Path(tmp) / "v.tscv", vocab)
+        loaded = tok.load_vocab(Path(tmp) / "v.tscv")
+    assert all(np.array_equal(getattr(loaded, name), getattr(vocab, name))
+               for name in ("levels", "_sorted_keys", "_sorted_ids"))
     for clip in corpus + [probe]:
-        assert tok.tokenize(clip, vocab).tolist() == tokenize(clip)
+        got = tok.tokenize(clip, vocab).tolist()
+        assert got == tokenize(clip) == tok.tokenize(clip, loaded).tolist()
 
 
 # ---------------------------------------------------------------------------

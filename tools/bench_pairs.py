@@ -11,7 +11,10 @@ median [q1, q3] of each side and the number of pairs the change won are
 printed, with each side's share of failed operations. A metric is marked
 unresolved when either side's q3 - q1 exceeds its ``bound`` times that side's
 median, unless every change run beats every parent run: its runs spread too
-widely to tell a difference. Standard library only.
+widely to tell a difference. A metric is marked a gain when it meets the
+claim rule: over at least ten pairs the change wins at least nine tenths of
+them, and its median is better than the parent's by more than the parent's
+q3 - q1. Standard library only.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """The comparison of ``pairs`` of (parent, change) result objects, as the
     last line of perfbench/run.py prints them, on the ``end_to_end`` metrics
     of BENCHMARK.json: per metric, each side's (q1, median, q3), the pairs
-    in which the change is strictly better and whether it is unresolved; per
-    side, the failed share."""
+    in which the change is strictly better, whether it is unresolved and
+    whether it is a gain by the claim rule; per side, the failed share."""
     metrics = []
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -62,9 +65,13 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         sides = quartiles(parent), quartiles(change)
         wide = any(q3 - q1 > metric["bound"] * median for q1, median, q3 in sides)
         apart = min(change) > max(parent) if higher else max(change) < min(parent)
+        (q1, median, q3), change_median = sides[0], sides[1][1]
+        gap = change_median - median if higher else median - change_median
         metrics.append({"name": name, "unit": metric["unit"], "better": metric["better"],
                         "parent": sides[0], "change": sides[1], "wins": wins,
-                        "unresolved": wide and not apart})
+                        "unresolved": wide and not apart,
+                        "gain": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                                and gap > q3 - q1})
     failed = {side: sum(pair[k]["failed"] for pair in pairs)
               / max(1, sum(pair[k]["attempted"] for pair in pairs))
               for k, side in enumerate(("parent", "change"))}
@@ -80,7 +87,8 @@ def format_summary(summary: dict) -> list[str]:
         lines.append(f"{m['name']} ({m['unit']}, {m['better']} is better): "
                      f"parent {side(m['parent'])} -> change {side(m['change'])}, "
                      f"wins {m['wins']}/{summary['pairs']}"
-                     + (", unresolved: q3 - q1 above bound x median" if m["unresolved"] else ""))
+                     + (", unresolved: q3 - q1 above bound x median" if m["unresolved"] else "")
+                     + (", gain: >= 9/10 wins, median gap > parent q3 - q1" if m["gain"] else ""))
     failed = summary["failed_share"]
     lines.append(f"failed share: parent {failed['parent']:.4g} -> change {failed['change']:.4g}")
     return lines
