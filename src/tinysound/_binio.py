@@ -1,4 +1,4 @@
-"""Little-endian framing for the TSCK, TSCQ and TSCV file formats.
+"""Little-endian framing for the TSCK, TSCQ, TSCV and WAV file formats.
 
 ``Reader`` parses one ``bytes`` object and raises the format's error class
 for any malformed input; every size is checked against the bytes that
@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DecodeError, TinySoundError
 
 
-FORMATS = {b"TSCK": "checkpoint", b"TSCQ": "quantized checkpoint", b"TSCV": "vocab file"}
+FORMATS = {b"TSCK": "checkpoint", b"TSCQ": "quantized checkpoint", b"TSCV": "vocab file",
+           b"RIFF": "WAV file"}
 
 
 class Reader:
@@ -50,9 +51,13 @@ class Reader:
         except errors as exc:
             raise self.error(f"invalid {self.kind} {what}: {exc}") from exc
 
+    @property
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
+
     def take(self, n: int, what: str) -> memoryview:
         self._field = self._pos
-        if n > len(self._data) - self._pos:
+        if n > self.remaining:
             raise self.error(f"truncated {self.kind} while reading {what}")
         self._pos += n
         return self._data[self._pos - n : self._pos]

@@ -120,36 +120,25 @@ def decode_wav(data: bytes) -> AudioClip:
     mixed down by the arithmetic mean of the channels. The header's
     sampling rate is kept as-is; resampling is a separate step.
     """
-    if len(data) < 12:
-        raise DecodeError("file shorter than a RIFF header", offset=0)
-    if data[0:4] != b"RIFF":
-        raise DecodeError("missing RIFF magic", offset=0)
-    if data[8:12] != b"WAVE":
-        raise DecodeError("missing WAVE form type", offset=8)
+    reader = _binio.Reader(data, b"RIFF", DecodeError)
+    reader.take(4, "RIFF size")
+    if reader.take(4, "form type") != b"WAVE":
+        raise reader.error("missing WAVE form type")
 
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body_start = pos + 8
-        if body_start + chunk_size > len(data):
-            raise DecodeError(
-                f"chunk {chunk_id!r} overruns the file", offset=pos
-            )
+    fmt = payload = None
+    while reader.remaining >= 8:  # a shorter trailing fragment is ignored
+        chunk_id, chunk_size = reader.unpack("<4sI", "chunk header")
+        body = reader.take(chunk_size, f"chunk {chunk_id!r}")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
-                raise DecodeError("fmt chunk shorter than 16 bytes", offset=pos)
-            fmt = struct.unpack_from("<HHIIHH", data, body_start)
+                raise reader.error("fmt chunk shorter than 16 bytes")
+            fmt = struct.unpack_from("<HHIIHH", body)
             if fmt[0] == _WAVE_EXTENSIBLE and chunk_size >= 40:
-                # sub-format GUID starts with the plain format tag
-                (subformat,) = struct.unpack_from("<H", data, body_start + 24)
-                fmt = (subformat,) + fmt[1:]
-        elif chunk_id == b"data":
-            payload = (body_start, chunk_size)
-        # chunks are word-aligned: odd sizes carry one pad byte
-        pos = body_start + chunk_size + (chunk_size & 1)
+                fmt = struct.unpack_from("<H", body, 24) + fmt[1:]  # the GUID starts with the tag
+        elif chunk_id == b"data":  # the last one wins; its error names its offset
+            payload, nonfinite = body, reader.error("payload contains non-finite float samples")
+        # chunks are word-aligned: odd sizes carry one pad byte, which a last chunk may lack
+        reader.take(min(chunk_size & 1, reader.remaining), "pad byte")
 
     if fmt is None:
         raise DecodeError("no fmt chunk found", offset=12)
@@ -160,24 +149,20 @@ def decode_wav(data: bytes) -> AudioClip:
     if channels not in (1, 2):
         raise UnsupportedFormatError(f"unsupported channel count {channels}")
     if not MIN_WAV_RATE <= sample_rate <= MAX_WAV_RATE:
-        raise UnsupportedFormatError(
-            f"unsupported sampling rate {sample_rate} Hz "
-            f"(supported: {MIN_WAV_RATE} to {MAX_WAV_RATE})"
-        )
-    start, size = payload
+        raise UnsupportedFormatError(f"unsupported sampling rate {sample_rate} Hz "
+                                     f"(supported: {MIN_WAV_RATE} to {MAX_WAV_RATE})")
 
     if audio_format == _WAVE_PCM and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2", count=size // 2, offset=start)
+        raw = np.frombuffer(payload, dtype="<i2", count=len(payload) // 2)
         samples = np.divide(raw, 32768.0, dtype=np.float64)  # exact: a power of two
     elif audio_format == _WAVE_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(data, dtype="<f4", count=size // 4, offset=start)
+        raw = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
         if not np.isfinite(raw).all():
-            raise DecodeError("payload contains non-finite float samples", offset=start)
+            raise nonfinite
         samples = raw.astype(np.float64)
     else:
         raise UnsupportedFormatError(
-            f"unsupported format tag {audio_format:#06x} with {bits}-bit samples"
-        )
+            f"unsupported format tag {audio_format:#06x} with {bits}-bit samples")
 
     if channels == 2:
         usable = (samples.size // 2) * 2

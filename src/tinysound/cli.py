@@ -10,6 +10,7 @@ spelling of the seed. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import itertools
@@ -32,10 +33,13 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` UTF-8 file, each key set once; ``#`` at the start of a
     line or after whitespace starts a comment, so ``a = x#2`` keeps its ``#``."""
+    data = Path(path).read_bytes()
+    body = data.removeprefix(codecs.BOM_UTF8)  # Windows editors may write one
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+        raise ConfigError(f"{path}: not UTF-8 text at byte "
+                          f"{exc.start + len(data) - len(body)}") from exc
     values: dict[str, str] = {}
     lines: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -212,12 +216,12 @@ def _run_training(args, cfg: Config) -> int:
     tcfg = train_config(cfg, args.seed)
     mcfg = model_config(cfg, tcfg.pipeline, tcfg.window_samples,
                         classes=len(manifest.class_names))
+    out_dir = Path(args.out or "runs")
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     if base is None:
         result = train.train_loop(manifest, mcfg, tcfg)
     else:
         result = train.finetune(base, manifest, tcfg, model_cfg=mcfg)
-    out_dir = Path(args.out or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, ckpt in (("best", result.best), ("last", result.last)):
         model_mod.save_checkpoint(out_dir / f"{name}.tsck", ckpt.params, ckpt.opt_tensors,
                                   ckpt.step, ckpt.metadata)
@@ -331,6 +335,10 @@ def cmd_sweep(args, cfg: Config) -> int:
         except ConfigError as exc:
             raise ConfigError(f"sweep point {label}: {exc}") from exc
         runs.append((label, mcfg, tcfg))
+    out = Path(args.out or "sweep.csv")
+    if out.is_dir():
+        raise ConfigError(f"sweep --out {out} is a directory, not a file")
+    out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for label, mcfg, tcfg in runs:
         result = train.train_loop(manifest, mcfg, tcfg)
@@ -338,7 +346,6 @@ def cmd_sweep(args, cfg: Config) -> int:
         rows.append((label, best))
         print(f"{label}: best_val_acc={best:.4f}")
 
-    out = args.out or "sweep.csv"
     _binio.write_file(out, "".join(f"{label},{best}\n" for label, best in
                                    [("point", "best_val_acc"), *rows]).encode())
     print(f"wrote {out}")

@@ -139,6 +139,34 @@ class TestDecodeWav:
         assert extensible.sample_rate == plain.sample_rate == 48000
         np.testing.assert_array_equal(extensible.samples, plain.samples)
 
+    @pytest.mark.parametrize("layout", [
+        lambda fmt, data: _riff((b"fmt ", fmt), (b"LIST", b"odd"), (b"data", data)),
+        lambda fmt, data: _riff((b"data", data), (b"fmt ", fmt)),
+        lambda fmt, data: _riff((b"fmt ", fmt), (b"data", data)) + b"\1\2\3\4\5",
+        lambda fmt, data: _riff((b"fmt ", fmt), (b"data", data)) + b"junk\3\0\0\0odd",
+        lambda fmt, data: _riff((b"fmt ", fmt), (b"data", b"\7\7"), (b"data", data)),
+    ], ids=["odd-chunk-and-pad", "fmt-after-data", "trailing-fragment",
+            "odd-final-chunk-unpadded", "last-data-wins"])
+    def test_chunk_layout_decodes_as_the_plain_wav(self, layout):
+        values = [0, 12000, -32768, 32767, 5]
+        fmt = struct.pack("<HHIIHH", 1, 1, 22050, 44100, 2, 16)
+        clip = decode_wav(layout(fmt, np.array(values, "<i2").tobytes()))
+        plain = decode_wav(pcm16_wav(values, sample_rate=22050))
+        assert clip.sample_rate == plain.sample_rate
+        np.testing.assert_array_equal(clip.samples, plain.samples)
+
+    def test_truncated_data_body_names_its_offset(self):
+        message = "truncated WAV file while reading chunk b'data'"
+        with pytest.raises(DecodeError, match=message) as err:
+            decode_wav(pcm16_wav([1, 2, 3, 4])[:-3])
+        assert err.value.offset == 44  # RIFF header 12, fmt chunk 24, data header 8
+
+
+def _riff(*chunks) -> bytes:
+    """A RIFF/WAVE file of ``(id, body)`` chunks, each odd body followed by its pad byte."""
+    body = b"".join(cid + struct.pack("<I", len(b)) + b + b"\0" * (len(b) & 1) for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
 
 def _flip(data: bytes, pos: int, mask: int) -> bytes:
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]

@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
 import argparse
+import codecs
 import os
 import re
 import shlex
@@ -65,6 +66,19 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_bytes(b"seed = \xff\n")
         with pytest.raises(ConfigError, match="UTF-8"):
+            cli.parse_config_file(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("n_mels = 64\nseed = 1\n")
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert cli.parse_config_file(marked) == cli.parse_config_file(plain) == {
+            "n_mels": "64", "seed": "1"}
+
+    def test_undecodable_byte_after_a_bom_names_its_offset_in_the_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"seed = \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text at byte 10$"):
             cli.parse_config_file(path)
 
     def test_typed_getters(self):
@@ -282,6 +296,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {option} {value}" in captured.err
         assert captured.out == "" and extracted == [] and not out.exists()
+
+    @pytest.mark.parametrize("command, out", [("train", "a_file"), ("sweep", "a_dir"),
+                                              ("sweep", "a_file/sweep.csv")])
+    def test_bad_out_is_two_before_training(self, small_dataset, tmp_path, capsys, monkeypatch,
+                                            command, out):
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        keys = dict(FAST_KEYS, data_root=str(small_dataset), layout="folder_per_class")
+        cfg = write_cfg(tmp_path / "c.cfg", **keys, **({"sweep_n_mels": "32"}
+                                                       if command == "sweep" else {}))
+        monkeypatch.setattr(train, "train_loop", lambda *a: pytest.fail("trained"))
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and str(tmp_path / "a_") in errors[0]
+        if out == "a_dir":
+            assert "sweep --out" in errors[0]
 
     def test_known_keys_are_the_keys_read(self):
         source = Path(cli.__file__).read_text()
@@ -778,6 +809,13 @@ class TestSweep:
         assert "best_val_acc=" in captured.out and "disk full" in captured.err
         assert out.read_bytes() == b"point,best_val_acc\nold,0.5\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "sweep.csv"]
+
+    def test_out_in_a_missing_folder_is_made_first(self, small_dataset, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", sweep_n_mels="32",
+                        **self._base_keys(small_dataset))
+        out = tmp_path / "new" / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().startswith("point,best_val_acc\n")
 
     def test_two_by_two_grid(self, small_dataset, tmp_path):
         keys = self._base_keys(small_dataset)

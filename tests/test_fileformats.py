@@ -1,4 +1,4 @@
-"""The three binary formats (TSCK, TSCQ, TSCV): byte-exact encodings and
+"""The four binary formats (TSCK, TSCQ, TSCV, WAV): byte-exact encodings and
 typed failures on malformed files."""
 
 import hashlib
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tinysound import audio_io, cli, deploy, model, tokenizer as tok, train
+from tinysound import _binio, audio_io, cli, deploy, model, tokenizer as tok, train
 from tinysound.audio_io import AudioClip
 from tinysound.errors import CheckpointError, DecodeError
 
@@ -282,6 +282,26 @@ LOADERS = {
     ".tscq": (deploy.load_quantized, CheckpointError, _resave_quantized),
     ".tscv": (tok.load_vocab, DecodeError, _resave_vocab),
 }
+
+# Each _binio.FORMATS magic: the reader of its files and the error that reader raises.
+READERS = {
+    b"TSCK": (model.load_checkpoint, CheckpointError),
+    b"TSCQ": (deploy.load_quantized, CheckpointError),
+    b"TSCV": (tok.load_vocab, DecodeError),
+    b"RIFF": (lambda path: audio_io.decode_wav(path.read_bytes()), DecodeError),
+}
+
+
+@pytest.mark.parametrize("reader, given", [(r, g) for r in READERS for g in READERS if r != g],
+                         ids=lambda magic: magic.decode())
+def test_each_reader_names_the_format_it_was_given(tmp_path, valid_bytes, reader, given):
+    files = [*valid_bytes.values(), audio_io.encode_wav(AudioClip(sine(440, 0.01), SR))]
+    path = tmp_path / "given"
+    path.write_bytes(next(data for data in files if data[:4] == given))
+    load, error = READERS[reader]
+    with pytest.raises(error, match=f"bad {_binio.FORMATS[reader]} magic") as raised:
+        load(path)
+    assert raised.value.found_format == _binio.FORMATS[given]
 
 
 def _flip(data: bytes, pos: int, mask: int) -> bytes:
